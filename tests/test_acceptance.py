@@ -48,7 +48,7 @@ from conftest import (
     random_nonzero_series,
     random_series,
 )
-from test_cli import CORPUS, DATA
+from test_cli import CORPUS_RUNS
 
 
 def _verdict(number, ok, detail):
@@ -445,31 +445,11 @@ def test_criterion_10_cli_corpus_byte_stability():
             code = main(list(argv))
         return code, out.getvalue(), err.getvalue()
 
-    runs = []
-    for argv, name, expected in CORPUS:
-        command, *rest = argv
-        runs.append(((command, "--manifest", str(DATA / name), *rest), expected))
-    runs += [
-        (("counterexample", "sequence", "--levels", "5"), 0),
-        (("counterexample", "verify", "--k", "1", "--m-max", "2", "--n-max", "2"), 0),
-        (("counterexample", "horizon", "--t-range=-5:5"), 0),
-        (
-            (
-                "check-equivalence",
-                "--manifest",
-                str(DATA / "crossed-set.man"),
-                "--seed",
-                "7",
-            ),
-            0,
-        ),
-    ]
-
     wrong_codes = 0
     unstable = 0
     invalid_json = 0
     commands = set()
-    for argv, expected in runs:
+    for argv, expected in CORPUS_RUNS:
         commands.add(" ".join(argv[:2]) if argv[0] == "counterexample" else argv[0])
         first = run(argv)
         if first[0] != expected:
@@ -490,7 +470,7 @@ def test_criterion_10_cli_corpus_byte_stability():
 
     manifests = {
         Path(argv[argv.index("--manifest") + 1]).name
-        for argv, _ in runs
+        for argv, _ in CORPUS_RUNS
         if "--manifest" in argv
     }
     expected_commands = {
@@ -515,7 +495,7 @@ def test_criterion_10_cli_corpus_byte_stability():
     _verdict(
         10,
         ok,
-        f"{len(runs)} corpus runs over {len(manifests)} manifests stable in"
+        f"{len(CORPUS_RUNS)} corpus runs over {len(manifests)} manifests stable in"
         " both formats with contracted exit codes",
     )
     assert wrong_codes == 0

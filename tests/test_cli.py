@@ -45,6 +45,18 @@ CORPUS = [
     (("jet", "--order", "9"), "jet-sample.man", 3),
 ]
 
+# every run of acceptance criterion 10: the manifest corpus, then the
+# counterexample commands and a seeded report
+CORPUS_RUNS = [
+    ((command, "--manifest", str(DATA / name), *rest), expected)
+    for (command, *rest), name, expected in CORPUS
+] + [
+    (("counterexample", "sequence", "--levels", "5"), 0),
+    (("counterexample", "verify", "--k", "1", "--m-max", "2", "--n-max", "2"), 0),
+    (("counterexample", "horizon", "--t-range=-5:5"), 0),
+    (("check-equivalence", "--manifest", str(DATA / "crossed-set.man"), "--seed", "7"), 0),
+]
+
 
 def invoke(capsys, *argv):
     code = main(list(argv))
