@@ -41,6 +41,7 @@ from .equivalence import (
     pullback,
 )
 from .errors import (
+    CrossCheckError,
     DimensionError,
     GermcalcError,
     InversionError,
@@ -51,8 +52,6 @@ from .ideals import (
     IdealPresentation,
     JetSpace,
     MembershipScan,
-    diagram,
-    jet_ideal,
     jet_membership,
     membership_up_to,
 )
@@ -69,8 +68,6 @@ from .series import (
     FormalMap,
     FormalSeries,
     compose,
-    map_compose,
-    map_invert,
     realify,
     realify_map,
 )
@@ -78,6 +75,7 @@ from .series import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "CrossCheckError",
     "CurveSetReport",
     "CurveSpec",
     "DimensionError",
@@ -111,17 +109,13 @@ __all__ = [
     "curve",
     "curve_ideal",
     "curve_specs",
-    "diagram",
     "equivalence_horizon",
     "formal_division",
     "is_order_k_conjugacy",
     "is_order_k_equivalence",
     "is_order_k_field_equivalence",
     "jet_coset_membership",
-    "jet_ideal",
     "jet_membership",
-    "map_compose",
-    "map_invert",
     "membership_horizon",
     "membership_up_to",
     "monomials_up_to",

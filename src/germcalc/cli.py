@@ -2,7 +2,9 @@
 
 Exit codes: 0 for a true verdict or a completed computation, 1 for a
 false verdict, 2 for usage/parse problems, 3 when the requested order
-exceeds what the carried truncation can certify.  Reports print to
+exceeds what the carried truncation can certify, 4 when an internal
+cross-check contradicts a verdict (``counterexample verify`` re-checks
+the candidates its partner proposal pruned).  Reports print to
 stdout as text or JSON (--format); both are deterministic for fixed
 inputs, so byte-wise comparison of runs is meaningful.
 """
@@ -16,13 +18,13 @@ from typing import Optional, Sequence
 
 from .curves import (
     build_shift_sequence,
-    membership_horizon,
+    membership_horizons,
     verify_finite_order_equivalence,
 )
 from .division import formal_division, reduce_mod_ideal
 from .dynamics import is_order_k_conjugacy, is_order_k_field_equivalence
 from .equivalence import equivalence_horizon, is_order_k_equivalence
-from .errors import GermcalcError, ParseError, PrecisionError
+from .errors import CrossCheckError, GermcalcError, ParseError, PrecisionError
 from .expressions import format_series, infer_variables, parse_map, parse_series
 from .ideals import IdealPresentation
 from .manifest import Manifest, load_manifest
@@ -193,14 +195,30 @@ def _failure_text(failure) -> Optional[str]:
     return f"{direction} generator {index}"
 
 
-def _cmd_check_equivalence(args) -> tuple[int, dict]:
+def _resolve_order(args, manifest: Manifest) -> int:
+    order = args.order if args.order is not None else manifest.order
+    if order is None:
+        raise ParseError("no order: pass --order or a manifest 'order' key")
+    return order
+
+
+def _check_intake(args, order_first: bool):
+    """Common intake for the check-* commands: the manifest, the working
+    truncation and the map, with the order resolved ahead of the map when
+    order_first is set (check-equivalence resolves it later, if at all)."""
     manifest = load_manifest(args.manifest)
     trunc = _resolve_trunc(args, manifest)
-    mode = args.mode or manifest.mode
+    order = _resolve_order(args, manifest) if order_first else None
     map_text = args.map or manifest.map_text
     if map_text is None:
         raise ParseError("no map: pass --map or a manifest 'map' key")
     phi = parse_map(map_text, manifest.variables, trunc)
+    return manifest, trunc, order, phi
+
+
+def _cmd_check_equivalence(args) -> tuple[int, dict]:
+    manifest, trunc, _, phi = _check_intake(args, order_first=False)
+    mode = args.mode or manifest.mode
     left = manifest.resolve_family("left", trunc)
     right = manifest.resolve_family("right", trunc)
     if mode != manifest.mode:
@@ -220,9 +238,7 @@ def _cmd_check_equivalence(args) -> tuple[int, dict]:
         }
         return (0 if scan.first_failure is None else 1), report
 
-    order = args.order if args.order is not None else manifest.order
-    if order is None:
-        raise ParseError("no order: pass --order or a manifest 'order' key")
+    order = _resolve_order(args, manifest)
     verdict = is_order_k_equivalence(phi, left, right, order)
     report = {
         "command": "check-equivalence",
@@ -252,9 +268,28 @@ def _cmd_check_equivalence(args) -> tuple[int, dict]:
     return (0 if verdict.ok else 1), report
 
 
-def _dynamics_report(command: str, verdict, trunc: int) -> dict:
-    return {
-        "command": command,
+def _paired_labels(left_labels, right_labels):
+    """Dynamics families pair by position; the report labels each pair."""
+    if len(left_labels) != len(right_labels):
+        raise ParseError("left and right sections differ in length")
+    return [
+        l if l == r else f"{l}/{r}" for l, r in zip(left_labels, right_labels)
+    ]
+
+
+def _cmd_check_dynamics(args) -> tuple[int, dict]:
+    """check-conjugacy (maps) and check-field-equivalence (vector fields)."""
+    manifest, trunc, order, phi = _check_intake(args, order_first=True)
+    if args.command == "check-conjugacy":
+        resolve, check = manifest.resolve_maps, is_order_k_conjugacy
+    else:
+        resolve, check = manifest.resolve_fields, is_order_k_field_equivalence
+    left_labels, lefts = resolve("left", trunc)
+    right_labels, rights = resolve("right", trunc)
+    labels = _paired_labels(left_labels, right_labels)
+    verdict = check(phi, lefts, rights, order, labels=labels)
+    report = {
+        "command": args.command,
         "trunc": trunc,
         "ok": verdict.ok,
         "order": verdict.order,
@@ -267,50 +302,6 @@ def _dynamics_report(command: str, verdict, trunc: int) -> dict:
             for v in verdict.per_index
         ],
     }
-
-
-def _paired_labels(left_labels, right_labels):
-    """Dynamics families pair by position; the report labels each pair."""
-    if len(left_labels) != len(right_labels):
-        raise ParseError("left and right sections differ in length")
-    return [
-        l if l == r else f"{l}/{r}" for l, r in zip(left_labels, right_labels)
-    ]
-
-
-def _cmd_check_conjugacy(args) -> tuple[int, dict]:
-    manifest = load_manifest(args.manifest)
-    trunc = _resolve_trunc(args, manifest)
-    order = args.order if args.order is not None else manifest.order
-    if order is None:
-        raise ParseError("no order: pass --order or a manifest 'order' key")
-    map_text = args.map or manifest.map_text
-    if map_text is None:
-        raise ParseError("no map: pass --map or a manifest 'map' key")
-    phi = parse_map(map_text, manifest.variables, trunc)
-    left_labels, lefts = manifest.resolve_maps("left", trunc)
-    right_labels, rights = manifest.resolve_maps("right", trunc)
-    labels = _paired_labels(left_labels, right_labels)
-    verdict = is_order_k_conjugacy(phi, lefts, rights, order, labels=labels)
-    report = _dynamics_report("check-conjugacy", verdict, trunc)
-    return (0 if verdict.ok else 1), report
-
-
-def _cmd_check_field_equivalence(args) -> tuple[int, dict]:
-    manifest = load_manifest(args.manifest)
-    trunc = _resolve_trunc(args, manifest)
-    order = args.order if args.order is not None else manifest.order
-    if order is None:
-        raise ParseError("no order: pass --order or a manifest 'order' key")
-    map_text = args.map or manifest.map_text
-    if map_text is None:
-        raise ParseError("no map: pass --map or a manifest 'map' key")
-    phi = parse_map(map_text, manifest.variables, trunc)
-    left_labels, lefts = manifest.resolve_fields("left", trunc)
-    right_labels, rights = manifest.resolve_fields("right", trunc)
-    labels = _paired_labels(left_labels, right_labels)
-    verdict = is_order_k_field_equivalence(phi, lefts, rights, order, labels=labels)
-    report = _dynamics_report("check-field-equivalence", verdict, trunc)
     return (0 if verdict.ok else 1), report
 
 
@@ -376,23 +367,15 @@ def _cmd_counterexample_horizon(args) -> tuple[int, dict]:
         raise ParseError("--t-range takes LO:HI with integer bounds") from None
     if lo > hi:
         raise ParseError("--t-range bounds are out of order")
-    seq = build_shift_sequence(args.levels)
-    horizons = []
-    max_horizon: Optional[int] = None
-    all_finite = True
-    for t in range(lo, hi + 1):
-        h = membership_horizon(t, seq)
-        horizons.append([t, h])
-        if h is None:
-            all_finite = False
-        elif max_horizon is None or h > max_horizon:
-            max_horizon = h
+    horizons = membership_horizons(lo, hi, build_shift_sequence(args.levels))
+    finite = [h for _, h in horizons if h is not None]
+    all_finite = len(finite) == len(horizons)
     report = {
         "command": "counterexample horizon",
         "levels": args.levels,
         "t_range": [lo, hi],
         "ok": all_finite,
-        "max_horizon": max_horizon,
+        "max_horizon": max(finite, default=None),
         "horizons": horizons,
     }
     return (0 if all_finite else 1), report
@@ -503,8 +486,8 @@ _HANDLERS = {
     "jet": _cmd_jet,
     "reduce": _cmd_reduce,
     "check-equivalence": _cmd_check_equivalence,
-    "check-conjugacy": _cmd_check_conjugacy,
-    "check-field-equivalence": _cmd_check_field_equivalence,
+    "check-conjugacy": _cmd_check_dynamics,
+    "check-field-equivalence": _cmd_check_dynamics,
 }
 
 _COUNTEREXAMPLE_HANDLERS = {
@@ -531,6 +514,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PrecisionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except CrossCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except (GermcalcError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -542,3 +528,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def console_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

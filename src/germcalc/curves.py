@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .equivalence import GermFamily, is_order_k_equivalence, pair_order_k
-from .errors import PrecisionError
+from .errors import CrossCheckError, PrecisionError
 from .ideals import IdealPresentation
 from .series import FormalMap, FormalSeries, realify, realify_map
 
@@ -123,6 +123,13 @@ def membership_horizon(t: int, seq: ShiftSequence) -> Optional[int]:
         if not seq.contains(t, m):
             return m
     return None
+
+
+def membership_horizons(
+    lo: int, hi: int, seq: ShiftSequence
+) -> list[tuple[int, Optional[int]]]:
+    """(t, membership_horizon(t, seq)) for every integer t in lo..hi."""
+    return [(t, membership_horizon(t, seq)) for t in range(lo, hi + 1)]
 
 
 @dataclass(frozen=True)
@@ -448,7 +455,7 @@ def verify_finite_order_equivalence(
                     )
                 cross_checked += 1
                 if hit:
-                    raise RuntimeError(
+                    raise CrossCheckError(
                         "candidate proposal missed a genuine partner; "
                         f"{spec.label} matches pool position {j}"
                     )
@@ -497,15 +504,10 @@ def verify_tangent_obstruction(
     if seq.levels < m_max:
         raise ValueError(f"shift sequence too short, need {m_max} levels")
     zero_excluded = all(not seq.contains(0, m) for m in range(1, m_max + 1))
-    max_horizon: Optional[int] = None
-    all_finite = True
-    for t in range(-window, window + 1):
-        h = membership_horizon(t, seq)
-        if h is None:
-            all_finite = False
-            continue
-        if max_horizon is None or h > max_horizon:
-            max_horizon = h
+    horizons = membership_horizons(-window, window, seq)
+    finite = [h for _, h in horizons if h is not None]
+    all_finite = len(finite) == len(horizons)
+    max_horizon = max(finite, default=None)
     ok = zero_excluded and all_finite
     return ObstructionReport(
         ok=ok,

@@ -99,14 +99,9 @@ def formal_division(
             elif target in work:
                 del work[target]
 
-    def build(table):
-        s = FormalSeries(n, truncation)
-        object.__setattr__(s, "_terms", table)
-        return s
-
     return DivisionResult(
-        quotients=tuple(build(q) for q in quotients),
-        remainder=build(remainder),
+        quotients=tuple(FormalSeries._from_table(n, truncation, q) for q in quotients),
+        remainder=FormalSeries._from_table(n, truncation, remainder),
         staircase=staircase,
     )
 

@@ -10,10 +10,10 @@ invertible; only the conjugating map is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import DimensionError, PrecisionError
-from .series import FormalMap, FormalSeries
+from .series import FormalMap, FormalSeries, vanishing_components
 
 
 class VectorField:
@@ -23,19 +23,7 @@ class VectorField:
     __slots__ = ("_comps", "_trunc")
 
     def __init__(self, components: Sequence[FormalSeries]):
-        comps = tuple(components)
-        if not comps:
-            raise ValueError("a vector field needs at least one component")
-        n = len(comps)
-        for c in comps:
-            if c.dimension != n:
-                raise DimensionError(
-                    f"field on {n} variables has a component in dimension {c.dimension}"
-                )
-            if c.constant_term():
-                raise ValueError("vector field components must vanish at 0")
-        trunc = min(c.truncation for c in comps)
-        comps = tuple(c.truncate(trunc) for c in comps)
+        comps, trunc = vanishing_components(components, "vector field")
         object.__setattr__(self, "_comps", comps)
         object.__setattr__(self, "_trunc", trunc)
 
@@ -141,6 +129,31 @@ def _labels(count: int, labels: Optional[Sequence[str]]) -> list[str]:
     return labels
 
 
+def _check_transported(
+    transport: Callable,
+    what: str,
+    phi: FormalMap,
+    lefts: Sequence,
+    rights: Sequence,
+    k: int,
+    labels: Optional[Sequence[str]],
+) -> DynamicsReport:
+    """Whether each right object agrees with the transport of its left
+    partner through phi to order k, index by index."""
+    if k < 1:
+        raise ValueError(f"{what} order must be at least 1")
+    if len(lefts) != len(rights):
+        raise ValueError("families differ in length")
+    names = _labels(len(lefts), labels)
+    verdicts = tuple(
+        _difference_verdict(label, g.components, transport(f, phi).components, k)
+        for label, f, g in zip(names, lefts, rights)
+    )
+    return DynamicsReport(
+        ok=all(v.ok for v in verdicts), order=k, per_index=verdicts
+    )
+
+
 def is_order_k_conjugacy(
     phi: FormalMap,
     lefts: Sequence[FormalMap],
@@ -150,21 +163,7 @@ def is_order_k_conjugacy(
 ) -> DynamicsReport:
     """Whether each right map agrees with the conjugate of its left
     partner to order k, index by index."""
-    if k < 1:
-        raise ValueError("conjugacy order must be at least 1")
-    if len(lefts) != len(rights):
-        raise ValueError("families differ in length")
-    names = _labels(len(lefts), labels)
-    verdicts = []
-    ok = True
-    for label, f, g in zip(names, lefts, rights):
-        transported = conjugate(f, phi)
-        verdict = _difference_verdict(
-            label, g.components, transported.components, k
-        )
-        ok = ok and verdict.ok
-        verdicts.append(verdict)
-    return DynamicsReport(ok=ok, order=k, per_index=tuple(verdicts))
+    return _check_transported(conjugate, "conjugacy", phi, lefts, rights, k, labels)
 
 
 def is_order_k_field_equivalence(
@@ -176,18 +175,6 @@ def is_order_k_field_equivalence(
 ) -> DynamicsReport:
     """Whether each right field agrees with the pushforward of its left
     partner to order k, index by index."""
-    if k < 1:
-        raise ValueError("field equivalence order must be at least 1")
-    if len(lefts) != len(rights):
-        raise ValueError("families differ in length")
-    names = _labels(len(lefts), labels)
-    verdicts = []
-    ok = True
-    for label, xi, eta in zip(names, lefts, rights):
-        transported = pushforward_field(xi, phi)
-        verdict = _difference_verdict(
-            label, eta.components, transported.components, k
-        )
-        ok = ok and verdict.ok
-        verdicts.append(verdict)
-    return DynamicsReport(ok=ok, order=k, per_index=tuple(verdicts))
+    return _check_transported(
+        pushforward_field, "field equivalence", phi, lefts, rights, k, labels
+    )

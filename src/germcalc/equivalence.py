@@ -17,12 +17,12 @@ cross-check (see the curve-set driver).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional
 
 from .errors import DimensionError, PrecisionError
-from .ideals import IdealPresentation, JetSpace, jet_membership
-from .series import FormalMap, FormalSeries, compose
+from .ideals import IdealPresentation, jet_membership
+from .series import FormalMap, compose
 
 MODES = ("family", "set")
 
@@ -116,21 +116,28 @@ class EquivalenceReport:
         return self.ok
 
 
-def _check_order_inputs(phi: FormalMap, left: GermFamily, right: GermFamily, k: int):
-    if k < 1:
-        raise ValueError("equivalence order must be at least 1")
+def _check_shapes(
+    phi: FormalMap, left: GermFamily, right: GermFamily, k: int, precision: str
+):
+    """One dimension for families and map, generators known to degree k
+    (``precision`` is the message, with ``{bound}`` for the shortfall) and
+    the map known to degree k - 1."""
     if left.dimension != right.dimension or phi.dimension != left.dimension:
         raise DimensionError("families and map must share one dimension")
     for fam in (left, right):
         bound = fam.generator_truncation
         if bound is not None and bound < k:
-            raise PrecisionError(
-                f"order-{k} check needs generator truncations >= {k}, have {bound}"
-            )
+            raise PrecisionError(precision.format(bound=bound))
     if phi.truncation < k - 1:
         raise PrecisionError(
             f"order-{k} check needs the map known to degree {k - 1}"
         )
+
+
+def _common_mode(left: GermFamily, right: GermFamily) -> str:
+    if right.mode != left.mode:
+        raise ValueError("families disagree about the comparison mode")
+    return left.mode
 
 
 def _pair_order_k(
@@ -163,6 +170,72 @@ def pair_order_k(
     return ok
 
 
+def _match(
+    pair: Callable,
+    left: GermFamily,
+    right: GermFamily,
+    k: int,
+    left_pool: GermFamily,
+    right_pool: GermFamily,
+    candidates: Optional[CandidateHook] = None,
+) -> EquivalenceReport:
+    """Compare two families of one mode with a pairwise verdict:
+    pair(left ideal, right ideal) returns (ok, failure or None).
+
+    Family mode pairs members by position.  Set mode searches a partner
+    for every left member in the right pool and for every right member in
+    the left pool, in the order the candidate hook proposes (every pool
+    index by default), and evaluates each (left, right) pair only once.
+    """
+    if left.mode == "family":
+        if left.labels != right.labels:
+            raise ValueError("family mode requires identical label sequences")
+        verdicts = []
+        for label, ileft, iright in zip(left.labels, left.ideals, right.ideals):
+            good, failure = pair(ileft, iright)
+            verdicts.append(IndexVerdict(label=label, ok=good, failure=failure))
+        return EquivalenceReport(
+            ok=all(v.ok for v in verdicts),
+            order=k,
+            mode="family",
+            per_index=tuple(verdicts),
+        )
+
+    memo: dict[tuple[int, int], bool] = {}
+
+    def hit(i: int, j: int) -> bool:
+        key = (i, j)
+        known = memo.get(key)
+        if known is None:
+            known, _ = pair(left_pool.ideals[i], right_pool.ideals[j])
+            memo[key] = known
+        return known
+
+    def search(side: str, index: int, pool: GermFamily) -> MatchVerdict:
+        order = candidates(side, index) if candidates is not None else None
+        if order is None:
+            order = range(len(pool))
+        tried = 0
+        fam = left if side == "left" else right
+        for j in order:
+            tried += 1
+            if hit(index, j) if side == "left" else hit(j, index):
+                return MatchVerdict(
+                    label=fam.labels[index], partner=pool.labels[j], tried=tried
+                )
+        return MatchVerdict(label=fam.labels[index], partner=None, tried=tried)
+
+    left_matches = tuple(search("left", i, right_pool) for i in range(len(left)))
+    right_matches = tuple(search("right", j, left_pool) for j in range(len(right)))
+    return EquivalenceReport(
+        ok=all(m.partner is not None for m in left_matches + right_matches),
+        order=k,
+        mode="set",
+        left_matching=left_matches,
+        right_matching=right_matches,
+    )
+
+
 def is_order_k_equivalence(
     phi: FormalMap,
     left: GermFamily,
@@ -180,67 +253,24 @@ def is_order_k_equivalence(
     every right member among the left pool; pools default to the families
     themselves and must contain them as label prefixes.
     """
-    _check_order_inputs(phi, left, right, k)
-    mode = left.mode
-    if right.mode != mode:
-        raise ValueError("families disagree about the comparison mode")
+    if k < 1:
+        raise ValueError("equivalence order must be at least 1")
+    precision = f"order-{k} check needs generator truncations >= {k}, have {{bound}}"
+    _check_shapes(phi, left, right, k, precision)
+    mode = _common_mode(left, right)
     phi_inv = phi.inverse()
-
-    if mode == "family":
-        if left.labels != right.labels:
-            raise ValueError("family mode requires identical label sequences")
-        verdicts = []
-        ok = True
-        for label, ileft, iright in zip(left.labels, left.ideals, right.ideals):
-            good, failure = _pair_order_k(phi, phi_inv, ileft, iright, k)
-            ok = ok and good
-            verdicts.append(IndexVerdict(label=label, ok=good, failure=failure))
-        return EquivalenceReport(ok=ok, order=k, mode=mode, per_index=tuple(verdicts))
-
     left_pool = left_pool or left
     right_pool = right_pool or right
-    for fam, pool in ((left, left_pool), (right, right_pool)):
-        if pool.labels[: len(fam.labels)] != fam.labels:
-            raise ValueError("a candidate pool must extend its family as a prefix")
-    _check_order_inputs(phi, left_pool, right_pool, k)
+    if mode == "set":
+        for fam, pool in ((left, left_pool), (right, right_pool)):
+            if pool.labels[: len(fam.labels)] != fam.labels:
+                raise ValueError("a candidate pool must extend its family as a prefix")
+        _check_shapes(phi, left_pool, right_pool, k, precision)
 
-    memo: dict[tuple[int, int], bool] = {}
+    def pair(ileft: IdealPresentation, iright: IdealPresentation):
+        return _pair_order_k(phi, phi_inv, ileft, iright, k)
 
-    def pair(i: int, j: int) -> bool:
-        key = (i, j)
-        hit = memo.get(key)
-        if hit is None:
-            hit, _ = _pair_order_k(
-                phi, phi_inv, left_pool.ideals[i], right_pool.ideals[j], k
-            )
-            memo[key] = hit
-        return hit
-
-    def search(side: str, index: int, pool: GermFamily) -> MatchVerdict:
-        order = candidates(side, index) if candidates is not None else None
-        if order is None:
-            order = range(len(pool))
-        tried = 0
-        fam = left if side == "left" else right
-        for j in order:
-            tried += 1
-            hit = pair(index, j) if side == "left" else pair(j, index)
-            if hit:
-                return MatchVerdict(
-                    label=fam.labels[index], partner=pool.labels[j], tried=tried
-                )
-        return MatchVerdict(label=fam.labels[index], partner=None, tried=tried)
-
-    left_matches = tuple(search("left", i, right_pool) for i in range(len(left)))
-    right_matches = tuple(search("right", j, left_pool) for j in range(len(right)))
-    ok = all(m.partner is not None for m in left_matches + right_matches)
-    return EquivalenceReport(
-        ok=ok,
-        order=k,
-        mode=mode,
-        left_matching=left_matches,
-        right_matching=right_matches,
-    )
+    return _match(pair, left, right, k, left_pool, right_pool, candidates)
 
 
 def jet_coset_membership(
@@ -254,63 +284,15 @@ def jet_coset_membership(
     member's degree-k jet ideal as a subspace of the jet space.
     """
     k = lam.truncation
-    if left.dimension != right.dimension or lam.dimension != left.dimension:
-        raise DimensionError("families and map must share one dimension")
-    for fam in (left, right):
-        bound = fam.generator_truncation
-        if bound is not None and bound < k:
-            raise PrecisionError(
-                f"jet comparison at degree {k} needs truncations >= {k}"
-            )
-
-    def pair_jets(ileft: IdealPresentation, iright: IdealPresentation) -> bool:
-        pulled = pullback(iright, lam)
-        return pulled.jet_space(k) == ileft.jet_space(k)
-
-    mode = left.mode
-    if right.mode != mode:
-        raise ValueError("families disagree about the comparison mode")
-    if mode == "family":
-        if left.labels != right.labels:
-            raise ValueError("family mode requires identical label sequences")
-        verdicts = []
-        ok = True
-        for label, ileft, iright in zip(left.labels, left.ideals, right.ideals):
-            good = pair_jets(ileft, iright)
-            ok = ok and good
-            verdicts.append(IndexVerdict(label=label, ok=good))
-        return EquivalenceReport(ok=ok, order=k, mode=mode, per_index=tuple(verdicts))
-
-    memo: dict[tuple[int, int], bool] = {}
-
-    def pair(i: int, j: int) -> bool:
-        key = (i, j)
-        hit = memo.get(key)
-        if hit is None:
-            hit = pair_jets(left.ideals[i], right.ideals[j])
-            memo[key] = hit
-        return hit
-
-    left_matches = []
-    for i, label in enumerate(left.labels):
-        partner = next(
-            (right.labels[j] for j in range(len(right)) if pair(i, j)), None
-        )
-        left_matches.append(MatchVerdict(label=label, partner=partner))
-    right_matches = []
-    for j, label in enumerate(right.labels):
-        partner = next(
-            (left.labels[i] for i in range(len(left)) if pair(i, j)), None
-        )
-        right_matches.append(MatchVerdict(label=label, partner=partner))
-    ok = all(m.partner is not None for m in left_matches + right_matches)
-    return EquivalenceReport(
-        ok=ok,
-        order=k,
-        mode=mode,
-        left_matching=tuple(left_matches),
-        right_matching=tuple(right_matches),
+    _check_shapes(
+        lam, left, right, k, f"jet comparison at degree {k} needs truncations >= {k}"
     )
+    _common_mode(left, right)
+
+    def pair(ileft: IdealPresentation, iright: IdealPresentation):
+        return pullback(iright, lam).jet_space(k) == ileft.jet_space(k), None
+
+    return _match(pair, left, right, k, left, right)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,11 @@ class InversionError(GermcalcError, ValueError):
     """A formal map with singular linear part cannot be inverted."""
 
 
+class CrossCheckError(GermcalcError, RuntimeError):
+    """An independent re-check contradicts a verdict already reached, so
+    the verdict cannot be trusted."""
+
+
 class ParseError(GermcalcError, ValueError):
     """An expression or manifest could not be parsed."""
 

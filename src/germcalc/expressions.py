@@ -305,22 +305,37 @@ def parse_series(
     return parser._promote(value)
 
 
-def parse_map(text: str, names: Sequence[str], truncation: int) -> FormalMap:
-    """Parse a component tuple '(expr, ..., expr)' as a formal map."""
+def _parse_tuple(
+    text: str, names: Sequence[str], truncation: int, shape_error: str, count_error: str
+) -> list[FormalSeries]:
+    """Parse '(expr, ..., expr)' with one component per name; the error
+    texts name what the tuple stands for."""
     parser = _Parser(text, names, truncation)
     tok = parser.peek()
     if not (tok.kind == "op" and tok.text == "("):
-        raise ParseError("a map must be a parenthesized component tuple", tok.position)
+        raise ParseError(shape_error, tok.position)
     components = parser.parse_tuple()
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(f"unexpected trailing {tok.text!r}", tok.position)
     if len(components) != len(names):
         raise ParseError(
-            f"map has {len(components)} components for {len(names)} variables",
-            1,
+            count_error.format(len(components), len(names)), 1
         )
-    return FormalMap([parser._promote(c) for c in components])
+    return [parser._promote(c) for c in components]
+
+
+def parse_map(text: str, names: Sequence[str], truncation: int) -> FormalMap:
+    """Parse a component tuple '(expr, ..., expr)' as a formal map."""
+    return FormalMap(
+        _parse_tuple(
+            text,
+            names,
+            truncation,
+            "a map must be a parenthesized component tuple",
+            "map has {} components for {} variables",
+        )
+    )
 
 
 def parse_components(
@@ -328,21 +343,13 @@ def parse_components(
 ) -> list[FormalSeries]:
     """Parse a component tuple without the vanishing/shape demands of a
     map; used for vector fields."""
-    parser = _Parser(text, names, truncation)
-    tok = parser.peek()
-    if not (tok.kind == "op" and tok.text == "("):
-        raise ParseError(
-            "components must form a parenthesized tuple", tok.position
-        )
-    components = parser.parse_tuple()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected trailing {tok.text!r}", tok.position)
-    if len(components) != len(names):
-        raise ParseError(
-            f"{len(components)} components for {len(names)} variables", 1
-        )
-    return [parser._promote(c) for c in components]
+    return _parse_tuple(
+        text,
+        names,
+        truncation,
+        "components must form a parenthesized tuple",
+        "{} components for {} variables",
+    )
 
 
 # -- printing ---------------------------------------------------------------

@@ -192,9 +192,7 @@ class IdealPresentation:
                     if target.degree <= degree:
                         table[target] = c
                 if table:
-                    s = FormalSeries(self._n, degree)
-                    object.__setattr__(s, "_terms", table)
-                    candidates.append(s)
+                    candidates.append(FormalSeries._from_table(self._n, degree, table))
         space = JetSpace(self._n, degree, candidates)
         self._cache[degree] = space
         return space
@@ -204,14 +202,6 @@ class IdealPresentation:
 
     def __repr__(self):
         return f"IdealPresentation(n={self._n}, generators={len(self._gens)})"
-
-
-def jet_ideal(ideal: IdealPresentation, degree: int) -> JetSpace:
-    return ideal.jet_space(degree)
-
-
-def diagram(ideal: IdealPresentation, degree: int) -> Staircase:
-    return ideal.diagram(degree)
 
 
 def jet_membership(f: FormalSeries, ideal: IdealPresentation, k: int) -> bool:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from .dynamics import VectorField
 from .equivalence import GermFamily
@@ -109,24 +109,23 @@ class Manifest:
         return out
 
     def resolve_maps(self, side: str, truncation: int) -> tuple[list[str], list[FormalMap]]:
-        if self.kind != "maps":
-            raise ParseError(f"manifest kind is {self.kind}, not maps")
-        labels, maps = [], []
-        for label, payload in self._side_single(side):
-            labels.append(label)
-            maps.append(parse_map(payload, self.variables, truncation))
-        return labels, maps
+        return self._resolve_tuples(
+            "maps", side, lambda text: parse_map(text, self.variables, truncation)
+        )
 
     def resolve_fields(self, side: str, truncation: int) -> tuple[list[str], list[VectorField]]:
-        if self.kind != "fields":
-            raise ParseError(f"manifest kind is {self.kind}, not fields")
-        labels, fields = [], []
-        for label, payload in self._side_single(side):
-            labels.append(label)
-            fields.append(
-                VectorField(parse_components(payload, self.variables, truncation))
-            )
-        return labels, fields
+        return self._resolve_tuples(
+            "fields",
+            side,
+            lambda text: VectorField(parse_components(text, self.variables, truncation)),
+        )
+
+    def _resolve_tuples(self, kind: str, side: str, build) -> tuple[list[str], list]:
+        """Labels and objects of a side whose entries are one tuple each."""
+        if self.kind != kind:
+            raise ParseError(f"manifest kind is {self.kind}, not {kind}")
+        entries = self._side_single(side)
+        return [label for label, _ in entries], [build(text) for _, text in entries]
 
     def _side(self, side: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
         if side == "left":

@@ -207,16 +207,6 @@ def vertex_extraction(points: Iterable, dimension: Optional[int] = None) -> Stai
     return Staircase(dimension, pts)
 
 
-def staircase_contains(staircase: Staircase, point) -> bool:
-    return staircase.contains(point)
-
-
-def staircase_equal(a: Staircase, b: Staircase) -> bool:
-    if a.dimension != b.dimension:
-        raise DimensionError("staircase dimensions differ")
-    return a.vertices == b.vertices
-
-
 def chain_stabilization(chain: Sequence[Staircase]) -> Optional[int]:
     """First index from which an increasing chain of staircases is constant.
 

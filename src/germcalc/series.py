@@ -13,7 +13,7 @@ are exact through the carried truncation.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DimensionError, InversionError, PrecisionError
 from .monomial import MultiIndex
@@ -63,6 +63,15 @@ class FormalSeries:
         raise AttributeError("FormalSeries is immutable")
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _from_table(cls, dimension: int, truncation: int, table: dict) -> "FormalSeries":
+        """A series over a ready term table, taken over without a copy:
+        every key a MultiIndex of this dimension and degree <= truncation,
+        every coefficient nonzero."""
+        out = cls(dimension, truncation)
+        object.__setattr__(out, "_terms", table)
+        return out
 
     @classmethod
     def zero(cls, dimension: int, truncation: int) -> "FormalSeries":
@@ -159,9 +168,7 @@ class FormalSeries:
                 table[m] = s
             elif m in table:
                 del table[m]
-        out = FormalSeries(self._n, trunc)
-        object.__setattr__(out, "_terms", table)
-        return out
+        return FormalSeries._from_table(self._n, trunc, table)
 
     def _promote(self, value) -> Optional["FormalSeries"]:
         try:
@@ -174,9 +181,9 @@ class FormalSeries:
         return self.__add__(other)
 
     def __neg__(self):
-        out = FormalSeries(self._n, self._trunc)
-        object.__setattr__(out, "_terms", {m: -c for m, c in self._terms.items()})
-        return out
+        return FormalSeries._from_table(
+            self._n, self._trunc, {m: -c for m, c in self._terms.items()}
+        )
 
     def __sub__(self, other):
         if not isinstance(other, FormalSeries):
@@ -214,18 +221,16 @@ class FormalSeries:
                         table[key] = s
                     elif key in table:
                         del table[key]
-            out = FormalSeries(self._n, trunc)
-            object.__setattr__(out, "_terms", table)
-            return out
+            return FormalSeries._from_table(self._n, trunc, table)
         try:
             c = coerce_scalar(other)
         except TypeError:
             return NotImplemented
         if not c:
             return FormalSeries(self._n, self._trunc)
-        out = FormalSeries(self._n, self._trunc)
-        object.__setattr__(out, "_terms", {m: v * c for m, v in self._terms.items()})
-        return out
+        return FormalSeries._from_table(
+            self._n, self._trunc, {m: v * c for m, v in self._terms.items()}
+        )
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -239,22 +244,17 @@ class FormalSeries:
             )
         if degree == self._trunc:
             return self
-        out = FormalSeries(self._n, degree)
-        object.__setattr__(
-            out, "_terms", {m: c for m, c in self._terms.items() if m.degree <= degree}
+        return FormalSeries._from_table(
+            self._n, degree, {m: c for m, c in self._terms.items() if m.degree <= degree}
         )
-        return out
 
     def jet(self, degree: int) -> "FormalSeries":
         """The degree-jet, an alias for truncation at that degree."""
         return self.truncate(degree)
 
     def homogeneous_part(self, degree: int) -> "FormalSeries":
-        out = FormalSeries(self._n, self._trunc)
-        object.__setattr__(
-            out, "_terms", {m: c for m, c in self._terms.items() if m.degree == degree}
-        )
-        return out
+        table = {m: c for m, c in self._terms.items() if m.degree == degree}
+        return FormalSeries._from_table(self._n, self._trunc, table)
 
     def derivative(self, index: int) -> "FormalSeries":
         """Partial derivative; the result is exact one degree lower."""
@@ -270,9 +270,7 @@ class FormalSeries:
             exp = list(m.exponents)
             exp[index] = e - 1
             table[MultiIndex(exp)] = c * e
-        out = FormalSeries(self._n, self._trunc - 1)
-        object.__setattr__(out, "_terms", table)
-        return out
+        return FormalSeries._from_table(self._n, self._trunc - 1, table)
 
     def evaluate(self, point: Sequence) -> Scalar:
         """Exact evaluation of the stored polynomial representative."""
@@ -350,25 +348,36 @@ def compose(f: FormalSeries, phi: "FormalMap") -> FormalSeries:
     return f.substitute(phi.components)
 
 
+def vanishing_components(
+    components: Sequence[FormalSeries], kind: str
+) -> tuple[tuple[FormalSeries, ...], int]:
+    """Validate the components of a map or vector field on n variables
+    (n series in dimension n, none with a constant term) and truncate them
+    to their common truncation, which is returned alongside.  ``kind``
+    names the object in error messages: "formal map" or "vector field"."""
+    comps = tuple(components)
+    if not comps:
+        raise ValueError(f"a {kind} needs at least one component")
+    n = len(comps)
+    noun = kind.split()[-1]
+    for c in comps:
+        if c.dimension != n:
+            raise DimensionError(
+                f"{noun} on {n} variables has a component in dimension {c.dimension}"
+            )
+        if c.constant_term():
+            raise ValueError(f"{kind} components must vanish at 0")
+    trunc = min(c.truncation for c in comps)
+    return tuple(c.truncate(trunc) for c in comps), trunc
+
+
 class FormalMap:
     """A formal self-map germ fixing the origin, one series per coordinate."""
 
     __slots__ = ("_comps", "_trunc")
 
     def __init__(self, components: Sequence[FormalSeries]):
-        comps = tuple(components)
-        if not comps:
-            raise ValueError("a formal map needs at least one component")
-        n = len(comps)
-        for c in comps:
-            if c.dimension != n:
-                raise DimensionError(
-                    f"map on {n} variables has a component in dimension {c.dimension}"
-                )
-            if c.constant_term():
-                raise ValueError("formal map components must vanish at 0")
-        trunc = min(c.truncation for c in comps)
-        comps = tuple(c.truncate(trunc) for c in comps)
+        comps, trunc = vanishing_components(components, "formal map")
         object.__setattr__(self, "_comps", comps)
         object.__setattr__(self, "_trunc", trunc)
 
@@ -495,15 +504,6 @@ def _invert_matrix(rows: list[list[Scalar]]) -> Optional[list[list[Scalar]]]:
     return result
 
 
-def map_compose(phi: FormalMap, psi: FormalMap) -> FormalMap:
-    """phi after psi."""
-    return phi.compose(psi)
-
-
-def map_invert(phi: FormalMap) -> FormalMap:
-    return phi.inverse()
-
-
 def realify(f: FormalSeries) -> tuple[FormalSeries, FormalSeries]:
     """Split a series over Q(i) in z_1..z_n into real and imaginary parts
     over Q in the 2n real variables x_1, y_1, ..., x_n, y_n, substituting
@@ -527,11 +527,10 @@ def realify(f: FormalSeries) -> tuple[FormalSeries, FormalSeries]:
             real_terms[mi] = g.real
         if g.imag:
             imag_terms[mi] = g.imag
-    re = FormalSeries(m, trunc)
-    im = FormalSeries(m, trunc)
-    object.__setattr__(re, "_terms", real_terms)
-    object.__setattr__(im, "_terms", imag_terms)
-    return re, im
+    return (
+        FormalSeries._from_table(m, trunc, real_terms),
+        FormalSeries._from_table(m, trunc, imag_terms),
+    )
 
 
 def realify_map(phi: FormalMap) -> FormalMap:

@@ -54,7 +54,10 @@ CORPUS_RUNS = [
     (("counterexample", "sequence", "--levels", "5"), 0),
     (("counterexample", "verify", "--k", "1", "--m-max", "2", "--n-max", "2"), 0),
     (("counterexample", "horizon", "--t-range=-5:5"), 0),
-    (("check-equivalence", "--manifest", str(DATA / "crossed-set.man"), "--seed", "7"), 0),
+    (
+        ("check-equivalence", "--manifest", str(DATA / "crossed-set.man"), "--seed", "7"),
+        0,
+    ),
 ]
 
 
@@ -310,6 +313,34 @@ def test_missing_manifest_file(capsys):
         capsys, "check-equivalence", "--manifest", str(DATA / "absent.man")
     )
     assert code == 2 and "cannot read manifest" in err
+
+
+def test_failed_cross_check_exits_4(capsys, monkeypatch):
+    # a proposal that suggests nothing leaves every curve unmatched, and the
+    # cross-check then finds partners among the pruned candidates
+    monkeypatch.setattr("germcalc.curves._propose_partners", lambda *args: [])
+    code, out, err = invoke(
+        capsys, "counterexample", "verify", "--k", "1", "--m-max", "1", "--n-max", "0"
+    )
+    assert code == 4
+    assert not out
+    assert err.startswith("error: candidate proposal missed a genuine partner")
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["counterexample", "sequence", "--levels", "5", "--format", "json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "germcalc.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        cwd=root,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
 
 
 def _setuptools_lacks_bdist_wheel() -> bool:

@@ -54,7 +54,12 @@ def run(argv) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(_local(argv))
-    return {"argv": list(argv), "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    return {
+        "argv": list(argv),
+        "exit": code,
+        "stdout": out.getvalue(),
+        "stderr": err.getvalue(),
+    }
 
 
 @functools.cache

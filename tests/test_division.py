@@ -9,7 +9,6 @@ from germcalc import (
     MultiIndex,
     PrecisionError,
     Staircase,
-    diagram,
     formal_division,
     jet_membership,
     reduce_mod_ideal,
@@ -151,7 +150,7 @@ def test_reduced_support_avoids_the_diagram():
         f = random_series(rng, n, 6)
         I = random_ideal(rng, n, 6)
         r = reduce_mod_ideal(f, I, 6)
-        region = diagram(I, 6)
+        region = I.diagram(6)
         for mono, _ in r.terms.items():
             assert not region.contains(mono)
 

@@ -17,8 +17,6 @@ from germcalc import (
     equivalence_horizon,
     is_order_k_equivalence,
     jet_coset_membership,
-    jet_ideal,
-    map_compose,
     membership_up_to,
     pullback,
     shift_map,
@@ -75,7 +73,7 @@ def test_pullback_roundtrip_preserves_jet_ideals():
         phi = random_invertible_map(rng, 2, K)
         back = pullback(pullback(I, phi), phi.inverse())
         for d in (2, 4):
-            assert jet_ideal(back, d) == jet_ideal(I, d)
+            assert back.jet_space(d) == I.jet_space(d)
 
 
 def test_pullback_dimension_mismatch():
@@ -280,7 +278,7 @@ def test_composition_of_equivalences():
         k = rng.randint(1, 5)
         assert is_order_k_equivalence(phi, left, middle, k).ok
         assert is_order_k_equivalence(psi, middle, target, k).ok
-        assert is_order_k_equivalence(map_compose(psi, phi), left, target, k).ok
+        assert is_order_k_equivalence(psi.compose(phi), left, target, k).ok
 
 
 def test_verdict_depends_only_on_the_map_jet():
@@ -323,6 +321,16 @@ def test_jet_coset_for_shifted_curves():
     )
     lam = shift_map(seq.c(2), K).truncate(2)
     assert jet_coset_membership(lam, left, right).ok
+
+
+def test_jet_coset_set_mode_reports_candidates_tried():
+    z, w = zw()
+    left = family(w - z, w + z, mode="set", labels=["a", "b"])
+    right = family(w + z, w - z, mode="set", labels=["c", "d"])
+    report = jet_coset_membership(FormalMap.identity(2, K).truncate(1), left, right)
+    assert report.ok
+    assert [(m.partner, m.tried) for m in report.left_matching] == [("d", 2), ("c", 1)]
+    assert [(m.partner, m.tried) for m in report.right_matching] == [("b", 2), ("a", 1)]
 
 
 def test_jet_coset_detects_scaling():

@@ -12,8 +12,6 @@ from germcalc import (
     PrecisionError,
     Staircase,
     chain_stabilization,
-    diagram,
-    jet_ideal,
     jet_membership,
     membership_up_to,
 )
@@ -61,7 +59,7 @@ def test_zero_generators_are_dropped():
 
 def test_jet_basis_of_parabola():
     I = parabola_ideal()
-    js = jet_ideal(I, 2)
+    js = I.jet_space(2)
     assert js.rank == 3
     assert [tuple(m.exponents) for m in js.pivot_exponents] == [
         (1, 0),
@@ -78,7 +76,7 @@ def test_jet_basis_is_monic_and_interreduced():
     for _ in range(10):
         n = rng.randint(1, 3)
         I = random_ideal(rng, n, 5)
-        js = jet_ideal(I, 4)
+        js = I.jet_space(4)
         pivots = js.pivot_exponents
         assert pivots == sorted(pivots, key=lambda m: m.sort_key)
         for i, b in enumerate(js.basis):
@@ -90,20 +88,20 @@ def test_jet_basis_is_monic_and_interreduced():
 
 def test_jet_space_of_zero_and_unit_ideals():
     Z = IdealPresentation(2, [])
-    assert jet_ideal(Z, 3).rank == 0
+    assert Z.jet_space(3).rank == 0
     U = IdealPresentation(2, [FormalSeries.constant(2, 4, 1)])
-    js = jet_ideal(U, 2)
+    js = U.jet_space(2)
     # the unit ideal's 2-jets are every polynomial of degree <= 2
     assert js.rank == 6
 
 
 def test_jet_space_equality_and_containment():
     I = parabola_ideal()
-    a = jet_ideal(I, 3)
-    b = jet_ideal(I, 3)
+    a = I.jet_space(3)
+    b = I.jet_space(3)
     assert a == b
     assert a.contains_space(b)
-    c = jet_ideal(I, 2)
+    c = I.jet_space(2)
     assert a != c
 
 
@@ -126,7 +124,7 @@ def test_jet_space_representation_is_canonical():
 def test_jet_ideal_needs_precision():
     I = parabola_ideal(4)
     with pytest.raises(PrecisionError):
-        jet_ideal(I, 5)
+        I.jet_space(5)
 
 
 def test_truncation_coherence():
@@ -136,9 +134,9 @@ def test_truncation_coherence():
         n = rng.randint(1, 2)
         I = random_ideal(rng, n, 6)
         k, l = 3, 5
-        finer = jet_ideal(I, l)
+        finer = I.jet_space(l)
         rebuilt = JetSpace(n, k, [b.truncate(k) for b in finer.basis])
-        assert rebuilt == jet_ideal(I, k)
+        assert rebuilt == I.jet_space(k)
 
 
 def test_jet_space_against_dense_oracle():
@@ -158,29 +156,29 @@ def test_jet_space_against_dense_oracle():
 
 def test_diagram_of_parabola_is_principal():
     I = parabola_ideal()
-    assert diagram(I, 4) == Staircase(2, [(1, 0)])
+    assert I.diagram(4) == Staircase(2, [(1, 0)])
 
 
 def test_diagram_of_single_variable():
     t1, _ = t_vars(5)
     I = IdealPresentation(2, [t1])
     for d in range(1, 6):
-        assert diagram(I, d) == Staircase(2, [(1, 0)])
+        assert I.diagram(d) == Staircase(2, [(1, 0)])
 
 
 def test_diagram_of_unit_ideal():
     U = IdealPresentation(2, [FormalSeries.constant(2, 4, 1)])
-    assert diagram(U, 3) == Staircase(2, [(0, 0)])
+    assert U.diagram(3) == Staircase(2, [(0, 0)])
 
 
 def test_diagram_of_zero_ideal_is_empty():
     Z = IdealPresentation(2, [])
-    assert diagram(Z, 3).is_empty
+    assert Z.diagram(3).is_empty
 
 
 def test_diagram_chain_of_parabola_is_constant():
     I = parabola_ideal()
-    chain = [diagram(I, d) for d in range(1, 7)]
+    chain = [I.diagram(d) for d in range(1, 7)]
     assert all(st == Staircase(2, [(1, 0)]) for st in chain)
     assert chain_stabilization(chain) == 0
 
@@ -190,7 +188,7 @@ def test_diagram_chain_with_late_vertex():
     # visible at degree five
     t1, t2 = t_vars(8)
     I = IdealPresentation(2, [t1 * t1 + t2 * t2 * t2, t1 * t2 * t2])
-    chain = [diagram(I, d) for d in range(1, 9)]
+    chain = [I.diagram(d) for d in range(1, 9)]
     assert chain[0].is_empty
     assert chain[1] == Staircase(2, [(2, 0)])
     assert chain[2] == Staircase(2, [(2, 0), (1, 2)])
@@ -207,7 +205,7 @@ def test_diagrams_are_increasing_and_stable_regions():
         I = random_ideal(rng, n, 6)
         previous = None
         for d in range(1, 7):
-            st = diagram(I, d)
+            st = I.diagram(d)
             if previous is not None:
                 for v in previous.vertices:
                     assert st.contains(v)

@@ -14,7 +14,6 @@ from germcalc import (
     monomials_up_to,
     vertex_extraction,
 )
-from germcalc.monomial import staircase_contains, staircase_equal
 
 # -- oracles ----------------------------------------------------------------
 #
@@ -188,10 +187,10 @@ def test_vertex_extraction_against_dominance_oracle():
 
 
 def test_staircase_equality_is_canonical():
-    assert staircase_equal(Staircase(2, [(1, 0)]), vertex_extraction([(1, 0), (2, 0)]))
-    assert not staircase_equal(Staircase(2, [(1, 0)]), Staircase(2, [(0, 1)]))
+    assert Staircase(2, [(1, 0)]) == vertex_extraction([(1, 0), (2, 0)])
+    assert not Staircase(2, [(1, 0)]) == Staircase(2, [(0, 1)])
     s = Staircase(2, [(2, 1)])
-    assert staircase_equal(s, s)
+    assert s == s
     assert Staircase(2, [(1, 0), (3, 0)]) == Staircase(2, [(1, 0)])
 
 
