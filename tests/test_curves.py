@@ -267,6 +267,31 @@ def test_report_carries_the_window_bookkeeping():
     assert bool(report) == report.ok
 
 
+@pytest.mark.parametrize(
+    "args, kwargs, expected",
+    [
+        ((2, 4, 8), {}, (False, 18, 68, ((1, 8), (2, 8), (3, 17), (4, 9)))),
+        (
+            (4, 5, 8),
+            {"order": 6, "truncation": 7},
+            (False, 18, 34, ((1, 10), (2, 9), (3, 9), (4, 8), (5, 9))),
+        ),
+        ((2, 3, 1), {"realified": True}, (False, 18, 6, ((1, 1), (2, 1), (3, 2)))),
+        (
+            (3, 4, 3),
+            {"cross_check_samples": 10},
+            (False, 42, 14, ((1, 5), (2, 4), (3, 3), (4, 4))),
+        ),
+    ],
+)
+def test_driver_verdict_cross_checks_and_windows_are_pinned(args, kwargs, expected):
+    # failing runs exercise the cross-check, which samples pool positions
+    # {0, len // 2, len - 1}; these figures fix the pool order as well
+    report = verify_finite_order_equivalence(*args, **kwargs)
+    got = (report.ok, report.cross_checked, len(report.unmatched), report.pool_windows)
+    assert got == expected
+
+
 def test_verify_argument_validation():
     with pytest.raises(ValueError):
         verify_finite_order_equivalence(0, 2, 4)
