@@ -49,9 +49,9 @@ from .errors import (
     PrecisionError,
 )
 from .ideals import (
+    HorizonReport,
     IdealPresentation,
     JetSpace,
-    MembershipScan,
     jet_membership,
     membership_up_to,
 )
@@ -87,11 +87,11 @@ __all__ = [
     "GaussianRational",
     "GermFamily",
     "GermcalcError",
+    "HorizonReport",
     "I",
     "IdealPresentation",
     "InversionError",
     "JetSpace",
-    "MembershipScan",
     "MultiIndex",
     "ObstructionReport",
     "ParseError",

@@ -39,11 +39,15 @@ the tie rule gives c_2 = c_1 = 1, and the shear by c_1 is the shear by
 c_2.
 
 verify_finite_order_equivalence runs the matching through the general
-set-mode equivalence checker.  An arithmetic candidate proposal narrows
-the partner search (the linear coefficients force the only possible
-partners), and because the proposal could in principle be wrong in the
-pruning direction, excluded candidates are sampled and re-checked with
-the general pairwise verdict.
+set-mode equivalence checker, phi curves on the left and psi curves on
+the right.  Each side's pool is its nominal window followed by every
+index a partner of a nominal curve can need, and the nominal family is a
+prefix of the pool over the same ideals.  An arithmetic candidate
+proposal narrows the partner search (the linear coefficients force the
+only possible partners), and because the proposal could in principle be
+wrong in the pruning direction, excluded pool positions {0, len // 2,
+len - 1} are re-checked with the general pairwise verdict for the first
+few unmatched curves of each side.
 """
 
 from __future__ import annotations
@@ -194,7 +198,10 @@ class CurveMatch:
     level: int
     index: int
     partner: Optional[tuple[str, int, int]]
-    classification: str  # "matched" | "unmatched"
+
+    @property
+    def classification(self) -> str:
+        return "unmatched" if self.partner is None else "matched"
 
 
 @dataclass(frozen=True)
@@ -219,6 +226,15 @@ class CurveSetReport:
         return [m for m in self.left + self.right if m.partner is None]
 
 
+def _partner_levels(m: int, order: int, m_max: int) -> range:
+    """Levels whose curves can match a level-m curve modulo m^order: level
+    m itself while the power term z^(m+1) is visible, and every level
+    >= order - 1 once it is not."""
+    if m + 1 <= order - 1:
+        return range(m, m + 1)
+    return range(max(1, order - 1), m_max + 1)
+
+
 def _propose_partners(
     source_tag: str,
     m: int,
@@ -234,30 +250,15 @@ def _propose_partners(
     The image of a curve w = a z + z^(m+1) is w = (a + shift) z + z^(m+1)
     when mapping phi curves forward (shift = +c) or psi curves backward
     (shift = -c).  A partner must reproduce that function modulo z^order,
-    which pins the partner level to m while the power term is visible and
-    to any level >= order - 1 once it is not.
+    so its level is one of _partner_levels and its tangent equals the
+    image's.
     """
-    target_tag = "psi" if source_tag == "phi" else "phi"
     a_image = tangent_coefficient(source_tag, m, n, seq) + shift
     out: list[tuple[int, int]] = []
-
-    def solve(level: int) -> Optional[int]:
-        base = seq.c(level) if target_tag == "psi" else 0
-        num = a_image - base
-        modulus = 1 << level
-        if num % modulus == 0:
-            return num // modulus
-        return None
-
-    if m + 1 <= order - 1:
-        idx = solve(m)
-        if idx is not None:
-            out.append((m, idx))
-    else:
-        for level in range(max(1, order - 1), m_max + 1):
-            idx = solve(level)
-            if idx is not None:
-                out.append((level, idx))
+    for level in _partner_levels(m, order, m_max):
+        num = a_image - (seq.c(level) if source_tag == "phi" else 0)
+        if num % (1 << level) == 0:
+            out.append((level, num // (1 << level)))
     return out
 
 
@@ -274,27 +275,13 @@ def _pool_windows(
     (2^m n_max + |offset|) / 2^level; the dominant case is a high level
     retargeting down to level order-1, where the bound grows like
     2^(m - order + 1) n_max."""
-    windows = {
-        "phi": {m: n_max for m in range(1, m_max + 1)},
-        "psi": {m: n_max for m in range(1, m_max + 1)},
-    }
-
-    def targets(m: int) -> range:
-        if m + 1 <= order - 1:
-            return range(m, m + 1)
-        return range(max(1, order - 1), m_max + 1)
-
+    windows = {tag: dict.fromkeys(range(1, m_max + 1), n_max) for tag in ("phi", "psi")}
     for m in range(1, m_max + 1):
-        for level in targets(m):
-            spread = 1 << m
-            # forward: phi source, image tangent 2^m n + shift, psi target
-            offset = abs(shift - seq.c(level))
-            bound = -((-(spread * n_max + offset)) // (1 << level))
-            windows["psi"][level] = max(windows["psi"][level], bound)
-            # reverse: psi source through the inverse shear, phi target
-            offset = abs(seq.c(m) - shift)
-            bound = -((-(spread * n_max + offset)) // (1 << level))
-            windows["phi"][level] = max(windows["phi"][level], bound)
+        for level in _partner_levels(m, order, m_max):
+            # a phi source maps forward onto psi, a psi source back onto phi
+            for target, offset in (("psi", shift - seq.c(level)), ("phi", seq.c(m) - shift)):
+                bound = -(-((1 << m) * n_max + abs(offset)) // (1 << level))
+                windows[target][level] = max(windows[target][level], bound)
     return windows
 
 
@@ -343,42 +330,32 @@ def verify_finite_order_equivalence(
     shift_value = seq.c(shift_level)
     windows = _pool_windows(shift_value, order, m_max, n_max, seq)
     phi = shift_map(shift_value, truncation, realified=realified)
+    nominal = m_max * (2 * n_max + 1)
+    other = {"phi": "psi", "psi": "phi"}
 
-    sides: dict[str, dict] = {}
-    for side, tag in (("left", "phi"), ("right", "psi")):
-        nominal = curve_specs(tag, m_max, n_max, truncation, seq)
-        extras = [
+    specs, pools, index_of = {}, {}, {}
+    for tag in ("phi", "psi"):
+        specs[tag] = curve_specs(tag, m_max, n_max, truncation, seq) + [
             curve(tag, m, n, truncation, seq)
             for m in range(1, m_max + 1)
             for n in range(-windows[tag][m], windows[tag][m] + 1)
             if abs(n) > n_max
         ]
-        pool = nominal + extras
-        index_of = {(s.level, s.index): i for i, s in enumerate(pool)}
-        sides[side] = {"nominal": nominal, "pool": pool, "index_of": index_of}
-
-    def family_of(specs: list[CurveSpec]) -> GermFamily:
-        return GermFamily.of(
-            "set", [(s.label, curve_ideal(s, realified)) for s in specs]
+        pools[tag] = GermFamily.of(
+            "set", [(s.label, curve_ideal(s, realified)) for s in specs[tag]]
         )
+        index_of[tag] = {(s.level, s.index): i for i, s in enumerate(specs[tag])}
+    left, right = (
+        GermFamily.of("set", zip(pools[tag].labels[:nominal], pools[tag].ideals[:nominal]))
+        for tag in ("phi", "psi")
+    )
 
-    left = family_of(sides["left"]["nominal"])
-    right = family_of(sides["right"]["nominal"])
-    left_pool = family_of(sides["left"]["pool"])
-    right_pool = family_of(sides["right"]["pool"])
-
-    proposals: dict[tuple[str, int], list[tuple[int, int]]] = {}
-
-    def candidate_hook(side: str, index: int):
-        # "left" searches the psi pool with the forward shear, "right"
-        # searches the phi pool with the inverse shear.
-        spec = sides[side]["nominal"][index]
-        shift = shift_value if spec.tag == "phi" else -shift_value
-        partners = _propose_partners(
-            spec.tag, spec.level, spec.index, shift, order, m_max, seq
-        )
-        proposals[(side, index)] = partners
-        target = sides["right" if side == "left" else "left"]["index_of"]
+    def proposed(tag: str, index: int) -> list[int]:
+        # phi curves go forward through the shear, psi curves backward
+        spec = specs[tag][index]
+        shift = shift_value if tag == "phi" else -shift_value
+        partners = _propose_partners(tag, spec.level, spec.index, shift, order, m_max, seq)
+        target = index_of[other[tag]]
         return [target[p] for p in partners if p in target]
 
     report = is_order_k_equivalence(
@@ -386,78 +363,41 @@ def verify_finite_order_equivalence(
         left,
         right,
         order,
-        left_pool=left_pool,
-        right_pool=right_pool,
-        candidates=candidate_hook,
+        left_pool=pools["phi"],
+        right_pool=pools["psi"],
+        candidates=lambda side, index: proposed("phi" if side == "left" else "psi", index),
     )
 
-    phi_inv = phi.inverse()
-
-    def summarize(side: str, matches) -> tuple[CurveMatch, ...]:
+    def summarize(tag: str, matches) -> tuple[CurveMatch, ...]:
+        spec_of = {s.label: s for s in specs[other[tag]]}
         out = []
-        pool = sides["right" if side == "left" else "left"]["pool"]
-        label_of = {s.label: s for s in pool}
-        for index, match in enumerate(matches):
-            spec = sides[side]["nominal"][index]
-            partner = None
-            if match.partner is not None:
-                found = label_of[match.partner]
-                partner = (found.tag, found.level, found.index)
-            out.append(
-                CurveMatch(
-                    tag=spec.tag,
-                    level=spec.level,
-                    index=spec.index,
-                    partner=partner,
-                    classification="matched" if partner else "unmatched",
-                )
-            )
+        for spec, match in zip(specs[tag], matches):
+            found = spec_of.get(match.partner)
+            partner = None if found is None else (found.tag, found.level, found.index)
+            out.append(CurveMatch(spec.tag, spec.level, spec.index, partner))
         return tuple(out)
 
-    left_summary = summarize("left", report.left_matching)
-    right_summary = summarize("right", report.right_matching)
+    left_summary = summarize("phi", report.left_matching)
+    right_summary = summarize("psi", report.right_matching)
 
     # Cross-check the pruning direction of the proposal arithmetic: curves
     # left unmatched must also fail the general pairwise verdict against
     # candidates the proposal never suggested.
+    phi_inv = phi.inverse()
     cross_checked = 0
-    for side, summary in (("left", left_summary), ("right", right_summary)):
-        target_side = "right" if side == "left" else "left"
-        target_pool = sides[target_side]["pool"]
-        target_family = right_pool if side == "left" else left_pool
-        failures = [
-            i for i, m in enumerate(summary) if m.partner is None
-        ][:cross_check_samples]
-        for i in failures:
-            spec = sides[side]["nominal"][i]
-            proposed = {
-                sides[target_side]["index_of"][p]
-                for p in proposals.get((side, i), [])
-                if p in sides[target_side]["index_of"]
-            }
-            sample_positions = {0, len(target_pool) // 2, len(target_pool) - 1}
-            for j in sorted(sample_positions - proposed):
-                if side == "left":
-                    hit = pair_order_k(
-                        phi,
-                        left.ideals[i],
-                        target_family.ideals[j],
-                        order,
-                        phi_inv=phi_inv,
-                    )
-                else:
-                    hit = pair_order_k(
-                        phi,
-                        target_family.ideals[j],
-                        right.ideals[i],
-                        order,
-                        phi_inv=phi_inv,
-                    )
+    for tag, summary in (("phi", left_summary), ("psi", right_summary)):
+        source, target = pools[tag], pools[other[tag]]
+        failures = [i for i, m in enumerate(summary) if m.partner is None]
+        for i in failures[:cross_check_samples]:
+            samples = {0, len(target) // 2, len(target) - 1} - set(proposed(tag, i))
+            for j in sorted(samples):
+                pair = (source.ideals[i], target.ideals[j])
+                left_ideal, right_ideal = pair if tag == "phi" else pair[::-1]
                 cross_checked += 1
-                if hit:
+                if pair_order_k(phi, left_ideal, right_ideal, order, phi_inv=phi_inv):
                     raise CrossCheckError(
                         "candidate proposal missed a genuine partner; "
-                        f"{spec.label} matches pool position {j}"
+                        f"{specs[tag][i].label} matches pool position {j}"
                     )
 
     pool_windows = tuple(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .errors import DimensionError, PrecisionError
-from .ideals import IdealPresentation, jet_membership
+from .ideals import HorizonReport, IdealPresentation, jet_membership
 from .series import FormalMap, compose
 
 MODES = ("family", "set")
@@ -293,20 +293,6 @@ def jet_coset_membership(
         return pullback(iright, lam).jet_space(k) == ileft.jet_space(k), None
 
     return _match(pair, left, right, k, left, right)
-
-
-@dataclass(frozen=True)
-class HorizonReport:
-    bound: int
-    per_order: tuple[tuple[int, bool], ...]
-    first_failure: Optional[int]
-
-    @property
-    def holds_up_to_bound(self) -> bool:
-        return self.first_failure is None
-
-    def __bool__(self):
-        return self.first_failure is None
 
 
 def equivalence_horizon(

@@ -26,6 +26,11 @@ Scalar = Union[Fraction, GaussianRational]
 
 _OPERATORS = set("+-*/^(),")
 
+# Each parenthesis or unary sign opens one more factor and about five
+# stack frames; past this depth the parser refuses the input rather than
+# exhaust the interpreter's recursion limit.
+_MAX_NESTING = 100
+
 
 def default_variables(dimension: int) -> list[str]:
     """Naming convention used when no explicit names are given: z, then
@@ -140,6 +145,7 @@ class _Parser:
         self.truncation = truncation
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     # -- token plumbing -----------------------------------------------------
 
@@ -186,11 +192,20 @@ class _Parser:
 
     def parse_factor(self):
         tok = self.peek()
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError(
+                f"expression nested deeper than {_MAX_NESTING} levels", tok.position
+            )
         if tok.kind == "op" and tok.text in "+-":
             self.advance()
             value = self.parse_factor()
-            return value if tok.text == "+" else self._negate(value)
-        return self.parse_power()
+            if tok.text == "-":
+                value = self._negate(value)
+        else:
+            value = self.parse_power()
+        self.depth -= 1
+        return value
 
     def parse_power(self):
         base = self.parse_atom()
@@ -427,10 +442,7 @@ def format_series(f: FormalSeries, names: Optional[Sequence[str]] = None) -> str
 
 
 def format_map(phi: FormalMap, names: Optional[Sequence[str]] = None) -> str:
-    if names is None:
-        names = default_variables(phi.dimension)
-    inner = ", ".join(format_series(c, names) for c in phi.components)
-    return f"({inner})"
+    return format_components(phi.components, names)
 
 
 def format_components(

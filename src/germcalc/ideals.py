@@ -12,6 +12,7 @@ exponents there.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -217,37 +218,33 @@ def jet_membership(f: FormalSeries, ideal: IdealPresentation, k: int) -> bool:
     return ideal.jet_space(k - 1).contains(f.truncate(k - 1))
 
 
-class MembershipScan:
-    """Outcome of scanning memberships f in I + m^k for k = 1..K."""
+@dataclass(frozen=True)
+class HorizonReport:
+    """Verdicts over orders k = 1..bound: per_order lists each order the
+    scan evaluated with its verdict, and first_failure is the least
+    failing order, or None."""
 
-    __slots__ = ("bound", "first_failure")
-
-    def __init__(self, bound: int, first_failure: Optional[int]):
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "first_failure", first_failure)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MembershipScan is immutable")
+    bound: int
+    per_order: tuple[tuple[int, bool], ...]
+    first_failure: Optional[int]
 
     @property
-    def member_up_to_bound(self) -> bool:
+    def holds_up_to_bound(self) -> bool:
         return self.first_failure is None
 
     def __bool__(self):
         return self.first_failure is None
 
-    def __repr__(self):
-        if self.first_failure is None:
-            return f"MembershipScan(member up to {self.bound})"
-        return f"MembershipScan(fails at k={self.first_failure})"
 
-
-def membership_up_to(f: FormalSeries, ideal: IdealPresentation, bound: int) -> MembershipScan:
+def membership_up_to(f: FormalSeries, ideal: IdealPresentation, bound: int) -> HorizonReport:
     """Scan f in I + m^k for k = 1..bound; memberships are decreasing in k,
-    so the scan reports the first failing order if any."""
+    so the scan stops at the first failing order."""
     if bound < 1:
         raise ValueError("scan bound must be at least 1")
+    per_order = []
     for k in range(1, bound + 1):
-        if not jet_membership(f, ideal, k):
-            return MembershipScan(bound, k)
-    return MembershipScan(bound, None)
+        member = jet_membership(f, ideal, k)
+        per_order.append((k, member))
+        if not member:
+            return HorizonReport(bound, tuple(per_order), k)
+    return HorizonReport(bound, tuple(per_order), None)

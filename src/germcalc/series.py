@@ -248,10 +248,6 @@ class FormalSeries:
             self._n, degree, {m: c for m, c in self._terms.items() if m.degree <= degree}
         )
 
-    def jet(self, degree: int) -> "FormalSeries":
-        """The degree-jet, an alias for truncation at that degree."""
-        return self.truncate(degree)
-
     def homogeneous_part(self, degree: int) -> "FormalSeries":
         table = {m: c for m, c in self._terms.items() if m.degree == degree}
         return FormalSeries._from_table(self._n, self._trunc, table)

@@ -327,6 +327,19 @@ def test_failed_cross_check_exits_4(capsys, monkeypatch):
     assert err.startswith("error: candidate proposal missed a genuine partner")
 
 
+@pytest.mark.parametrize(
+    "series_args",
+    # a sign chain would read as an option, so it goes in as -f=...
+    [["-f", "(" * 3000 + "z" + ")" * 3000], ["-f=" + "-" * 3000 + "z"]],
+    ids=["parentheses", "sign-chain"],
+)
+def test_deep_nesting_exits_2(capsys, series_args):
+    code, out, err = invoke(capsys, "divide", *series_args, "-g", "z", "--vars", "z")
+    assert code == 2
+    assert not out
+    assert err.startswith("error: expression nested deeper than")
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     argv = ["counterexample", "sequence", "--levels", "5", "--format", "json"]
     assert main(argv) == 0

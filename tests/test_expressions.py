@@ -114,6 +114,24 @@ def test_empty_and_dangling_input():
         parse_series("(z", ZW, 4)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 3000 + "z" + ")" * 3000, "-" * 3000 + "z"],
+    ids=["parentheses", "sign-chain"],
+)
+def test_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_series(text, ["z"], 3)
+
+
+def test_moderate_nesting_still_parses():
+    z = FormalSeries.variable(1, 3, 0)
+    assert parse_series("(" * 50 + "z" + ")" * 50, ["z"], 3) == z
+    assert parse_series("-" * 50 + "z", ["z"], 3) == z
+    nested = "(" + "(" * 50 + "z" + ")" * 50 + ", w)"
+    assert parse_map(nested, ZW, 3) == FormalMap.identity(2, 3)
+
+
 def test_parse_map_and_components():
     shear = parse_map("(z, w + z)", ZW, 4)
     assert isinstance(shear, FormalMap)

@@ -6,6 +6,7 @@ import pytest
 from germcalc import (
     DimensionError,
     FormalSeries,
+    HorizonReport,
     IdealPresentation,
     JetSpace,
     MultiIndex,
@@ -234,9 +235,13 @@ def test_membership_scan_finds_first_failure():
     I = parabola_ideal()
     t1, _ = t_vars(6)
     scan = membership_up_to(t1, I, 6)
+    assert isinstance(scan, HorizonReport)
     assert not scan
     assert scan.first_failure == 3
     assert scan.bound == 6
+    # membership is monotone in k, so the scan stops at the first failure
+    assert scan.per_order == ((1, True), (2, True), (3, False))
+    assert not scan.holds_up_to_bound
 
 
 def test_membership_scan_of_members():
@@ -245,6 +250,8 @@ def test_membership_scan_of_members():
     scan = membership_up_to(t2 * (t1 - t2 * t2), I, 6)
     assert scan
     assert scan.first_failure is None
+    assert scan.per_order == tuple((k, True) for k in range(1, 7))
+    assert scan.holds_up_to_bound
     assert membership_up_to(FormalSeries.zero(2, 6), I, 6)
 
 
