@@ -19,12 +19,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DimensionError, PrecisionError
-from .ideals import IdealPresentation
 from .monomial import MultiIndex, Staircase
 from .series import FormalSeries
+
+if TYPE_CHECKING:
+    # An annotation only: ideals imports this module for its division.
+    from .ideals import IdealPresentation
 
 
 @dataclass(frozen=True)
@@ -52,34 +55,40 @@ def formal_division(
 
     alphas = [g.initial_exponent() for g in divisors]
     leads = [g.coefficient(a) for g, a in zip(divisors, alphas)]
-    divisor_terms = [list(g.truncate(truncation).terms.items()) for g in divisors]
     staircase = Staircase(n, alphas)
 
-    work: dict[MultiIndex, object] = dict(f.truncate(truncation).terms)
-    remainder: dict[MultiIndex, object] = {}
-    quotients: list[dict[MultiIndex, object]] = [{} for _ in divisors]
+    # The loop runs on plain exponent tuples, keyed for the heap by
+    # (degree, reversed exponents) as MultiIndex.sort_key is; MultiIndex
+    # keys are built only for the returned series.
+    corners = [(a.exponents, a.degree) for a in alphas]
+    divisor_terms = [
+        [(beta.exponents, beta.degree, c) for beta, c in g.truncate(truncation).terms.items()]
+        for g in divisors
+    ]
+    work: dict[tuple[int, ...], object] = {
+        m.exponents: c for m, c in f.truncate(truncation).terms.items()
+    }
+    remainder: dict[tuple[int, ...], object] = {}
+    quotients: list[dict[tuple[int, ...], object]] = [{} for _ in divisors]
 
-    heap: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for m in work:
-        heapq.heappush(heap, (m.sort_key, m.exponents))
+    heap = [((sum(m),) + m[::-1], m) for m in work]
+    heapq.heapify(heap)
 
     while heap:
-        _, exps = heapq.heappop(heap)
-        m = MultiIndex(exps)
+        key, m = heapq.heappop(heap)
         c = work.get(m)
         if not c:
             work.pop(m, None)
             continue
-        chosen = None
-        for j, a in enumerate(alphas):
-            if m.dominates(a):
-                chosen = j
+        for chosen, (a, a_degree) in enumerate(corners):
+            if all(x >= y for x, y in zip(m, a)):
                 break
-        if chosen is None:
+        else:
             remainder[m] = c
             del work[m]
             continue
-        shift = m - alphas[chosen]
+        shift = tuple(x - y for x, y in zip(m, a))
+        shift_degree = key[0] - a_degree
         qc = c / leads[chosen]
         q = quotients[chosen]
         prev = q.get(shift, 0) + qc
@@ -87,21 +96,26 @@ def formal_division(
             q[shift] = prev
         elif shift in q:
             del q[shift]
-        for beta, gcoeff in divisor_terms[chosen]:
-            target = beta + shift
-            if target.degree > truncation:
+        for beta, beta_degree, gcoeff in divisor_terms[chosen]:
+            degree = beta_degree + shift_degree
+            if degree > truncation:
                 continue
+            target = tuple(x + y for x, y in zip(beta, shift))
             updated = work.get(target, 0) - qc * gcoeff
             if updated:
                 work[target] = updated
                 if target != m:
-                    heapq.heappush(heap, (target.sort_key, target.exponents))
+                    heapq.heappush(heap, ((degree,) + target[::-1], target))
             elif target in work:
                 del work[target]
 
+    def series(table):
+        keyed = {MultiIndex(e): c for e, c in table.items()}
+        return FormalSeries._from_table(n, truncation, keyed)
+
     return DivisionResult(
-        quotients=tuple(FormalSeries._from_table(n, truncation, q) for q in quotients),
-        remainder=FormalSeries._from_table(n, truncation, remainder),
+        quotients=tuple(series(q) for q in quotients),
+        remainder=series(remainder),
         staircase=staircase,
     )
 

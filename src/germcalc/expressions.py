@@ -31,6 +31,24 @@ _OPERATORS = set("+-*/^(),")
 # exhaust the interpreter's recursion limit.
 _MAX_NESTING = 100
 
+# A scalar power is refused before it is computed once its size estimate
+# passes this many bits; a coefficient of that size already prints to
+# about 2,500 decimal digits.
+_MAX_POWER_BITS = 8192
+
+
+def _power_bits(base: Scalar, exponent: int) -> int:
+    """Size estimate of base**exponent for a scalar base: the exponent
+    times the bit length of the widest numerator or denominator in base.
+    Powers of 0 and of +-1 stay small and count as 0."""
+    if base in (0, 1, -1):
+        return 0
+    parts = (base.real, base.imag) if isinstance(base, GaussianRational) else (base,)
+    width = max(
+        max(abs(p.numerator).bit_length(), p.denominator.bit_length()) for p in parts
+    )
+    return exponent * width
+
 
 def default_variables(dimension: int) -> list[str]:
     """Naming convention used when no explicit names are given: z, then
@@ -225,6 +243,14 @@ class _Parser:
                     f"exponent {exponent} exceeds truncation {self.truncation}",
                     exp_tok.position,
                 )
+            if not isinstance(base, FormalSeries):
+                bits = _power_bits(base, exponent)
+                if bits > _MAX_POWER_BITS:
+                    raise ParseError(
+                        f"scalar power of about {bits} bits exceeds the limit "
+                        f"of {_MAX_POWER_BITS} bits",
+                        exp_tok.position,
+                    )
             return self._pow(base, exponent)
         return base
 

@@ -8,6 +8,14 @@ exponents are pairwise distinct, and every basis element has coefficient 0
 at every other pivot.  The basis is therefore canonical for the span, and
 the pivot set within degree d is exactly the ideal's diagram of initial
 exponents there.
+
+Membership in a principal ideal needs no jet space.  One generator g is
+already a standard basis: the monomial order adds initial exponents, so
+the initial exponent of any nonzero u*g mod m^k is init(u) + init(g),
+which lies in the staircase of g.  The remainder of truncated division by
+g has no term in that staircase, so it is zero exactly when f lies in
+(g) + m^k.  jet_membership decides one-generator ideals that way and
+every other ideal against its jet space.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .division import formal_division
 from .errors import DimensionError, PrecisionError
 from .monomial import MultiIndex, Staircase, monomials_up_to, vertex_extraction
 from .series import FormalSeries
@@ -174,15 +183,18 @@ class IdealPresentation:
             return None
         return min(g.truncation for g in self._gens)
 
-    def jet_space(self, degree: int) -> JetSpace:
-        cached = self._cache.get(degree)
-        if cached is not None:
-            return cached
+    def _check_degree(self, degree: int):
         bound = self.generator_truncation
         if bound is not None and degree > bound:
             raise PrecisionError(
                 f"jet degree {degree} exceeds generator truncation {bound}"
             )
+
+    def jet_space(self, degree: int) -> JetSpace:
+        cached = self._cache.get(degree)
+        if cached is not None:
+            return cached
+        self._check_degree(degree)
         candidates = []
         for g in self._gens:
             items = list(g.terms.items())
@@ -206,7 +218,15 @@ class IdealPresentation:
 
 
 def jet_membership(f: FormalSeries, ideal: IdealPresentation, k: int) -> bool:
-    """Whether f lies in I + m^k, decided on jets of degree k - 1."""
+    """Whether f lies in I + m^k, decided on jets of degree k - 1.
+
+    An ideal with one generator g is decided by truncated division: f is
+    in (g) + m^k exactly when the remainder of the degree-(k-1) jet of f
+    on division by g is zero, since a nonzero r = u*g mod m^k has its
+    initial exponent in the staircase of g, which the remainder avoids.
+    The zero ideal and ideals with several generators, which are no
+    standard basis in general, are decided against their jet space.
+    """
     if k < 1:
         raise ValueError("membership order k must be at least 1")
     if f.dimension != ideal.dimension:
@@ -215,7 +235,11 @@ def jet_membership(f: FormalSeries, ideal: IdealPresentation, k: int) -> bool:
         raise PrecisionError(
             f"series truncated at {f.truncation}, need degree {k - 1}"
         )
-    return ideal.jet_space(k - 1).contains(f.truncate(k - 1))
+    jet = f.truncate(k - 1)
+    if len(ideal.generators) == 1:
+        ideal._check_degree(k - 1)
+        return formal_division(jet, ideal.generators, k - 1).remainder.is_zero
+    return ideal.jet_space(k - 1).contains(jet)
 
 
 @dataclass(frozen=True)

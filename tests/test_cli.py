@@ -340,6 +340,15 @@ def test_deep_nesting_exits_2(capsys, series_args):
     assert err.startswith("error: expression nested deeper than")
 
 
+def test_oversized_scalar_power_exits_2(capsys):
+    code, out, err = invoke(
+        capsys, "divide", "-f", "2^20000*z + w", "-g", "w", "--vars", "z,w"
+    )
+    assert code == 2
+    assert not out
+    assert err.startswith("error: scalar power of about 40000 bits exceeds the limit")
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     argv = ["counterexample", "sequence", "--levels", "5", "--format", "json"]
     assert main(argv) == 0

@@ -5,6 +5,8 @@ import pytest
 
 from germcalc import FormalMap, FormalSeries, GaussianRational, ParseError
 from germcalc.expressions import (
+    _MAX_POWER_BITS,
+    _power_bits,
     default_variables,
     format_components,
     format_map,
@@ -130,6 +132,26 @@ def test_moderate_nesting_still_parses():
     assert parse_series("-" * 50 + "z", ["z"], 3) == z
     nested = "(" + "(" * 50 + "z" + ")" * 50 + ", w)"
     assert parse_map(nested, ZW, 3) == FormalMap.identity(2, 3)
+
+
+def test_scalar_power_estimate():
+    assert _power_bits(Fraction(2), 20000) == 40000
+    assert _power_bits(Fraction(-5, 3), 10) == 30
+    assert _power_bits(GaussianRational(1, 4), 7) == 21
+    # powers of 0 and +-1 never grow
+    for base in (Fraction(0), Fraction(1), Fraction(-1), GaussianRational(-1)):
+        assert _power_bits(base, 999999999) == 0
+    # refused by the estimate alone; the power itself is never computed
+    assert _power_bits(Fraction(2), 999999999) > _MAX_POWER_BITS
+    assert _power_bits(GaussianRational(0, 1), 999999999) > _MAX_POWER_BITS
+
+
+def test_oversized_scalar_power_is_a_parse_error():
+    with pytest.raises(ParseError, match="scalar power of about 40000 bits") as err:
+        parse_series("2^20000*z + w", ZW, 4)
+    assert err.value.position == 3
+    big = parse_series("2^4000*z + (-1)^99999 + 0^99", ZW, 4)
+    assert big == s({(1, 0): Fraction(2) ** 4000, (0, 0): -1})
 
 
 def test_parse_map_and_components():

@@ -1,9 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import germcalc.ideals
 from germcalc import (
+    I as IMAG,
     DimensionError,
     FormalSeries,
     HorizonReport,
@@ -16,7 +19,12 @@ from germcalc import (
     jet_membership,
     membership_up_to,
 )
-from conftest import dense_membership_oracle, random_ideal, random_series
+from conftest import (
+    dense_membership_oracle,
+    random_ideal,
+    random_nonzero_series,
+    random_series,
+)
 
 
 def t_vars(trunc):
@@ -274,3 +282,75 @@ def test_membership_against_dense_oracle():
         f = random_series(rng, n, 6)
         k = rng.randint(1, 6)
         assert jet_membership(f, I, k) == dense_membership_oracle(f, I, k)
+
+
+# -- principal ideals by division -------------------------------------------
+
+
+def _series_over(rng, field, n, trunc, **kw):
+    f = random_series(rng, n, trunc, **kw)
+    if field == "Q(i)":
+        f = f + IMAG * random_series(rng, n, trunc, **kw)
+    return f
+
+
+def _principal_case(rng, kind, field, n, trunc=5):
+    """(f, generator, k) for one seeded one-generator membership case."""
+    k = rng.randint(1, trunc)
+    g = _series_over(rng, field, n, trunc, min_order=1, density=0.3)
+    if kind == "unit":
+        g = g + rng.choice([1, -2, Fraction(1, 3)])
+    elif kind == "high-order":
+        # every term of g lies beyond the jet degree k - 1
+        g = _series_over(rng, field, n, trunc, min_order=k, density=0.3)
+    while g.is_zero:
+        g = g + random_nonzero_series(rng, n, trunc, min_order=1)
+    if kind == "zero-f":
+        f = FormalSeries.zero(n, trunc)
+    elif kind == "member":
+        j = rng.randint(1, trunc)
+        h = _series_over(rng, field, n, trunc, density=0.3)
+        f = h * g + _series_over(rng, field, n, trunc, min_order=j, density=0.3)
+    elif kind == "high-order":
+        f = _series_over(rng, field, n, trunc, min_order=rng.choice([0, k]))
+    else:
+        f = _series_over(rng, field, n, trunc)
+    return f, g, k
+
+
+def test_principal_membership_by_division_matches_oracles():
+    kinds = ("generic", "unit", "high-order", "zero-f", "member")
+    combos = list(itertools.product(kinds, ("Q", "Q(i)"), (1, 2, 3)))
+    rng = random.Random(23)
+    verdicts = []
+    for kind, field, n in combos * 8:
+        f, g, k = _principal_case(rng, kind, field, n)
+        ideal = IdealPresentation(n, [g])
+        member = jet_membership(f, ideal, k)
+        assert member == dense_membership_oracle(f, ideal, k), (kind, field, n, k)
+        # the jet space stays the reference path
+        assert member == ideal.jet_space(k - 1).contains(f.truncate(k - 1))
+        verdicts.append(member)
+    assert len(verdicts) == 240
+    assert verdicts.count(True) >= 60 and verdicts.count(False) >= 60
+
+
+def test_principal_membership_builds_no_jet_space(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a jet space was built")
+
+    monkeypatch.setattr(germcalc.ideals, "JetSpace", refuse)
+    t1, t2 = t_vars(6)
+    principal = parabola_ideal()
+    assert jet_membership(t2 * (t1 - t2 * t2), principal, 6)
+    assert not jet_membership(t1, principal, 3)
+    with pytest.raises(AssertionError, match="jet space was built"):
+        jet_membership(t1, IdealPresentation(2, [t1, t2 * t2]), 3)
+
+
+def test_principal_membership_keeps_the_precision_error():
+    principal = parabola_ideal(4)
+    _, t2 = t_vars(8)
+    with pytest.raises(PrecisionError) as err:
+        jet_membership(t2 * t2, principal, 6)
+    assert str(err.value) == "jet degree 5 exceeds generator truncation 4"
