@@ -8,7 +8,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from germcalc import FormalMap, FormalSeries, IdealPresentation
+from germcalc import FormalMap, FormalSeries, IdealPresentation, compose
 
 
 def exponent_tuples(dimension, degree):
@@ -147,3 +147,29 @@ def dense_membership_oracle(f, ideal, k):
             for j in range(col, len(cols)):
                 target[j] = target[j] - factor * lead[j]
     return not any(target)
+
+
+def inverse_pair_oracle(phi, phi_inv, left, right, k):
+    """(ok, failure) of the order-k equivalence of two ideals, read off the
+    definition through phi_inv = phi.inverse(): every right generator
+    composed with phi must lie in left + m^k ("pullback", position), then
+    every left generator composed with phi_inv must lie in right + m^k
+    ("inverse", position), each decided by dense_membership_oracle."""
+    for pos, g in enumerate(right.generators):
+        if not dense_membership_oracle(compose(g, phi), left, k):
+            return False, ("pullback", pos)
+    for pos, g in enumerate(left.generators):
+        if not dense_membership_oracle(compose(g, phi_inv), right, k):
+            return False, ("inverse", pos)
+    return True, None
+
+
+def transport_oracle(transported, target, k):
+    """(ok, discrepancy_order) of a map or field against the transport of
+    its partner, computed beforehand with conjugate or pushforward_field:
+    the lowest degree present in the difference, ok when none is below k."""
+    orders = [
+        (b - a).order() for a, b in zip(transported.components, target.components)
+    ]
+    worst = min((o for o in orders if o is not None), default=None)
+    return worst is None or worst >= k, worst

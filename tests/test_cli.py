@@ -327,6 +327,17 @@ def test_failed_cross_check_exits_4(capsys, monkeypatch):
     assert err.startswith("error: candidate proposal missed a genuine partner")
 
 
+def test_singular_conjugating_map_exits_2(capsys, tmp_path):
+    manifest = tmp_path / "conj-singular.man"
+    manifest.write_text(
+        (DATA / "conj-true.man").read_text().replace("map: (2*z)", "map: (z^2)")
+    )
+    code, out, err = invoke(capsys, "check-conjugacy", "--manifest", str(manifest))
+    assert code == 2
+    assert not out
+    assert err == "error: formal map has singular linear part\n"
+
+
 @pytest.mark.parametrize(
     "series_args",
     # a sign chain would read as an option, so it goes in as -f=...

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ from germcalc import (
     DimensionError,
     FormalMap,
     FormalSeries,
+    GaussianRational,
+    InversionError,
     PrecisionError,
     VectorField,
     conjugate,
@@ -15,6 +18,7 @@ from germcalc import (
     pushforward_field,
 )
 from conftest import (
+    transport_oracle,
     random_invertible_map,
     random_series,
     random_tangent_to_identity_map,
@@ -358,3 +362,107 @@ def test_pushforward_dimension_check():
     xi = VectorField([z1() * z1()])
     with pytest.raises(DimensionError):
         pushforward_field(xi, FormalMap.identity(2, K))
+
+
+# -- guards -----------------------------------------------------------------
+
+SINGULAR = "formal map has singular linear part"
+
+
+def plane(trunc=K):
+    return FormalSeries.variable(2, trunc, 0), FormalSeries.variable(2, trunc, 1)
+
+
+def test_singular_map_is_refused_by_dynamics_checks():
+    x, y = plane()
+    flat = FormalMap([x, x + y * y])
+    f = FormalMap([x + y * y, y])
+    xi = VectorField([x * y, y])
+    with pytest.raises(InversionError, match=SINGULAR):
+        is_order_k_conjugacy(flat, [f], [f], 2)
+    with pytest.raises(InversionError, match=SINGULAR):
+        is_order_k_field_equivalence(flat, [xi], [xi], 2)
+    # empty families transport nothing, so nothing is refused
+    assert is_order_k_conjugacy(flat, [], [], 2).ok
+    assert is_order_k_field_equivalence(flat, [], [], 2).ok
+
+
+def test_singular_map_refusal_order_in_dynamics_checks():
+    x, y = plane()
+    flat = FormalMap([x, x + y * y])
+    f, xi = FormalMap([x + y * y, y]), VectorField([x * y, y])
+    z = z1()
+    # argument checks and the left object's dimension come first
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        is_order_k_conjugacy(flat, [f], [f], 0)
+    with pytest.raises(ValueError, match="families differ in length"):
+        is_order_k_field_equivalence(flat, [xi], [], 2)
+    with pytest.raises(DimensionError, match="^map dimensions differ$"):
+        is_order_k_conjugacy(flat, [FormalMap([z])], [f], 2)
+    with pytest.raises(DimensionError, match="^field and map dimensions differ$"):
+        is_order_k_field_equivalence(flat, [VectorField([z])], [xi], 2)
+    # the right object's dimension and the precision come after
+    with pytest.raises(InversionError, match=SINGULAR):
+        is_order_k_conjugacy(flat, [f], [FormalMap([z])], 2)
+    with pytest.raises(InversionError, match=SINGULAR):
+        is_order_k_conjugacy(flat, [f], [f], K + 2)
+    with pytest.raises(InversionError, match=SINGULAR):
+        is_order_k_field_equivalence(flat, [xi], [VectorField([z])], 2)
+
+
+def test_dynamics_dimension_error_texts():
+    x, y = plane()
+    phi = FormalMap([x + y, y])
+    f, xi = FormalMap([x + y * y, y]), VectorField([x * y, y])
+    z = z1()
+    with pytest.raises(DimensionError, match="^map dimensions differ$"):
+        is_order_k_conjugacy(phi, [FormalMap([z])], [f], 2)
+    with pytest.raises(DimensionError, match="^field and map dimensions differ$"):
+        is_order_k_field_equivalence(phi, [VectorField([z])], [xi], 2)
+    with pytest.raises(DimensionError, match="^series dimensions differ: 1 vs 2$"):
+        is_order_k_conjugacy(phi, [f], [FormalMap([z])], 2)
+    with pytest.raises(DimensionError, match="^series dimensions differ: 1 vs 2$"):
+        is_order_k_field_equivalence(phi, [xi], [VectorField([z])], 2)
+
+
+# -- verdicts against the transport oracle -----------------------------------
+
+IMAG = GaussianRational(0, 1)
+
+
+def _over(rng, field, n, trunc, **kw):
+    f = random_series(rng, n, trunc, **kw)
+    if field == "Q(i)":
+        f = f + IMAG * random_series(rng, n, trunc, **kw)
+    return f
+
+
+def test_dynamics_verdicts_match_the_transport_oracle():
+    rng = random.Random(71)
+    combos = list(itertools.product((1, 2, 3), ("Q", "Q(i)")))
+    verdicts = []
+    for n, field in combos * 3:
+        trunc = 4 if n < 3 else 3
+        phi = random_invertible_map(rng, n, trunc, higher_density=0.2)
+        if field == "Q(i)":
+            phi = FormalMap(
+                [c + IMAG * random_series(rng, n, trunc, density=0.2, scale=2, min_order=2)
+                 for c in phi.components]
+            )
+        comps = [_over(rng, field, n, trunc, min_order=1, density=0.3) for _ in range(n)]
+        f, xi = FormalMap(comps), VectorField(comps)
+        # the transported object, perturbed from a random degree on
+        j = rng.randint(1, trunc)
+        for transport, check, obj, kind in (
+            (conjugate, is_order_k_conjugacy, f, FormalMap),
+            (pushforward_field, is_order_k_field_equivalence, xi, VectorField),
+        ):
+            moved = transport(obj, phi)
+            bumps = [_over(rng, field, n, moved.truncation, min_order=j) for _ in range(n)]
+            target = kind([c + b for c, b in zip(moved.components, bumps)])
+            for k in range(1, moved.truncation + 2):
+                verdict = check(phi, [obj], [target], k).per_index[0]
+                expected = transport_oracle(moved, target, k)
+                assert (verdict.ok, verdict.discrepancy_order) == expected
+                verdicts.append(expected[0])
+    assert verdicts.count(True) >= 60 and verdicts.count(False) >= 30

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,8 +8,10 @@ from germcalc import (
     DimensionError,
     FormalMap,
     FormalSeries,
+    GaussianRational,
     GermFamily,
     IdealPresentation,
+    InversionError,
     PrecisionError,
     build_shift_sequence,
     compose,
@@ -21,7 +24,14 @@ from germcalc import (
     pullback,
     shift_map,
 )
-from conftest import random_ideal, random_invertible_map
+from germcalc.equivalence import pair_order_k
+from conftest import (
+    inverse_pair_oracle,
+    random_ideal,
+    random_invertible_map,
+    random_nonzero_series,
+    random_series,
+)
 
 K = 6
 
@@ -380,3 +390,149 @@ def test_horizon_localizes_the_breaking_order():
     report = equivalence_horizon(left, right, FormalMap.identity(2, K), 5)
     assert report.first_failure == 4
     assert dict(report.per_order)[3] is True
+
+
+# -- guards -----------------------------------------------------------------
+
+SINGULAR = "formal map has singular linear part"
+
+
+def singular_map(trunc=K):
+    z, w = zw(trunc)
+    return FormalMap([z, z + w * w])
+
+
+def test_singular_map_is_refused_by_equivalence_checks():
+    z, w = zw()
+    fam = family(w - z)
+    with pytest.raises(InversionError, match=SINGULAR):
+        is_order_k_equivalence(singular_map(), fam, fam, 2)
+    with pytest.raises(InversionError, match=SINGULAR):
+        pair_order_k(singular_map(), fam.ideals[0], fam.ideals[0], 2)
+    sets = fam.with_mode("set")
+    with pytest.raises(InversionError, match=SINGULAR):
+        is_order_k_equivalence(singular_map(), sets, sets, 2)
+
+
+def test_singular_map_refusal_comes_after_shape_and_mode_checks():
+    z, w = zw()
+    fam = family(w - z)
+    with pytest.raises(DimensionError):
+        flat = FormalMap([FormalSeries.variable(3, K, 0)] * 3)
+        is_order_k_equivalence(flat, fam, fam, 2)
+    with pytest.raises(PrecisionError):
+        is_order_k_equivalence(singular_map(), fam, fam, K + 1)
+    with pytest.raises(PrecisionError, match="needs the map known to degree 3"):
+        is_order_k_equivalence(singular_map(2), fam, fam, 4)
+    with pytest.raises(ValueError, match="disagree about the comparison mode"):
+        is_order_k_equivalence(singular_map(), fam, fam.with_mode("set"), 2)
+    with pytest.raises(ValueError, match="at least 1"):
+        is_order_k_equivalence(singular_map(), fam, fam, 0)
+    # the pool prefix check runs after the refusal
+    sets = fam.with_mode("set")
+    bad_pool = family(w + z, labels=["x"], mode="set")
+    with pytest.raises(InversionError, match=SINGULAR):
+        is_order_k_equivalence(singular_map(), sets, sets, 2, left_pool=bad_pool)
+
+
+def test_pullback_witness_indexes_right_generators_past_a_vanishing_one():
+    # z^4 composed with a map known to degree 2 is zero, so the pulled
+    # ideal drops it; the failing generator w still sits at position 1
+    z, w = zw()
+    left = GermFamily.of("family", [("a", IdealPresentation(2, [z]))])
+    right = GermFamily.of("family", [("a", IdealPresentation(2, [z * z * z * z, w]))])
+    phi = FormalMap.identity(2, 2)
+    report = is_order_k_equivalence(phi, left, right, 3)
+    assert not report.ok
+    assert report.per_index[0].failure == ("pullback", 1)
+    assert not pair_order_k(phi, left.ideals[0], right.ideals[0], 3)
+
+
+# -- verdicts against the inverse oracle -------------------------------------
+
+IMAG = GaussianRational(0, 1)
+
+
+def _over(rng, field, n, trunc, **kw):
+    f = random_series(rng, n, trunc, **kw)
+    if field == "Q(i)":
+        f = f + IMAG * random_series(rng, n, trunc, **kw)
+    return f
+
+
+def _oracle_map(rng, field, n, trunc):
+    phi = random_invertible_map(rng, n, trunc, higher_density=0.2)
+    if field == "Q(i)":
+        phi = FormalMap(
+            [c + IMAG * random_series(rng, n, trunc, density=0.2, scale=2, min_order=2)
+             for c in phi.components]
+        )
+    return phi
+
+
+def _oracle_ideal(rng, field, n, trunc, count):
+    gens = [_over(rng, field, n, trunc, min_order=1, density=0.4) for _ in range(count)]
+    while all(g.is_zero for g in gens):
+        gens = [random_nonzero_series(rng, n, trunc, min_order=1)]
+    return IdealPresentation(n, gens)
+
+
+def _partner_ideal(rng, field, ideal, phi_inv, trunc):
+    """The ideal pushed forward through phi, perturbed from a random degree
+    on (trunc + 1: not at all), so verdicts flip at a random order."""
+    j = rng.randint(1, trunc + 1)
+    gens = [compose(g, phi_inv) for g in ideal.generators]
+    if j <= trunc:
+        gens = [g + _over(rng, field, ideal.dimension, trunc, min_order=j, density=0.3)
+                for g in gens]
+    return IdealPresentation(ideal.dimension, gens)
+
+
+def _oracle_search(table, members, pool_labels, flip):
+    """Partner and candidate count per member, scanning the pool in order."""
+    out = []
+    for i in range(members):
+        for tried, label in enumerate(pool_labels, 1):
+            if table[(tried - 1, i) if flip else (i, tried - 1)][0]:
+                out.append((label, tried))
+                break
+        else:
+            out.append((None, len(pool_labels)))
+    return out
+
+
+def test_pair_verdicts_match_the_inverse_oracle():
+    rng = random.Random(61)
+    combos = list(itertools.product((1, 2, 3), ("Q", "Q(i)"), (1, 2)))
+    verdicts = []
+    for n, field, count in combos * 2:
+        trunc = 4 if n == 1 else 3
+        phi = _oracle_map(rng, field, n, trunc)
+        phi_inv = phi.inverse()
+        lefts = [_oracle_ideal(rng, field, n, trunc, count) for _ in range(3)]
+        rights = [_partner_ideal(rng, field, I, phi_inv, trunc) for I in lefts]
+        rng.shuffle(rights)
+        for k in range(1, trunc + 1):
+            table = {
+                (i, j): inverse_pair_oracle(phi, phi_inv, a, b, k)
+                for (i, a), (j, b) in itertools.product(enumerate(lefts), enumerate(rights))
+            }
+            # family mode: each (ok, failure) as the oracle gives it
+            left = GermFamily.of("family", zip("abc", lefts))
+            right = GermFamily.of("family", zip("abc", rights))
+            report = is_order_k_equivalence(phi, left, right, k)
+            expected = [table[(i, i)] for i in range(3)]
+            assert [(v.ok, v.failure) for v in report.per_index] == expected
+            assert report.ok == all(ok for ok, _ in expected)
+            verdicts.extend(ok for ok, _ in expected)
+            # set mode: every partner and candidate count as the oracle gives it
+            left = GermFamily.of("set", zip("abc", lefts))
+            right = GermFamily.of("set", zip("xyz", rights))
+            report = is_order_k_equivalence(phi, left, right, k)
+            forward = _oracle_search(table, 3, "xyz", False)
+            backward = _oracle_search(table, 3, "abc", True)
+            assert [(m.partner, m.tried) for m in report.left_matching] == forward
+            assert [(m.partner, m.tried) for m in report.right_matching] == backward
+            for i, (ok, _) in enumerate(expected):
+                assert pair_order_k(phi, lefts[i], rights[i], k) == ok
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 60
