@@ -383,7 +383,6 @@ def verify_finite_order_equivalence(
     # Cross-check the pruning direction of the proposal arithmetic: curves
     # left unmatched must also fail the general pairwise verdict against
     # candidates the proposal never suggested.
-    phi_inv = phi.inverse()
     cross_checked = 0
     for tag, summary in (("phi", left_summary), ("psi", right_summary)):
         source, target = pools[tag], pools[other[tag]]
@@ -394,7 +393,7 @@ def verify_finite_order_equivalence(
                 pair = (source.ideals[i], target.ideals[j])
                 left_ideal, right_ideal = pair if tag == "phi" else pair[::-1]
                 cross_checked += 1
-                if pair_order_k(phi, left_ideal, right_ideal, order, phi_inv=phi_inv):
+                if pair_order_k(phi, left_ideal, right_ideal, order):
                     raise CrossCheckError(
                         "candidate proposal missed a genuine partner; "
                         f"{specs[tag][i].label} matches pool position {j}"

@@ -5,6 +5,11 @@ transform by the pushforward (DPhi . xi) o Phi^-1.  Order-k closeness of
 two maps or fields means every component of the difference vanishes to
 order at least k at the origin.  F itself is never required to be
 invertible; only the conjugating map is.
+
+The checks never form Phi^-1: they compare G o Phi with Phi o F and
+eta o Phi with DPhi . xi, the transported differences composed with Phi.
+Composing with a map of invertible linear part keeps the lowest degree of
+each component, so verdicts and discrepancy orders are unchanged.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import DimensionError, PrecisionError
-from .series import FormalMap, FormalSeries, vanishing_components
+from .series import FormalMap, FormalSeries, compose, vanishing_components
 
 
 class VectorField:
@@ -54,11 +59,29 @@ class VectorField:
         return f"VectorField({list(self._comps)!r})"
 
 
-def conjugate(f: FormalMap, phi: FormalMap) -> FormalMap:
-    """Phi o F o Phi^-1; F need not be invertible."""
+def _phi_after(f: FormalMap, phi: FormalMap) -> FormalMap:
+    """Phi o F, after the checks of conjugate."""
     if f.dimension != phi.dimension:
         raise DimensionError("map dimensions differ")
-    return phi.compose(f).compose(phi.inverse())
+    phi.linear_inverse()  # refuses a singular Phi
+    return phi.compose(f)
+
+
+def conjugate(f: FormalMap, phi: FormalMap) -> FormalMap:
+    """Phi o F o Phi^-1; F need not be invertible."""
+    return _phi_after(f, phi).compose(phi.inverse())
+
+
+def _dphi_times(xi: VectorField, phi: FormalMap) -> VectorField:
+    """DPhi . xi, after the checks of pushforward_field."""
+    if xi.dimension != phi.dimension:
+        raise DimensionError("field and map dimensions differ")
+    phi.linear_inverse()  # refuses a singular Phi
+    comps = []
+    for row in phi.components:
+        terms = [row.derivative(j) * c for j, c in enumerate(xi.components)]
+        comps.append(sum(terms[1:], terms[0]))
+    return VectorField(comps)
 
 
 def pushforward_field(xi: VectorField, phi: FormalMap) -> VectorField:
@@ -67,20 +90,9 @@ def pushforward_field(xi: VectorField, phi: FormalMap) -> VectorField:
     Differentiating Phi costs one degree of precision, so the result
     carries truncation min(truncations) - 1.
     """
-    if xi.dimension != phi.dimension:
-        raise DimensionError("field and map dimensions differ")
-    n = phi.dimension
+    moved = _dphi_times(xi, phi)
     phi_inv = phi.inverse()
-    comps = []
-    for i in range(n):
-        row = phi.components[i]
-        acc: Optional[FormalSeries] = None
-        for j in range(n):
-            partial = row.derivative(j)
-            term = partial * xi.components[j]
-            acc = term if acc is None else acc + term
-        comps.append(acc.substitute(phi_inv.components))
-    return VectorField(comps)
+    return VectorField([compose(c, phi_inv) for c in moved.components])
 
 
 @dataclass(frozen=True)
@@ -104,11 +116,15 @@ class DynamicsReport:
 
 
 def _difference_verdict(
-    label: str, lefts: Sequence[FormalSeries], rights: Sequence[FormalSeries], k: int
+    label: str, moved: Sequence[FormalSeries], target, phi: FormalMap, k: int
 ) -> ComponentVerdict:
+    if target.dimension != phi.dimension:
+        raise DimensionError(
+            f"series dimensions differ: {target.dimension} vs {phi.dimension}"
+        )
     worst: Optional[int] = None
-    for a, b in zip(lefts, rights):
-        diff = a - b
+    for a, b in zip(target.components, moved):
+        diff = compose(a, phi) - b
         if diff.truncation < k - 1:
             raise PrecisionError(
                 f"order-{k} comparison needs degree {k - 1}, have {diff.truncation}"
@@ -130,7 +146,7 @@ def _labels(count: int, labels: Optional[Sequence[str]]) -> list[str]:
 
 
 def _check_transported(
-    transport: Callable,
+    move: Callable,
     what: str,
     phi: FormalMap,
     lefts: Sequence,
@@ -138,15 +154,15 @@ def _check_transported(
     k: int,
     labels: Optional[Sequence[str]],
 ) -> DynamicsReport:
-    """Whether each right object agrees with the transport of its left
-    partner through phi to order k, index by index."""
+    """Whether each right object, composed with phi, agrees to order k
+    with move(its left partner, phi), index by index."""
     if k < 1:
         raise ValueError(f"{what} order must be at least 1")
     if len(lefts) != len(rights):
         raise ValueError("families differ in length")
     names = _labels(len(lefts), labels)
     verdicts = tuple(
-        _difference_verdict(label, g.components, transport(f, phi).components, k)
+        _difference_verdict(label, move(f, phi).components, g, phi, k)
         for label, f, g in zip(names, lefts, rights)
     )
     return DynamicsReport(
@@ -163,7 +179,7 @@ def is_order_k_conjugacy(
 ) -> DynamicsReport:
     """Whether each right map agrees with the conjugate of its left
     partner to order k, index by index."""
-    return _check_transported(conjugate, "conjugacy", phi, lefts, rights, k, labels)
+    return _check_transported(_phi_after, "conjugacy", phi, lefts, rights, k, labels)
 
 
 def is_order_k_field_equivalence(
@@ -176,5 +192,5 @@ def is_order_k_field_equivalence(
     """Whether each right field agrees with the pushforward of its left
     partner to order k, index by index."""
     return _check_transported(
-        pushforward_field, "field equivalence", phi, lefts, rights, k, labels
+        _dphi_times, "field equivalence", phi, lefts, rights, k, labels
     )

@@ -2,8 +2,11 @@
 
 A map Phi is an equivalence of order k between ideals I and J when every
 generator of J pulled back through Phi lies in I + m^k and every generator
-of I pulled back through Phi's inverse lies in J + m^k.  Families are
-checked index by index; sets are checked by existence of partners in both
+of I pulled back through Phi's inverse lies in J + m^k.  The second half
+needs no inverse: Phi* (composition with Phi) is an automorphism fixing
+m^k, so g o Phi^-1 lies in J + m^k exactly when g lies in Phi*J + m^k.
+Both halves read the pulled-back ideal Phi*J, built once per right member
+a check touches; a singular Phi is still refused.  Families are checked index by index; sets are checked by existence of partners in both
 directions, with pairwise verdicts memoized.
 
 For large sets the caller may supply candidate pools (supersets searched
@@ -77,22 +80,27 @@ class GermFamily:
         return len(self.ideals)
 
 
+def _pulled(ideal: IdealPresentation, phi: FormalMap) -> tuple:
+    """The generators composed with phi, zeros kept so that positions index
+    ideal.generators, and the ideal they generate (which drops zeros)."""
+    gens = tuple(compose(g, phi) for g in ideal.generators)
+    return gens, IdealPresentation(ideal.dimension, gens)
+
+
 def pullback(ideal: IdealPresentation, phi: FormalMap) -> IdealPresentation:
     """The ideal generated by the compositions g(Phi) of the generators."""
     if phi.dimension != ideal.dimension:
         raise DimensionError("map dimension differs from ideal dimension")
-    return IdealPresentation(
-        ideal.dimension, [compose(g, phi) for g in ideal.generators]
-    )
+    return _pulled(ideal, phi)[1]
 
 
 @dataclass(frozen=True)
 class IndexVerdict:
     label: str
     ok: bool
-    # (direction, generator position) for the first failing membership;
-    # direction is "pullback" (right generator through Phi) or "inverse"
-    # (left generator through Phi^-1).
+    # (direction, generator position) of the first failing membership:
+    # "pullback", a right generator composed with Phi misses I + m^k, or
+    # "inverse", a left generator misses Phi*J + m^k (so g o Phi^-1 misses J + m^k).
     failure: Optional[tuple[str, int]] = None
 
 
@@ -141,37 +149,30 @@ def _common_mode(left: GermFamily, right: GermFamily) -> str:
 
 
 def _pair_order_k(
-    phi: FormalMap,
-    phi_inv: FormalMap,
-    left: IdealPresentation,
-    right: IdealPresentation,
-    k: int,
+    left: IdealPresentation, pulled: tuple, k: int
 ) -> tuple[bool, Optional[tuple[str, int]]]:
-    for pos, g in enumerate(right.generators):
-        if not jet_membership(compose(g, phi), left, k):
+    gens, pulled_ideal = pulled
+    for pos, g in enumerate(gens):
+        if not jet_membership(g, left, k):
             return False, ("pullback", pos)
     for pos, g in enumerate(left.generators):
-        if not jet_membership(compose(g, phi_inv), right, k):
+        if not jet_membership(g, pulled_ideal, k):
             return False, ("inverse", pos)
     return True, None
 
 
 def pair_order_k(
-    phi: FormalMap,
-    left: IdealPresentation,
-    right: IdealPresentation,
-    k: int,
-    phi_inv: Optional[FormalMap] = None,
+    phi: FormalMap, left: IdealPresentation, right: IdealPresentation, k: int
 ) -> bool:
     """Two-sided order-k equivalence verdict for a single pair of ideals."""
-    if phi_inv is None:
-        phi_inv = phi.inverse()
-    ok, _ = _pair_order_k(phi, phi_inv, left, right, k)
+    phi.linear_inverse()  # refuses a singular Phi
+    ok, _ = _pair_order_k(left, _pulled(right, phi), k)
     return ok
 
 
 def _match(
     pair: Callable,
+    phi: FormalMap,
     left: GermFamily,
     right: GermFamily,
     k: int,
@@ -180,19 +181,21 @@ def _match(
     candidates: Optional[CandidateHook] = None,
 ) -> EquivalenceReport:
     """Compare two families of one mode with a pairwise verdict:
-    pair(left ideal, right ideal) returns (ok, failure or None).
+    pair(left ideal, _pulled(right ideal, phi), k) gives (ok, failure).
 
     Family mode pairs members by position.  Set mode searches a partner
     for every left member in the right pool and for every right member in
     the left pool, in the order the candidate hook proposes (every pool
     index by default), and evaluates each (left, right) pair only once.
+    Each right member is pulled back at most once, when a pair first
+    needs it, so members the hook never proposes cost nothing.
     """
     if left.mode == "family":
         if left.labels != right.labels:
             raise ValueError("family mode requires identical label sequences")
         verdicts = []
         for label, ileft, iright in zip(left.labels, left.ideals, right.ideals):
-            good, failure = pair(ileft, iright)
+            good, failure = pair(ileft, _pulled(iright, phi), k)
             verdicts.append(IndexVerdict(label=label, ok=good, failure=failure))
         return EquivalenceReport(
             ok=all(v.ok for v in verdicts),
@@ -202,12 +205,15 @@ def _match(
         )
 
     memo: dict[tuple[int, int], bool] = {}
+    pulled: dict[int, tuple] = {}
 
     def hit(i: int, j: int) -> bool:
         key = (i, j)
         known = memo.get(key)
         if known is None:
-            known, _ = pair(left_pool.ideals[i], right_pool.ideals[j])
+            if j not in pulled:
+                pulled[j] = _pulled(right_pool.ideals[j], phi)
+            known, _ = pair(left_pool.ideals[i], pulled[j], k)
             memo[key] = known
         return known
 
@@ -258,7 +264,7 @@ def is_order_k_equivalence(
     precision = f"order-{k} check needs generator truncations >= {k}, have {{bound}}"
     _check_shapes(phi, left, right, k, precision)
     mode = _common_mode(left, right)
-    phi_inv = phi.inverse()
+    phi.linear_inverse()  # refuses a singular Phi
     left_pool = left_pool or left
     right_pool = right_pool or right
     if mode == "set":
@@ -266,11 +272,9 @@ def is_order_k_equivalence(
             if pool.labels[: len(fam.labels)] != fam.labels:
                 raise ValueError("a candidate pool must extend its family as a prefix")
         _check_shapes(phi, left_pool, right_pool, k, precision)
-
-    def pair(ileft: IdealPresentation, iright: IdealPresentation):
-        return _pair_order_k(phi, phi_inv, ileft, iright, k)
-
-    return _match(pair, left, right, k, left_pool, right_pool, candidates)
+    return _match(
+        _pair_order_k, phi, left, right, k, left_pool, right_pool, candidates
+    )
 
 
 def jet_coset_membership(
@@ -289,21 +293,14 @@ def jet_coset_membership(
     )
     _common_mode(left, right)
 
-    def pair(ileft: IdealPresentation, iright: IdealPresentation):
-        return pullback(iright, lam).jet_space(k) == ileft.jet_space(k), None
+    def pair(ileft: IdealPresentation, pulled: tuple, k: int):
+        return pulled[1].jet_space(k) == ileft.jet_space(k), None
 
-    return _match(pair, left, right, k, left, right)
+    return _match(pair, lam, left, right, k, left, right)
 
 
 def equivalence_horizon(
-    left: GermFamily,
-    right: GermFamily,
-    phi: FormalMap,
-    bound: int,
-    *,
-    left_pool: Optional[GermFamily] = None,
-    right_pool: Optional[GermFamily] = None,
-    candidates: Optional[CandidateHook] = None,
+    left: GermFamily, right: GermFamily, phi: FormalMap, bound: int
 ) -> HorizonReport:
     """Scan orders k = 1..bound and report each verdict individually.
 
@@ -315,15 +312,7 @@ def equivalence_horizon(
     per_order = []
     first_failure = None
     for k in range(1, bound + 1):
-        report = is_order_k_equivalence(
-            phi,
-            left,
-            right,
-            k,
-            left_pool=left_pool,
-            right_pool=right_pool,
-            candidates=candidates,
-        )
+        report = is_order_k_equivalence(phi, left, right, k)
         per_order.append((k, report.ok))
         if not report.ok and first_failure is None:
             first_failure = k

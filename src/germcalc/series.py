@@ -187,10 +187,9 @@ class FormalSeries:
 
     def __sub__(self, other):
         if not isinstance(other, FormalSeries):
-            promoted = self._promote(other)
-            if promoted is None:
+            other = self._promote(other)
+            if other is None:
                 return NotImplemented
-            other = promoted
         return self + (-other)
 
     def __rsub__(self, other):
@@ -403,18 +402,19 @@ class FormalMap:
 
     def linear_matrix(self) -> list[list[Scalar]]:
         n = self.dimension
-        rows = []
-        for comp in self._comps:
-            row = []
-            for j in range(n):
-                exp = tuple(1 if t == j else 0 for t in range(n))
-                row.append(comp.coefficient(exp))
-            rows.append(row)
-        return rows
+        units = [tuple(1 if t == j else 0 for t in range(n)) for j in range(n)]
+        return [[comp.coefficient(e) for e in units] for comp in self._comps]
 
     @property
     def is_invertible(self) -> bool:
         return _invert_matrix(self.linear_matrix()) is not None
+
+    def linear_inverse(self) -> list[list[Scalar]]:
+        """Inverse of the linear part; refuses a singular one."""
+        inv = _invert_matrix(self.linear_matrix())
+        if inv is None:
+            raise InversionError("formal map has singular linear part")
+        return inv
 
     def compose(self, other: "FormalMap") -> "FormalMap":
         """self after other."""
@@ -430,13 +430,9 @@ class FormalMap:
         part.
         """
         n = self.dimension
-        inv_linear = _invert_matrix(self.linear_matrix())
-        if inv_linear is None:
-            raise InversionError("formal map has singular linear part")
+        inv_linear = self.linear_inverse()
         trunc = self._trunc
-        psi = [
-            _linear_combination(inv_linear[i], n, trunc) for i in range(n)
-        ]
+        psi = [_linear_combination(row, n, trunc) for row in inv_linear]
         identity = FormalMap.identity(n, trunc)
         for degree in range(2, trunc + 1):
             current = FormalMap(psi)
@@ -511,9 +507,8 @@ def realify(f: FormalSeries) -> tuple[FormalSeries, FormalSeries]:
     i_unit = GaussianRational(0, 1)
     components = []
     for j in range(n):
-        x = tuple(1 if t == 2 * j else 0 for t in range(m))
-        y = tuple(1 if t == 2 * j + 1 else 0 for t in range(m))
-        components.append(FormalSeries(m, trunc, {x: Fraction(1), y: i_unit}))
+        x, y = (FormalSeries.variable(m, trunc, t) for t in (2 * j, 2 * j + 1))
+        components.append(x + i_unit * y)
     expanded = f.substitute(components)
     real_terms: dict[MultiIndex, Fraction] = {}
     imag_terms: dict[MultiIndex, Fraction] = {}
