@@ -4,10 +4,10 @@ A map Phi is an equivalence of order k between ideals I and J when every
 generator of J pulled back through Phi lies in I + m^k and every generator
 of I pulled back through Phi's inverse lies in J + m^k.  The second half
 needs no inverse: Phi* (composition with Phi) is an automorphism fixing
-m^k, so g o Phi^-1 lies in J + m^k exactly when g lies in Phi*J + m^k.
-Both halves read the pulled-back ideal Phi*J, built once per right member
-a check touches; a singular Phi is still refused.  Families are checked index by index; sets are checked by existence of partners in both
-directions, with pairwise verdicts memoized.
+m^k, so g o Phi^-1 lies in J + m^k exactly when g lies in Phi*J + m^k,
+and both halves read Phi*J, built once per right member a check touches.
+Families are checked index by index; sets are checked by existence of
+partners in both directions, with pairwise verdicts memoized.
 
 For large sets the caller may supply candidate pools (supersets searched
 for partners, useful to absorb window-boundary effects) and a candidate

@@ -32,9 +32,23 @@ _OPERATORS = set("+-*/^(),")
 _MAX_NESTING = 100
 
 # A scalar power is refused before it is computed once its size estimate
-# passes this many bits; a coefficient of that size already prints to
+# passes this many bits, and a sum, product or quotient as soon as one of
+# its coefficients does; a coefficient of that size already prints to
 # about 2,500 decimal digits.
 _MAX_POWER_BITS = 8192
+
+# Longer integer literals are refused before conversion: Python's default
+# limit on int-to-str conversion, which int() also enforces.
+_MAX_LITERAL_DIGITS = 4300
+
+
+def _bits(value: Scalar) -> int:
+    """Bit length of the widest numerator or denominator in a scalar."""
+    gaussian = isinstance(value, GaussianRational)
+    parts = (value.real, value.imag) if gaussian else (value,)
+    return max(
+        max(abs(p.numerator).bit_length(), p.denominator.bit_length()) for p in parts
+    )
 
 
 def _power_bits(base: Scalar, exponent: int) -> int:
@@ -43,11 +57,7 @@ def _power_bits(base: Scalar, exponent: int) -> int:
     Powers of 0 and of +-1 stay small and count as 0."""
     if base in (0, 1, -1):
         return 0
-    parts = (base.real, base.imag) if isinstance(base, GaussianRational) else (base,)
-    width = max(
-        max(abs(p.numerator).bit_length(), p.denominator.bit_length()) for p in parts
-    )
-    return exponent * width
+    return exponent * _bits(base)
 
 
 def default_variables(dimension: int) -> list[str]:
@@ -191,7 +201,7 @@ class _Parser:
             if tok.kind == "op" and tok.text in "+-":
                 self.advance()
                 rhs = self.parse_term()
-                value = self._add(value, rhs, tok)
+                value = self._bounded(self._add(value, rhs, tok), tok)
             else:
                 return value
 
@@ -201,10 +211,10 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "op" and tok.text == "*":
                 self.advance()
-                value = self._mul(value, self.parse_factor())
+                value = self._bounded(self._mul(value, self.parse_factor()), tok)
             elif tok.kind == "op" and tok.text == "/":
                 self.advance()
-                value = self._div(value, self.parse_factor(), tok)
+                value = self._bounded(self._div(value, self.parse_factor(), tok), tok)
             else:
                 return value
 
@@ -237,7 +247,7 @@ class _Parser:
                     exp_tok.position,
                 )
             self.advance()
-            exponent = int(exp_tok.text)
+            exponent = self._integer(exp_tok)
             if isinstance(base, FormalSeries) and exponent > self.truncation:
                 raise ParseError(
                     f"exponent {exponent} exceeds truncation {self.truncation}",
@@ -251,13 +261,13 @@ class _Parser:
                         f"of {_MAX_POWER_BITS} bits",
                         exp_tok.position,
                     )
-            return self._pow(base, exponent)
+            return self._bounded(self._pow(base, exponent), exp_tok)
         return base
 
     def parse_atom(self):
         tok = self.advance()
         if tok.kind == "number":
-            return Fraction(int(tok.text))
+            return Fraction(self._integer(tok))
         if tok.kind == "name":
             if tok.text == "i":
                 return I
@@ -292,6 +302,29 @@ class _Parser:
         return components
 
     # -- arithmetic on mixed scalar/series values ---------------------------
+
+    @staticmethod
+    def _integer(tok: _Token) -> int:
+        if len(tok.text) > _MAX_LITERAL_DIGITS:
+            raise ParseError(
+                f"integer literal of {len(tok.text)} digits exceeds the limit "
+                f"of {_MAX_LITERAL_DIGITS} digits",
+                tok.position,
+            )
+        return int(tok.text)
+
+    @staticmethod
+    def _bounded(value, tok: _Token):
+        """value, unless one of its coefficients passes _MAX_POWER_BITS."""
+        series = isinstance(value, FormalSeries)
+        bits = max(map(_bits, value.terms.values() if series else [value]), default=0)
+        if bits > _MAX_POWER_BITS:
+            raise ParseError(
+                f"coefficient of {bits} bits exceeds the limit "
+                f"of {_MAX_POWER_BITS} bits",
+                tok.position,
+            )
+        return value
 
     def _promote(self, value) -> FormalSeries:
         if isinstance(value, FormalSeries):

@@ -360,6 +360,22 @@ def test_oversized_scalar_power_exits_2(capsys):
     assert err.startswith("error: scalar power of about 40000 bits exceeds the limit")
 
 
+@pytest.mark.parametrize(
+    "series_text,message",
+    [
+        ("1" * 5000 + "*z", "error: integer literal of 5000 digits exceeds the limit"),
+        ("z^" + "1" * 5000, "error: integer literal of 5000 digits exceeds the limit"),
+        ("2^4000*2^4000*2^4000*2^4000*z", "error: coefficient of 12001 bits exceeds the limit"),
+    ],
+    ids=["literal", "exponent", "product"],
+)
+def test_oversized_numbers_exit_2(capsys, series_text, message):
+    code, out, err = invoke(capsys, "jet", "-f", series_text, "--order", "2", "--vars", "z")
+    assert code == 2
+    assert not out
+    assert err.startswith(message)
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     argv = ["counterexample", "sequence", "--levels", "5", "--format", "json"]
     assert main(argv) == 0

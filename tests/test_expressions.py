@@ -266,3 +266,38 @@ def test_infer_variables_rejects_mixtures():
         infer_variables(["a + b"])
     with pytest.raises(ParseError):
         infer_variables(["t0"])
+
+
+def test_oversized_integer_literal_is_a_parse_error():
+    with pytest.raises(ParseError, match="literal of 5000 digits") as err:
+        parse_series("1" * 5000 + "*z", ["z"], 3)
+    assert err.value.position == 1
+    with pytest.raises(ParseError, match="literal of 4301 digits") as err:
+        parse_series("z^" + "1" * 4301, ["z"], 3)
+    assert err.value.position == 3
+    # a literal at the limit converts; its size is then up to the bit bound
+    assert parse_series("1" * 4300, ["z"], 3).constant_term() == int("1" * 4300)
+
+
+@pytest.mark.parametrize(
+    "text,bits,position",
+    [
+        ("2^4000*2^4000*2^4000*2^4000*z", 12001, 14),
+        ("2^4000*z*2^4000*2^4000", 12001, 16),
+        ("1/3^2000 + 1/5^2000 + 1/7^1000", 10622, 21),
+        ("z/2^4000/2^4000/2^4000", 12001, 16),
+        ("(2^4000*z)^3", 12001, 12),
+    ],
+    ids=["scalar-product", "series-product", "sum", "quotient", "series-power"],
+)
+def test_oversized_coefficient_is_a_parse_error(text, bits, position):
+    with pytest.raises(ParseError, match=f"coefficient of {bits} bits") as err:
+        parse_series(text, ["z"], 4)
+    assert err.value.position == position
+
+
+def test_coefficients_within_the_bound_still_parse():
+    z = FormalSeries.variable(1, 4, 0)
+    big = Fraction(2) ** 8000
+    assert parse_series("2^4000*2^4000*z", ["z"], 4) == big * z
+    assert parse_series("z/2^4000/2^4000", ["z"], 4) == z * (1 / big)
