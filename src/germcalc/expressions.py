@@ -32,9 +32,9 @@ _OPERATORS = set("+-*/^(),")
 _MAX_NESTING = 100
 
 # A scalar power is refused before it is computed once its size estimate
-# passes this many bits, and a sum, product or quotient as soon as one of
-# its coefficients does; a coefficient of that size already prints to
-# about 2,500 decimal digits.
+# passes this many bits, and a sum, product, quotient or series power as
+# soon as one of its coefficients does; a coefficient of that size already
+# prints to about 2,500 decimal digits.
 _MAX_POWER_BITS = 8192
 
 # Longer integer literals are refused before conversion: Python's default
