@@ -1,13 +1,14 @@
 """Ideal presentations, jet ideals, and diagrams of initial exponents.
 
-The degree-d jet of an ideal I = (g_1..g_p) is the linear span of the
-truncations of m * g_i over all monomials m of degree <= d.  We keep that
-span as a reduced row echelon basis with respect to the monomial order:
-each basis element is monic at its order-smallest exponent, those pivot
-exponents are pairwise distinct, and every basis element has coefficient 0
-at every other pivot.  The basis is therefore canonical for the span, and
-the pivot set within degree d is exactly the ideal's diagram of initial
-exponents there.
+The degree-d jet of an ideal I = (g_1..g_p) is its image in the finite
+algebra of series modulo m^(d+1).  JetSpace finds a standard basis of that
+image by Buchberger's loop, each S-pair reduced by truncated division.  The
+loop ends: a nonzero remainder adds an initial exponent of degree <= d
+outside the staircase found so far, and these are finitely many, since
+every monomial of degree d+1 is a highest corner (Greuel & Pfister).  The
+stored reduced standard basis x^v - NF(x^v), one element per vertex v of
+the diagram, is canonical for the jet ideal, and the diagram within degree
+d is the set of initial exponents of the jet ideal's elements.
 
 Membership in a principal ideal needs no jet space.  One generator g is
 already a standard basis: the monomial order adds initial exponents, so
@@ -21,65 +22,72 @@ every other ideal against its jet space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .division import formal_division
 from .errors import DimensionError, PrecisionError
-from .monomial import MultiIndex, Staircase, monomials_up_to, vertex_extraction
+from .monomial import MultiIndex, Staircase, monomials_up_to
 from .series import FormalSeries
 
 
 class JetSpace:
-    """A finite-dimensional space of polynomial jets in reduced row
-    echelon form with respect to the monomial order."""
+    """The ideal that the spanning series generate modulo m^(degree+1),
+    kept as its reduced standard basis.
 
-    __slots__ = ("_n", "_degree", "_pivots")
+    An S-pair is skipped when the lcm of its initial exponents has degree
+    above the jet degree: every term of the S-polynomial has at least that
+    degree, so it is zero.  It is also skipped when the initial exponents
+    a, b are coprime: with g = c x^a + g' and h = e x^b + h', the
+    S-polynomial e x^b g - c x^a h equals g' h - h' g, whose two products
+    start strictly above x^(a+b).  That is all the exchange argument behind
+    Buchberger's criterion needs, and it ends here because it only climbs
+    through the finitely many monomials of degree <= d.
+
+    The vector-space basis of the jet, one row x^m - NF(x^m) for each m of
+    degree <= d in the diagram, is built on first read and kept.
+    """
+
+    __slots__ = ("_n", "_degree", "_corners", "_pivots", "_rows")
 
     def __init__(self, dimension: int, degree: int, spanning: Iterable[FormalSeries] = ()):
         if degree < 0:
             raise ValueError("jet degree must be a natural number")
-        pivots: dict[MultiIndex, FormalSeries] = {}
+        gens = []
+        for s in spanning:
+            if s.dimension != dimension:
+                raise DimensionError("jet candidate has wrong dimension")
+            if s.truncation < degree:
+                raise PrecisionError(
+                    f"jet candidate truncated at {s.truncation}, need degree {degree}"
+                )
+            s = s.truncate(degree)
+            if not s.is_zero:
+                gens.append(s)
+        pairs = [(i, j) for j in range(len(gens)) for i in range(j)]
+        while pairs:
+            g, h = (gens[i] for i in pairs.pop())
+            a, b = g.initial_exponent(), h.initial_exponent()
+            lcm = MultiIndex(max(x, y) for x, y in zip(a, b))
+            if lcm.degree > degree or lcm.degree == a.degree + b.degree:
+                continue
+            spoly = (FormalSeries.monomial(dimension, degree, lcm - a, h.coefficient(b)) * g
+                     - FormalSeries.monomial(dimension, degree, lcm - b, g.coefficient(a)) * h)
+            r = formal_division(spoly, gens, degree).remainder
+            if not r.is_zero:
+                pairs += [(i, len(gens)) for i in range(len(gens))]
+                gens.append(r)
+        corners = {}
+        for v in Staircase(dimension, (g.initial_exponent() for g in gens)).sorted_vertices():
+            x_v = FormalSeries.monomial(dimension, degree, v)
+            corners[v] = x_v - formal_division(x_v, gens, degree).remainder
         object.__setattr__(self, "_n", dimension)
         object.__setattr__(self, "_degree", degree)
-        object.__setattr__(self, "_pivots", pivots)
-        for s in spanning:
-            self._insert(s)
+        object.__setattr__(self, "_corners", corners)
+        object.__setattr__(self, "_pivots", None)
+        object.__setattr__(self, "_rows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("JetSpace is immutable from outside")
-
-    def _insert(self, s: FormalSeries):
-        if s.dimension != self._n:
-            raise DimensionError("jet candidate has wrong dimension")
-        s = s.truncate(min(self._degree, s.truncation)) if s.truncation > self._degree else s
-        if s.truncation < self._degree:
-            raise PrecisionError(
-                f"jet candidate truncated at {s.truncation}, need degree {self._degree}"
-            )
-        pivots = self._pivots
-        while not s.is_zero:
-            lead = s.initial_exponent()
-            row = pivots.get(lead)
-            if row is None:
-                break
-            s = s - s.coefficient(lead) * row
-        if s.is_zero:
-            return
-        lead = s.initial_exponent()
-        # Clear the tail too: every pivot beyond the lead must vanish so the
-        # stored basis stays fully interreduced (and therefore canonical,
-        # which is what makes __eq__ a genuine span comparison).
-        for p in sorted(pivots, key=lambda m: m.sort_key):
-            c = s.coefficient(p)
-            if c:
-                s = s - c * pivots[p]
-        s = (Fraction(1) / s.coefficient(lead)) * s
-        for other_lead, row in list(pivots.items()):
-            c = row.coefficient(lead)
-            if c:
-                pivots[other_lead] = row - c * s
-        pivots[lead] = s
 
     @property
     def dimension(self) -> int:
@@ -91,22 +99,28 @@ class JetSpace:
 
     @property
     def rank(self) -> int:
-        return len(self._pivots)
+        return len(self.pivot_exponents)
 
     @property
     def pivot_exponents(self) -> list[MultiIndex]:
-        return sorted(self._pivots, key=lambda m: m.sort_key)
+        if self._pivots is None:
+            inside = self.staircase().contains
+            pivots = [m for m in monomials_up_to(self._n, self._degree) if inside(m)]
+            object.__setattr__(self, "_pivots", pivots)
+        return list(self._pivots)
 
     @property
     def basis(self) -> list[FormalSeries]:
-        return [self._pivots[m] for m in self.pivot_exponents]
+        if self._rows is None:
+            pivots = self.pivot_exponents
+            monomials = [FormalSeries.monomial(self._n, self._degree, m) for m in pivots]
+            object.__setattr__(self, "_rows", [x - self.reduce(x) for x in monomials])
+        return list(self._rows)
 
     def reduce(self, f: FormalSeries) -> FormalSeries:
-        """Normal form of (the degree-jet of) f against the basis.
-
-        Since the basis is fully reduced, one pass over the pivots in
-        increasing order eliminates every pivot coefficient for good.
-        """
+        """Normal form of (the degree-jet of) f: the remainder of truncated
+        division by the reduced standard basis, which has no term in the
+        diagram."""
         if f.dimension != self._n:
             raise DimensionError("cannot reduce a series of wrong dimension")
         r = f.truncate(self._degree) if f.truncation > self._degree else f
@@ -114,11 +128,9 @@ class JetSpace:
             raise PrecisionError(
                 f"series truncated at {r.truncation}, need degree {self._degree}"
             )
-        for lead in self.pivot_exponents:
-            c = r.coefficient(lead)
-            if c:
-                r = r - c * self._pivots[lead]
-        return r
+        if not self._corners:
+            return r
+        return formal_division(r, list(self._corners.values()), self._degree).remainder
 
     def contains(self, f: FormalSeries) -> bool:
         return self.reduce(f).is_zero
@@ -126,17 +138,17 @@ class JetSpace:
     def contains_space(self, other: "JetSpace") -> bool:
         if other.degree != self._degree or other.dimension != self._n:
             raise DimensionError("jet spaces live at different degrees or dimensions")
-        return all(self.contains(b) for b in other.basis)
+        return all(self.contains(g) for g in other._corners.values())
 
     def staircase(self) -> Staircase:
-        return vertex_extraction(self.pivot_exponents, dimension=self._n)
+        return Staircase(self._n, self._corners)
 
     def __eq__(self, other):
         if isinstance(other, JetSpace):
             return (
                 self._n == other._n
                 and self._degree == other._degree
-                and self._pivots == other._pivots
+                and self._corners == other._corners
             )
         return NotImplemented
 
@@ -192,23 +204,10 @@ class IdealPresentation:
 
     def jet_space(self, degree: int) -> JetSpace:
         cached = self._cache.get(degree)
-        if cached is not None:
-            return cached
-        self._check_degree(degree)
-        candidates = []
-        for g in self._gens:
-            items = list(g.terms.items())
-            for m in monomials_up_to(self._n, degree):
-                table = {}
-                for beta, c in items:
-                    target = beta + m
-                    if target.degree <= degree:
-                        table[target] = c
-                if table:
-                    candidates.append(FormalSeries._from_table(self._n, degree, table))
-        space = JetSpace(self._n, degree, candidates)
-        self._cache[degree] = space
-        return space
+        if cached is None:
+            self._check_degree(degree)
+            cached = self._cache[degree] = JetSpace(self._n, degree, self._gens)
+        return cached
 
     def diagram(self, degree: int) -> Staircase:
         return self.jet_space(degree).staircase()

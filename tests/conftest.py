@@ -8,7 +8,14 @@ import itertools
 import random
 from fractions import Fraction
 
-from germcalc import FormalMap, FormalSeries, IdealPresentation, compose
+from germcalc import (
+    FormalMap,
+    FormalSeries,
+    IdealPresentation,
+    Staircase,
+    compose,
+    monomials_up_to,
+)
 
 
 def exponent_tuples(dimension, degree):
@@ -147,6 +154,61 @@ def dense_membership_oracle(f, ideal, k):
             for j in range(col, len(cols)):
                 target[j] = target[j] - factor * lead[j]
     return not any(target)
+
+
+class EliminationJetSpace:
+    """The degree-d jet of an ideal by Macaulay elimination: the rows are
+    the truncations of m * g over every generator g and every monomial m of
+    degree <= d, kept in reduced row echelon form over the monomial order.
+    Shares nothing with the library's standard bases beyond the series
+    arithmetic; its pivots are the diagram within degree d."""
+
+    def __init__(self, ideal, degree):
+        self.dimension, self.degree = ideal.dimension, degree
+        self.pivots = {}
+        for g in ideal.generators:
+            for m in monomials_up_to(ideal.dimension, degree):
+                shifted = {b + m: c for b, c in g.terms.items() if (b + m).degree <= degree}
+                if shifted:
+                    self._insert(FormalSeries._from_table(ideal.dimension, degree, shifted))
+
+    def _insert(self, s):
+        pivots = self.pivots
+        while not s.is_zero and s.initial_exponent() in pivots:
+            lead = s.initial_exponent()
+            s = s - s.coefficient(lead) * pivots[lead]
+        if s.is_zero:
+            return
+        lead = s.initial_exponent()
+        for p in sorted(pivots, key=lambda m: m.sort_key):
+            c = s.coefficient(p)
+            if c:
+                s = s - c * pivots[p]
+        s = (Fraction(1) / s.coefficient(lead)) * s
+        for other_lead, row in list(pivots.items()):
+            c = row.coefficient(lead)
+            if c:
+                pivots[other_lead] = row - c * s
+        pivots[lead] = s
+
+    @property
+    def pivot_exponents(self):
+        return sorted(self.pivots, key=lambda m: m.sort_key)
+
+    @property
+    def basis(self):
+        return [self.pivots[m] for m in self.pivot_exponents]
+
+    def reduce(self, f):
+        r = f.truncate(self.degree)
+        for lead in self.pivot_exponents:
+            c = r.coefficient(lead)
+            if c:
+                r = r - c * self.pivots[lead]
+        return r
+
+    def staircase(self):
+        return Staircase(self.dimension, self.pivots)
 
 
 def inverse_pair_oracle(phi, phi_inv, left, right, k):

@@ -17,9 +17,11 @@ from germcalc import (
     Staircase,
     chain_stabilization,
     jet_membership,
+    monomials_up_to,
     membership_up_to,
 )
 from conftest import (
+    EliminationJetSpace,
     dense_membership_oracle,
     random_ideal,
     random_nonzero_series,
@@ -158,6 +160,49 @@ def test_jet_space_against_dense_oracle():
         for _ in range(5):
             f = random_series(rng, n, 6)
             assert js.contains(f.truncate(d)) == dense_membership_oracle(f.truncate(d), I, d + 1)
+
+
+def _jet_case(rng, kind, field, n, count, trunc):
+    """An ideal of `count` generators for the elimination cross-check: a
+    unit generator comes first; high-order generators start above
+    degree 1, and above the low jet degrees the test runs."""
+    low = rng.randint(2, trunc) if kind == "high-order" else 1
+    gens = [_series_over(rng, field, n, trunc, min_order=low, density=0.3) for _ in range(count)]
+    if kind == "unit":
+        gens[0] = gens[0] + rng.choice([1, -2, Fraction(1, 3)])
+    return IdealPresentation(n, gens)
+
+
+def test_jet_space_matches_macaulay_elimination():
+    trunc = 5
+    kinds = ("generic", "unit", "high-order")
+    combos = list(itertools.product(kinds, ("Q", "Q(i)"), (1, 2, 3), (1, 2, 3)))
+    rng = random.Random(31)
+    shapes = []
+    for kind, field, n, count in combos * 2:
+        ideal = _jet_case(rng, kind, field, n, count, trunc)
+        for d in range(trunc + 1):
+            js, oracle = ideal.jet_space(d), EliminationJetSpace(ideal, d)
+            case = (kind, field, n, count, d)
+            assert js.pivot_exponents == oracle.pivot_exponents, case
+            assert js.rank == len(oracle.pivots), case
+            assert js.basis == oracle.basis, case
+            assert js.staircase().vertices == oracle.staircase().vertices, case
+            for _ in range(3):
+                f = _series_over(rng, field, n, trunc)
+                assert js.reduce(f) == oracle.reduce(f), case
+            full = len(list(monomials_up_to(n, d)))
+            shapes.append("zero" if not js.rank else "full" if js.rank == full else "proper")
+    assert len(shapes) == 648
+    assert shapes.count("zero") >= 120 and shapes.count("full") >= 160
+    assert shapes.count("proper") >= 200
+
+
+def test_jet_space_basis_is_kept():
+    # the rows are built once and handed out again, not rebuilt per read
+    js = parabola_ideal().jet_space(4)
+    first, second = js.basis, js.basis
+    assert len(first) == js.rank and all(a is b for a, b in zip(first, second))
 
 
 # -- diagrams ---------------------------------------------------------------
