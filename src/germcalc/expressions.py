@@ -41,6 +41,11 @@ _MAX_POWER_BITS = 8192
 # limit on int-to-str conversion, which int() also enforces.
 _MAX_LITERAL_DIGITS = 4300
 
+# An inferred variable set stops at this many variables, and an inferred
+# index at _MAX_LITERAL_DIGITS digits: one name like t20000 would otherwise
+# declare every variable below it.  Larger sets are named explicitly.
+_MAX_INFERRED_VARIABLES = 100
+
 
 def _bits(value: Scalar) -> int:
     """Bit length of the widest numerator or denominator in a scalar."""
@@ -92,12 +97,12 @@ def infer_variables(texts: Sequence[str]) -> list[str]:
         return ["z"]
     if seen <= {"z", "w"}:
         return ["z", "w"]
-    t_indices = [_indexed_name(name, "t") for name in seen]
-    if all(j is not None for j in t_indices):
-        return [f"t{j}" for j in range(1, max(t_indices) + 1)]
-    xy_indices = [_indexed_name(name, "xy") for name in seen]
-    if all(j is not None for j in xy_indices):
-        return real_variables(max(xy_indices))
+    t_indices = {name: _indexed_name(name, "t") for name in seen}
+    if None not in t_indices.values():
+        return [f"t{j}" for j in range(1, _widest(t_indices, 1) + 1)]
+    xy_indices = {name: _indexed_name(name, "xy") for name in seen}
+    if None not in xy_indices.values():
+        return real_variables(_widest(xy_indices, 2))
     raise ParseError(
         "cannot infer a variable set from "
         + ", ".join(sorted(seen))
@@ -107,10 +112,31 @@ def infer_variables(texts: Sequence[str]) -> list[str]:
 
 def _indexed_name(name: str, letters: str) -> Optional[int]:
     if len(name) >= 2 and name[0] in letters and name[1:].isdigit():
+        if len(name) - 1 > _MAX_LITERAL_DIGITS:
+            raise ParseError(
+                f"variable {_abridged(name)} has an index of {len(name) - 1} digits, "
+                f"over the limit of {_MAX_LITERAL_DIGITS}; pass the names with --vars"
+            )
         index = int(name[1:])
         if index >= 1 and not name[1:].startswith("0"):
             return index
     return None
+
+
+def _widest(indices: dict[str, int], per_index: int) -> int:
+    """The largest index, unless it makes more than _MAX_INFERRED_VARIABLES
+    variables at per_index variables each."""
+    name = max(indices, key=indices.__getitem__)
+    if indices[name] * per_index > _MAX_INFERRED_VARIABLES:
+        raise ParseError(
+            f"variable {_abridged(name)} asks for more than {_MAX_INFERRED_VARIABLES} "
+            "inferred variables; pass the names with --vars"
+        )
+    return indices[name]
+
+
+def _abridged(name: str) -> str:
+    return name if len(name) <= 12 else name[:12] + "..."
 
 
 class _Token:

@@ -376,6 +376,26 @@ def test_oversized_numbers_exit_2(capsys, series_text, message):
     assert err.startswith(message)
 
 
+@pytest.mark.parametrize(
+    "series_text,message",
+    [
+        ("t101", "error: variable t101 asks for more than 100 inferred variables"),
+        ("x51*y1", "error: variable x51 asks for more than 100 inferred variables"),
+        ("t" + "2" * 4301, "error: variable t22222222222... has an index of 4301 digits"),
+    ],
+    ids=["dimension", "real-dimension", "index-digits"],
+)
+def test_unbounded_inferred_variables_exit_2(capsys, series_text, message):
+    code, out, err = invoke(capsys, "jet", "-f", series_text, "--order", "2")
+    assert code == 2
+    assert not out
+    assert err.startswith(message) and "pass the names with --vars" in err
+    # with its names passed, the same series is accepted
+    if len(series_text) < 10:
+        names = series_text.replace("*", ",")
+        assert invoke(capsys, "jet", "-f", series_text, "--order", "2", "--vars", names)[0] == 0
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     argv = ["counterexample", "sequence", "--levels", "5", "--format", "json"]
     assert main(argv) == 0

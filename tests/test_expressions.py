@@ -268,6 +268,31 @@ def test_infer_variables_rejects_mixtures():
         infer_variables(["t0"])
 
 
+def test_inferred_variable_sets_are_bounded():
+    # the largest inferred sets still infer
+    assert len(infer_variables(["t100"])) == 100
+    assert infer_variables(["x50*y50"])[-2:] == ["x50", "y50"]
+    with pytest.raises(ParseError, match="variable t101 asks for more than 100 inferred"):
+        infer_variables(["t1 + t101"])
+    with pytest.raises(ParseError, match="variable x51 asks for more than 100 inferred"):
+        infer_variables(["x51"])
+    with pytest.raises(ParseError, match="variable y51 asks for more than 100 inferred"):
+        infer_variables(["x1 - y51"])
+    with pytest.raises(ParseError, match="pass the names with --vars"):
+        infer_variables(["t" + "1" * 4300])
+
+
+def test_inferred_index_digits_are_checked_before_conversion():
+    for letter in "txy":
+        name = letter + "1" * 4301
+        with pytest.raises(ParseError) as err:
+            infer_variables([name])
+        assert str(err.value) == (
+            f"variable {letter}11111111111... has an index of 4301 digits, "
+            "over the limit of 4300; pass the names with --vars"
+        )
+
+
 def test_oversized_integer_literal_is_a_parse_error():
     with pytest.raises(ParseError, match="literal of 5000 digits") as err:
         parse_series("1" * 5000 + "*z", ["z"], 3)
