@@ -111,7 +111,7 @@ def infer_variables(texts: Sequence[str]) -> list[str]:
 
 
 def _indexed_name(name: str, letters: str) -> Optional[int]:
-    if len(name) >= 2 and name[0] in letters and name[1:].isdigit():
+    if len(name) >= 2 and name[0] in letters and name[1:].isascii() and name[1:].isdigit():
         if len(name) - 1 > _MAX_LITERAL_DIGITS:
             raise ParseError(
                 f"variable {_abridged(name)} has an index of {len(name) - 1} digits, "

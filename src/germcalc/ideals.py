@@ -1,14 +1,14 @@
 """Ideal presentations, jet ideals, and diagrams of initial exponents.
 
 The degree-d jet of an ideal I = (g_1..g_p) is its image in the finite
-algebra of series modulo m^(d+1).  JetSpace finds a standard basis of that
-image by Buchberger's loop, each S-pair reduced by truncated division.  The
-loop ends: a nonzero remainder adds an initial exponent of degree <= d
-outside the staircase found so far, and these are finitely many, since
-every monomial of degree d+1 is a highest corner (Greuel & Pfister).  The
-stored reduced standard basis x^v - NF(x^v), one element per vertex v of
-the diagram, is canonical for the jet ideal, and the diagram within degree
-d is the set of initial exponents of the jet ideal's elements.
+algebra of series modulo m^(d+1).  JetSpace finds a standard basis of it
+by Buchberger's loop, each S-pair reduced by truncated division.  The
+loop ends: every nonzero remainder adds an initial exponent of degree
+<= d outside the staircase so far, and there are finitely many, since
+every term above degree d is zero (the highest-corner argument of Greuel
+& Pfister).  The reduced standard basis, x^v - NF(x^v) for each vertex v
+of the diagram, depends only on the jet ideal; the diagram within degree
+d is the set of initial exponents of the jet ideal's nonzero elements.
 
 Membership in a principal ideal needs no jet space.  One generator g is
 already a standard basis: the monomial order adds initial exponents, so
@@ -31,17 +31,18 @@ from .series import FormalSeries
 
 
 class JetSpace:
-    """The ideal that the spanning series generate modulo m^(degree+1),
-    kept as its reduced standard basis.
+    """The ideal the spanning series generate modulo m^(degree+1), kept as
+    its reduced standard basis.
 
-    An S-pair is skipped when the lcm of its initial exponents has degree
-    above the jet degree: every term of the S-polynomial has at least that
-    degree, so it is zero.  It is also skipped when the initial exponents
-    a, b are coprime: with g = c x^a + g' and h = e x^b + h', the
-    S-polynomial e x^b g - c x^a h equals g' h - h' g, whose two products
-    start strictly above x^(a+b).  That is all the exchange argument behind
-    Buchberger's criterion needs, and it ends here because it only climbs
-    through the finitely many monomials of degree <= d.
+    Buchberger's criterion asks of each S-pair a representation sum q_k g_k
+    whose products all start above the lcm of its initial exponents.  Its
+    exchange argument climbs through the finitely many monomials of degree
+    <= d, so it holds here without Mora's normal form.  Two kinds of pair
+    have such a representation unreduced.  If the lcm has degree above d,
+    every term of the S-polynomial does too, so it is zero.  If the initial
+    exponents a, b are coprime, with g = c x^a + g' and h = e x^b + h', the
+    S-polynomial e x^b g - c x^a h equals g' h - h' g, and both products
+    start strictly above x^(a+b).
 
     The vector-space basis of the jet, one row x^m - NF(x^m) for each m of
     degree <= d in the diagram, is built on first read and kept.
@@ -68,6 +69,7 @@ class JetSpace:
             g, h = (gens[i] for i in pairs.pop())
             a, b = g.initial_exponent(), h.initial_exponent()
             lcm = MultiIndex(max(x, y) for x, y in zip(a, b))
+            # the lcm has degree |a| + |b| exactly when a and b are coprime
             if lcm.degree > degree or lcm.degree == a.degree + b.degree:
                 continue
             spoly = (FormalSeries.monomial(dimension, degree, lcm - a, h.coefficient(b)) * g
@@ -112,15 +114,13 @@ class JetSpace:
     @property
     def basis(self) -> list[FormalSeries]:
         if self._rows is None:
-            pivots = self.pivot_exponents
-            monomials = [FormalSeries.monomial(self._n, self._degree, m) for m in pivots]
-            object.__setattr__(self, "_rows", [x - self.reduce(x) for x in monomials])
+            xs = [FormalSeries.monomial(self._n, self._degree, m) for m in self.pivot_exponents]
+            object.__setattr__(self, "_rows", [x - self.reduce(x) for x in xs])
         return list(self._rows)
 
     def reduce(self, f: FormalSeries) -> FormalSeries:
-        """Normal form of (the degree-jet of) f: the remainder of truncated
-        division by the reduced standard basis, which has no term in the
-        diagram."""
+        """Normal form of (the degree-jet of) f: its remainder on division
+        by the reduced standard basis, with no term in the diagram."""
         if f.dimension != self._n:
             raise DimensionError("cannot reduce a series of wrong dimension")
         r = f.truncate(self._degree) if f.truncation > self._degree else f

@@ -266,6 +266,9 @@ def test_infer_variables_rejects_mixtures():
         infer_variables(["a + b"])
     with pytest.raises(ParseError):
         infer_variables(["t0"])
+    # a digit that int() does not read is no index
+    with pytest.raises(ParseError, match="cannot infer a variable set from t²"):
+        infer_variables(["t²"])
 
 
 def test_inferred_variable_sets_are_bounded():

@@ -17,8 +17,8 @@ from germcalc import (
     Staircase,
     chain_stabilization,
     jet_membership,
-    monomials_up_to,
     membership_up_to,
+    monomials_up_to,
 )
 from conftest import (
     EliminationJetSpace,
@@ -163,9 +163,9 @@ def test_jet_space_against_dense_oracle():
 
 
 def _jet_case(rng, kind, field, n, count, trunc):
-    """An ideal of `count` generators for the elimination cross-check: a
-    unit generator comes first; high-order generators start above
-    degree 1, and above the low jet degrees the test runs."""
+    """An ideal of `count` generators over the field.  For "unit" the first
+    has a nonzero constant term; for "high-order" all start at one order
+    from 2 to trunc, so every jet degree below it sees the zero ideal."""
     low = rng.randint(2, trunc) if kind == "high-order" else 1
     gens = [_series_over(rng, field, n, trunc, min_order=low, density=0.3) for _ in range(count)]
     if kind == "unit":
