@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DimensionError, PrecisionError
-from .monomial import MultiIndex, Staircase
-from .series import FormalSeries
+from .monomial import Staircase
+from .series import FormalSeries, _keyed, _term_list
 
 if TYPE_CHECKING:
     # An annotation only: ideals imports this module for its division.
@@ -57,14 +57,11 @@ def formal_division(
     leads = [g.coefficient(a) for g, a in zip(divisors, alphas)]
     staircase = Staircase(n, alphas)
 
-    # The loop runs on plain exponent tuples, keyed for the heap by
-    # (degree, reversed exponents) as MultiIndex.sort_key is; MultiIndex
-    # keys are built only for the returned series.
+    # The loop runs on the plain term lists of the series module, keyed for
+    # the heap by (degree, reversed exponents) as MultiIndex.sort_key is;
+    # MultiIndex keys are built only for the returned series.
     corners = [(a.exponents, a.degree) for a in alphas]
-    divisor_terms = [
-        [(beta.exponents, beta.degree, c) for beta, c in g.truncate(truncation).terms.items()]
-        for g in divisors
-    ]
+    divisor_terms = [_term_list(g.truncate(truncation)) for g in divisors]
     work: dict[tuple[int, ...], object] = {
         m.exponents: c for m, c in f.truncate(truncation).terms.items()
     }
@@ -110,8 +107,7 @@ def formal_division(
                 del work[target]
 
     def series(table):
-        keyed = {MultiIndex(e): c for e, c in table.items()}
-        return FormalSeries._from_table(n, truncation, keyed)
+        return FormalSeries._from_table(n, truncation, _keyed(table))
 
     return DivisionResult(
         quotients=tuple(series(q) for q in quotients),

@@ -156,9 +156,9 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             start = pos
-            while pos < len(text) and text[pos].isdigit():
+            while pos < len(text) and "0" <= text[pos] <= "9":
                 pos += 1
             tokens.append(_Token("number", text[start:pos], start + 1))
             continue

@@ -1,18 +1,29 @@
 """Truncated formal power series and formal maps.
 
 A FormalSeries carries its ambient variable count, an explicit truncation
-degree K, and a sparse term table; it represents a residue class modulo
-terms of degree > K.  Every binary operation propagates the minimum of the
-operand truncations, and nothing in this module invents a default K.
+degree K, and a sparse term table keyed by MultiIndex; it represents a
+residue class modulo terms of degree > K.  Every binary operation
+propagates the minimum of the operand truncations, and nothing in this
+module invents a default K.
+
+Products run on plain term lists of (exponent tuple, degree, coefficient)
+triples.  Their one loop, _mul_terms, adds exponents as tuples and skips
+every pair of terms whose degrees sum past the truncation; a MultiIndex
+key is built once per term of a result, not once per pair.  A series
+product is that loop and one keyed table.  Substitution keeps the powers
+of each component as term lists and sums the image of every term into
+one table.
 
 A FormalMap is a tuple of series with zero constant term, one per target
-coordinate, sharing a truncation.  Composition and degreewise inversion
-are exact through the carried truncation.
+coordinate, sharing a truncation.  Composition is exact through the
+carried truncation; the inverse is solved one degree at a time, each step
+at the truncation of its own degree (see FormalMap.inverse).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Optional, Sequence
 
 from .errors import DimensionError, InversionError, PrecisionError
@@ -20,6 +31,39 @@ from .monomial import MultiIndex
 from .scalars import GaussianRational, as_gaussian, coerce_scalar
 
 Scalar = Fraction | GaussianRational
+
+
+def _term_list(series: "FormalSeries") -> list[tuple[tuple[int, ...], int, Scalar]]:
+    """The terms of a series as (exponent tuple, degree, coefficient)."""
+    return [(m.exponents, m.degree, c) for m, c in series.terms.items()]
+
+
+def _mul_terms(left, right, truncation: int, table=None) -> dict:
+    """The product of two term lists of (exponent tuple, degree,
+    coefficient) through degree truncation, added into table (a new dict
+    when None) and returned.  Sums that cancel stay in the table as zeros."""
+    if table is None:
+        table = {}
+    get = table.get
+    for ea, da, ca in left:
+        room = truncation - da
+        if room < 0:
+            continue
+        for eb, db, cb in right:
+            if db <= room:
+                key = tuple(map(add, ea, eb))
+                table[key] = get(key, 0) + ca * cb
+    return table
+
+
+def _nonzero_terms(table: dict) -> list[tuple[tuple[int, ...], int, Scalar]]:
+    """A product table as a term list, cancelled terms dropped."""
+    return [(e, sum(e), c) for e, c in table.items() if c]
+
+
+def _keyed(table: dict) -> dict[MultiIndex, Scalar]:
+    """A product table as a series term table, cancelled terms dropped."""
+    return {MultiIndex(e): c for e, c in table.items() if c}
 
 
 def _as_exponent(dimension: int, key) -> MultiIndex:
@@ -202,25 +246,8 @@ class FormalSeries:
         if isinstance(other, FormalSeries):
             self._check_compatible(other)
             trunc = min(self._trunc, other._trunc)
-            table: dict[MultiIndex, Scalar] = {}
-            if len(self._terms) > len(other._terms):
-                left, right = other, self
-            else:
-                left, right = self, other
-            for ma, ca in left._terms.items():
-                da = ma.degree
-                if da > trunc:
-                    continue
-                for mb, cb in right._terms.items():
-                    if da + mb.degree > trunc:
-                        continue
-                    key = ma + mb
-                    s = table.get(key, 0) + ca * cb
-                    if s:
-                        table[key] = s
-                    elif key in table:
-                        del table[key]
-            return FormalSeries._from_table(self._n, trunc, table)
+            table = _mul_terms(_term_list(self), _term_list(other), trunc)
+            return FormalSeries._from_table(self._n, trunc, _keyed(table))
         try:
             c = coerce_scalar(other)
         except TypeError:
@@ -297,25 +324,27 @@ class FormalSeries:
                 raise DimensionError("substitution components have mixed dimensions")
             if comp.constant_term():
                 raise ValueError("substitution components must vanish at 0")
-        one = FormalSeries.constant(m, trunc, 1)
-        comps = [c.truncate(trunc) for c in components]
-        powers: list[list[FormalSeries]] = [[one] for _ in range(self._n)]
-        acc = FormalSeries.zero(m, trunc)
+        origin = (0,) * m
+        one = [(origin, 0, Fraction(1))]
+        powers = [[one, _term_list(c.truncate(trunc))] for c in components]
+        acc: dict[tuple[int, ...], Scalar] = {}
         for mi, c in self.sorted_terms():
             if mi.degree > trunc:
                 continue
-            term = None
+            factors = []
             for j, e in enumerate(mi.exponents):
-                if e == 0:
-                    continue
-                cache = powers[j]
-                while len(cache) <= e:
-                    cache.append(cache[-1] * comps[j])
-                term = cache[e] if term is None else term * cache[e]
-            if term is None:
-                term = one
-            acc = acc + c * term
-        return acc
+                if e:
+                    cache = powers[j]
+                    while len(cache) <= e:
+                        cache.append(_nonzero_terms(_mul_terms(cache[-1], cache[1], trunc)))
+                    factors.append(cache[e])
+            # c times the powers its exponent names; the last product is
+            # added straight into acc
+            term = [(origin, 0, c)]
+            for factor in factors[:-1]:
+                term = _nonzero_terms(_mul_terms(term, factor, trunc))
+            _mul_terms(term, factors[-1] if factors else one, trunc, acc)
+        return FormalSeries._from_table(m, trunc, _keyed(acc))
 
     # -- comparisons --------------------------------------------------------
 
@@ -426,29 +455,29 @@ class FormalMap:
         """Compositional inverse through the carried truncation.
 
         Solved degree by degree: the linear part is inverted exactly, then
-        each homogeneous error term is cancelled through the inverse linear
-        part.
+        for d = 2..K the partial inverse psi, exact through degree d - 1,
+        is corrected by the degree-d part of self after psi, taken through
+        the inverse linear part.  That part depends only on the terms of
+        self and psi of degree <= d: psi has no constant term, so a term of
+        higher degree in either one only reaches degrees above d.  Step d
+        therefore composes self and psi truncated at d, and only the last
+        step works at K.
         """
         n = self.dimension
         inv_linear = self.linear_inverse()
-        trunc = self._trunc
-        psi = [_linear_combination(row, n, trunc) for row in inv_linear]
-        identity = FormalMap.identity(n, trunc)
-        for degree in range(2, trunc + 1):
-            current = FormalMap(psi)
+        units = [tuple(1 if t == j else 0 for t in range(n)) for j in range(n)]
+        psi = [FormalSeries(n, 1, zip(units, row)) for row in inv_linear]
+        for degree in range(2, self._trunc + 1):
+            # psi is exact through degree - 1; its degree-d part is next
+            psi = [FormalSeries._from_table(n, degree, p.terms) for p in psi]
             error = [
-                (c.substitute(current.components) - identity.components[i]).homogeneous_part(degree)
-                for i, c in enumerate(self._comps)
+                c.truncate(degree).substitute(psi).homogeneous_part(degree)
+                for c in self._comps
             ]
-            if all(e.is_zero for e in error):
-                continue
-            for i in range(n):
-                correction = FormalSeries.zero(n, trunc)
-                for j in range(n):
-                    coeff = inv_linear[i][j]
-                    if coeff:
-                        correction = correction + coeff * error[j]
-                psi[i] = psi[i] - correction
+            for i, row in enumerate(inv_linear):
+                for coeff, e in zip(row, error):
+                    if coeff and not e.is_zero:
+                        psi[i] = psi[i] - coeff * e
         return FormalMap(psi)
 
     def __eq__(self, other):
@@ -458,14 +487,6 @@ class FormalMap:
 
     def __repr__(self):
         return f"FormalMap({list(self._comps)!r})"
-
-
-def _linear_combination(coeffs: Sequence[Scalar], dimension: int, truncation: int) -> FormalSeries:
-    terms = {}
-    for j, c in enumerate(coeffs):
-        if c:
-            terms[tuple(1 if t == j else 0 for t in range(dimension))] = c
-    return FormalSeries(dimension, truncation, terms)
 
 
 def _invert_matrix(rows: list[list[Scalar]]) -> Optional[list[list[Scalar]]]:

@@ -16,6 +16,7 @@ from germcalc import (
     compose,
     monomials_up_to,
 )
+from germcalc.series import _invert_matrix
 
 
 def exponent_tuples(dimension, degree):
@@ -209,6 +210,69 @@ class EliminationJetSpace:
 
     def staircase(self):
         return Staircase(self.dimension, self.pivots)
+
+
+def product_oracle(a, b):
+    """a * b by one pass over every pair of terms, a MultiIndex sum per
+    pair: the series product before the tuple kernel, kept as a reference."""
+    trunc = min(a.truncation, b.truncation)
+    table = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            if ma.degree + mb.degree > trunc:
+                continue
+            key = ma + mb
+            s = table.get(key, 0) + ca * cb
+            if s:
+                table[key] = s
+            elif key in table:
+                del table[key]
+    return FormalSeries._from_table(a.dimension, trunc, table)
+
+
+def substitute_oracle(f, components):
+    """f with one series substituted per variable, built from cached powers
+    and whole-series sums through product_oracle, at the common truncation."""
+    m = components[0].dimension
+    trunc = min([f.truncation] + [c.truncation for c in components])
+    one = FormalSeries.constant(m, trunc, 1)
+    comps = [c.truncate(trunc) for c in components]
+    powers = [[one] for _ in comps]
+    acc = FormalSeries.zero(m, trunc)
+    for mi, c in f.sorted_terms():
+        if mi.degree > trunc:
+            continue
+        term = one
+        for j, e in enumerate(mi.exponents):
+            cache = powers[j]
+            while len(cache) <= e:
+                cache.append(product_oracle(cache[-1], comps[j]))
+            term = product_oracle(term, cache[e])
+        acc = acc + c * term
+    return acc
+
+
+def inverse_oracle(phi):
+    """The compositional inverse solved degree by degree, each step
+    composing at the full truncation and subtracting the identity."""
+    n, trunc = phi.dimension, phi.truncation
+    inv_linear = _invert_matrix(phi.linear_matrix())
+    units = [tuple(1 if t == j else 0 for t in range(n)) for j in range(n)]
+    psi = [
+        FormalSeries(n, trunc, {u: c for u, c in zip(units, row) if c})
+        for row in inv_linear
+    ]
+    identity = FormalMap.identity(n, trunc)
+    for degree in range(2, trunc + 1):
+        error = [
+            (substitute_oracle(c, psi) - x).homogeneous_part(degree)
+            for c, x in zip(phi.components, identity.components)
+        ]
+        for i in range(n):
+            for j in range(n):
+                if inv_linear[i][j]:
+                    psi[i] = psi[i] - inv_linear[i][j] * error[j]
+    return FormalMap(psi)
 
 
 def inverse_pair_oracle(phi, phi_inv, left, right, k):

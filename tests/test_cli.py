@@ -377,6 +377,19 @@ def test_oversized_numbers_exit_2(capsys, series_text, message):
 
 
 @pytest.mark.parametrize(
+    "series_text,column",
+    [("²*z", 1), ("z^²", 3), ("z + ٣", 5)],
+    ids=["superscript-literal", "superscript-exponent", "arabic-indic"],
+)
+def test_non_ascii_digits_exit_2_at_their_column(capsys, series_text, column):
+    code, out, err = invoke(capsys, "jet", "-f", series_text, "--order", "2", "--vars", "z")
+    assert code == 2
+    assert not out
+    digit = series_text[column - 1]
+    assert err == f"error: unexpected character {digit!r} (at position {column})\n"
+
+
+@pytest.mark.parametrize(
     "series_text,message",
     [
         ("t101", "error: variable t101 asks for more than 100 inferred variables"),

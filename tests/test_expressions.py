@@ -100,6 +100,15 @@ def test_stray_character_reports_position():
     assert err.value.position == 5
 
 
+def test_numbers_are_ascii_digits_only():
+    expected = FormalSeries(1, 12, {(1,): 123456789, (10,): 1})
+    assert parse_series("0123456789*z + z^10", ["z"], 12) == expected
+    for text, column in (("²*z", 1), ("z^²", 3), ("3²", 2)):
+        with pytest.raises(ParseError, match="unexpected character '²'") as err:
+            parse_series(text, ["z"], 4)
+        assert err.value.position == column
+
+
 def test_reserved_and_duplicate_names():
     with pytest.raises(ValueError):
         parse_series("z", ["i", "z"], 4)

@@ -20,9 +20,13 @@ from germcalc import (
 )
 from conftest import (
     exponent_tuples,
+    inverse_oracle,
+    product_oracle,
     random_invertible_map,
     random_nonzero_series,
+    random_scalar,
     random_series,
+    substitute_oracle,
 )
 
 
@@ -294,6 +298,150 @@ def test_map_truncate():
     j2 = phi.truncate(2)
     assert j2.truncation == 2
     assert j2.components[0] == z1.truncate(2)
+
+
+# -- the product kernel against the per-pair oracles -------------------------
+
+FIELDS = ("Q", "Q(i)")
+
+
+def in_field(rng, field, f):
+    """f itself over Q; over Q(i), every coefficient given a random
+    imaginary part (possibly zero)."""
+    if field == "Q":
+        return f
+    return FormalSeries(
+        f.dimension,
+        f.truncation,
+        {m: GaussianRational(c, random_scalar(rng, 3)) for m, c in f.terms.items()},
+    )
+
+
+def substitution_components(rng, field, count, dimension, truncation):
+    """Random components vanishing at 0, with zero series and single terms
+    mixed in."""
+    comps = []
+    for _ in range(count):
+        shape = rng.choice(("zero", "single", "dense", "sparse"))
+        trunc = truncation + rng.randint(0, 2)
+        if shape == "zero":
+            comps.append(FormalSeries.zero(dimension, trunc))
+        elif shape == "single":
+            exp = rng.choice([e for e in exponent_tuples(dimension, 2) if sum(e)])
+            coeff = random_scalar(rng, allow_zero=False)
+            comps.append(in_field(rng, field, FormalSeries.monomial(dimension, trunc, exp, coeff)))
+        else:
+            density = 0.7 if shape == "dense" else 0.2
+            comps.append(in_field(rng, field, random_series(rng, dimension, trunc, density, min_order=1)))
+    return comps
+
+
+def assert_same_series(got, want):
+    assert (got.dimension, got.truncation) == (want.dimension, want.truncation)
+    assert got.terms == want.terms
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_product_kernel_matches_the_pair_oracle(n, field):
+    rng = random.Random(f"product:{n}:{field}")
+    for _ in range(12):
+        a = in_field(rng, field, random_series(rng, n, rng.randint(0, 5), rng.random()))
+        b = in_field(rng, field, random_series(rng, n, rng.randint(0, 5), rng.random()))
+        assert_same_series(a * b, product_oracle(a, b))
+        assert_same_series(b * a, product_oracle(a, b))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_products_that_cancel_to_zero(n, field):
+    c = GaussianRational(0, 1) if field == "Q(i)" else Fraction(1)
+    x = FormalSeries.variable(n, 3, 0)
+    y = FormalSeries.variable(n, 3, n - 1)
+    cases = [
+        (x * x * (x + y), x * (x + c * y)),  # every term above the truncation
+        (x + c * y, FormalSeries.zero(n, 2)),  # a zero operand
+    ]
+    if n > 1:
+        cases.append((x + c * y, x - c * y))  # the x*y terms cancel
+    for a, b in cases:
+        assert_same_series(a * b, product_oracle(a, b))
+    assert (cases[0][0] * cases[0][1]).is_zero
+    if n > 1:
+        assert len(((x + c * y) * (x - c * y)).terms) == 2
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_substitution_matches_the_power_oracle(n, field):
+    rng = random.Random(f"substitute:{n}:{field}")
+    for _ in range(10):
+        m = rng.randint(1, 3)
+        f = in_field(rng, field, random_series(rng, n, rng.randint(0, 5), rng.random()))
+        comps = substitution_components(rng, field, n, m, rng.randint(0, 5))
+        assert_same_series(f.substitute(comps), substitute_oracle(f, comps))
+
+
+def test_substitution_that_cancels_to_zero():
+    x = FormalSeries.variable(2, 4, 0)
+    y = FormalSeries.variable(2, 4, 1)
+    t = FormalSeries.variable(1, 4, 0)
+    zero = FormalSeries.zero(1, 4)
+    f = x * x - y * y + 2 * x * y * y
+    for comps in ([t, t], [zero, zero], [t, zero], [zero, 3 * t]):
+        assert_same_series(f.substitute(comps), substitute_oracle(f, comps))
+    assert f.substitute([t, -t]) == FormalSeries(1, 4, {(3,): 2})
+    assert (x - y).substitute([t, t]).is_zero
+
+
+# -- the truncated inverse ----------------------------------------------------
+
+
+def maps_to_invert(field):
+    rng = random.Random(f"inverse:{field}")
+    for n, K, density in (
+        (1, 1, 0.5), (1, 4, 0.5), (1, 6, 0.5), (2, 2, 0.3),
+        (2, 5, 0.3), (2, 6, 0.3), (3, 3, 0.3), (3, 6, 0.08),
+    ):
+        while True:
+            phi = random_invertible_map(rng, n, K, higher_density=density)
+            phi = FormalMap([in_field(rng, field, c) for c in phi.components])
+            if phi.is_invertible:
+                yield phi
+                break
+    # every step before degree 3 has a zero error
+    for n in (1, 2, 3):
+        x = [FormalSeries.variable(n, 6, j) for j in range(n)]
+        c = GaussianRational(2, 1) if field == "Q(i)" else Fraction(2)
+        yield FormalMap([c * x[0] + x[-1] * x[-1] * x[-1]] + x[1:])
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_inverse_round_trips_and_matches_the_oracle(field):
+    for phi in maps_to_invert(field):
+        n, K = phi.dimension, phi.truncation
+        inv = phi.inverse()
+        assert phi.compose(inv) == FormalMap.identity(n, K)
+        assert inv.compose(phi) == FormalMap.identity(n, K)
+        assert inv == inverse_oracle(phi)
+        assert inv.truncation == K
+
+
+def test_inverse_composes_each_degree_at_its_own_truncation(monkeypatch):
+    calls = []
+    original = FormalSeries.substitute
+
+    def recording(self, components):
+        calls.append((self.truncation, [c.truncation for c in components]))
+        return original(self, components)
+
+    monkeypatch.setattr(FormalSeries, "substitute", recording)
+    K, n = 8, 2
+    phi = random_invertible_map(random.Random(41), n, K)
+    phi.inverse()
+    assert len(calls) == n * (K - 1)
+    for index, (trunc, comps) in enumerate(calls):
+        degree = 2 + index // n
+        assert trunc == degree and comps == [degree] * n
+    assert all(trunc < K for trunc, _ in calls[:-n])
 
 
 # -- realification ----------------------------------------------------------
