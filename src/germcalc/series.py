@@ -62,7 +62,8 @@ def _nonzero_terms(table: dict) -> list[tuple[tuple[int, ...], int, Scalar]]:
 
 
 def _keyed(table: dict) -> dict[MultiIndex, Scalar]:
-    """A product table as a series term table, cancelled terms dropped."""
+    """A table keyed by exponent tuples as a series term table, zero
+    coefficients dropped."""
     return {MultiIndex(e): c for e, c in table.items() if c}
 
 

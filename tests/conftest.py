@@ -16,7 +16,6 @@ from germcalc import (
     compose,
     monomials_up_to,
 )
-from germcalc.series import _invert_matrix
 
 
 def exponent_tuples(dimension, degree):
@@ -256,7 +255,7 @@ def inverse_oracle(phi):
     """The compositional inverse solved degree by degree, each step
     composing at the full truncation and subtracting the identity."""
     n, trunc = phi.dimension, phi.truncation
-    inv_linear = _invert_matrix(phi.linear_matrix())
+    inv_linear = phi.linear_inverse()
     units = [tuple(1 if t == j else 0 for t in range(n)) for j in range(n)]
     psi = [
         FormalSeries(n, trunc, {u: c for u, c in zip(units, row) if c})

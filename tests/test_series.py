@@ -326,13 +326,15 @@ def substitution_components(rng, field, count, dimension, truncation):
         trunc = truncation + rng.randint(0, 2)
         if shape == "zero":
             comps.append(FormalSeries.zero(dimension, trunc))
-        elif shape == "single":
+            continue
+        if shape == "single":
             exp = rng.choice([e for e in exponent_tuples(dimension, 2) if sum(e)])
             coeff = random_scalar(rng, allow_zero=False)
-            comps.append(in_field(rng, field, FormalSeries.monomial(dimension, trunc, exp, coeff)))
+            comp = FormalSeries.monomial(dimension, trunc, exp, coeff)
         else:
             density = 0.7 if shape == "dense" else 0.2
-            comps.append(in_field(rng, field, random_series(rng, dimension, trunc, density, min_order=1)))
+            comp = random_series(rng, dimension, trunc, density, min_order=1)
+        comps.append(in_field(rng, field, comp))
     return comps
 
 
