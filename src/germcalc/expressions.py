@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import ParseError
+from .errors import GermcalcError, ParseError
 from .scalars import GaussianRational, I
 from .series import FormalMap, FormalSeries
 
@@ -465,10 +465,13 @@ def format_scalar(value: Scalar) -> str:
         imag = _imaginary_text(abs(value.imag))
         sign = "+" if value.imag > 0 else "-"
         return f"({format_scalar(value.real)} {sign} {imag})"
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return str(Fraction(value))  # "n", or "n/d" in lowest terms
+    except ValueError:  # past Python's limit on int-to-str conversion
+        raise GermcalcError(
+            f"coefficient of {_bits(value)} bits exceeds the limit of "
+            f"{_MAX_LITERAL_DIGITS:,} digits for printing"
+        ) from None
 
 
 def _imaginary_text(coefficient: Fraction) -> str:

@@ -9,10 +9,14 @@ module invents a default K.
 Products run on plain term lists of (exponent tuple, degree, coefficient)
 triples.  Their one loop, _mul_terms, adds exponents as tuples and skips
 every pair of terms whose degrees sum past the truncation; a MultiIndex
-key is built once per term of a result, not once per pair.  A series
+key is built once per term of a result, not once per pair.  Over Q the
+loop sees only ints: each operand is cleared to integer numerators over
+the lcm of its denominators, and each result coefficient is reduced once.
+Over Q(i) coefficients pass through as they are, over 1.  A series
 product is that loop and one keyed table.  Substitution keeps the powers
-of each component as term lists and sums the image of every term into
-one table.
+of each component as term lists, power e over the e-th power of the
+component's denominator, and sums the images of all terms into one
+table over the lcm of their denominators.
 
 A FormalMap is a tuple of series with zero constant term, one per target
 coordinate, sharing a truncation.  Composition is exact through the
@@ -23,6 +27,7 @@ at the truncation of its own degree (see FormalMap.inverse).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Optional, Sequence
 
@@ -36,6 +41,18 @@ Scalar = Fraction | GaussianRational
 def _term_list(series: "FormalSeries") -> list[tuple[tuple[int, ...], int, Scalar]]:
     """The terms of a series as (exponent tuple, degree, coefficient)."""
     return [(m.exponents, m.degree, c) for m, c in series.terms.items()]
+
+
+def _scaled_terms(series: "FormalSeries") -> tuple[list, int]:
+    """The terms of a series as (exponent tuple, degree, numerator) and
+    their common denominator: int numerators over the lcm of the
+    denominators when every coefficient is a Fraction, else the
+    coefficients as they are over 1."""
+    terms = _term_list(series)
+    if not all(type(c) is Fraction for _, _, c in terms):
+        return terms, 1
+    den = lcm(*(c.denominator for _, _, c in terms))
+    return [(e, d, c.numerator * (den // c.denominator)) for e, d, c in terms], den
 
 
 def _mul_terms(left, right, truncation: int, table=None) -> dict:
@@ -61,10 +78,17 @@ def _nonzero_terms(table: dict) -> list[tuple[tuple[int, ...], int, Scalar]]:
     return [(e, sum(e), c) for e, c in table.items() if c]
 
 
-def _keyed(table: dict) -> dict[MultiIndex, Scalar]:
-    """A table keyed by exponent tuples as a series term table, zero
-    coefficients dropped."""
-    return {MultiIndex(e): c for e, c in table.items() if c}
+def _over(num, den: int) -> Scalar:
+    """num / den as a series coefficient, a Fraction for an int num."""
+    if type(num) is int:
+        return Fraction(num, den)
+    return num / den if den != 1 else num
+
+
+def _keyed(table: dict, den: int = 1) -> dict[MultiIndex, Scalar]:
+    """A table of numerators over den keyed by exponent tuples as a series
+    term table, zero coefficients dropped."""
+    return {MultiIndex(e): _over(c, den) for e, c in table.items() if c}
 
 
 def _as_exponent(dimension: int, key) -> MultiIndex:
@@ -247,8 +271,9 @@ class FormalSeries:
         if isinstance(other, FormalSeries):
             self._check_compatible(other)
             trunc = min(self._trunc, other._trunc)
-            table = _mul_terms(_term_list(self), _term_list(other), trunc)
-            return FormalSeries._from_table(self._n, trunc, _keyed(table))
+            (left, da), (right, db) = _scaled_terms(self), _scaled_terms(other)
+            table = _mul_terms(left, right, trunc)
+            return FormalSeries._from_table(self._n, trunc, _keyed(table, da * db))
         try:
             c = coerce_scalar(other)
         except TypeError:
@@ -326,26 +351,35 @@ class FormalSeries:
             if comp.constant_term():
                 raise ValueError("substitution components must vanish at 0")
         origin = (0,) * m
-        one = [(origin, 0, Fraction(1))]
-        powers = [[one, _term_list(c.truncate(trunc))] for c in components]
-        acc: dict[tuple[int, ...], Scalar] = {}
+        one = [(origin, 0, 1)]
+        scaled = [_scaled_terms(c.truncate(trunc)) for c in components]
+        powers = [[one, terms] for terms, _ in scaled]
+        # the image of c * x^e is its numerator over den(c) * prod D_j^e_j;
+        # all images are summed as numerators over the lcm of those
+        images = []
         for mi, c in self.sorted_terms():
-            if mi.degree > trunc:
-                continue
+            if mi.degree <= trunc:
+                num, den = (c.numerator, c.denominator) if type(c) is Fraction else (c, 1)
+                for (_, comp_den), e in zip(scaled, mi.exponents):
+                    den *= comp_den**e
+                images.append((mi.exponents, num, den))
+        common = lcm(*(den for _, _, den in images))
+        acc: dict[tuple[int, ...], Scalar] = {}
+        for exponents, num, den in images:
             factors = []
-            for j, e in enumerate(mi.exponents):
+            for j, e in enumerate(exponents):
                 if e:
                     cache = powers[j]
                     while len(cache) <= e:
                         cache.append(_nonzero_terms(_mul_terms(cache[-1], cache[1], trunc)))
                     factors.append(cache[e])
-            # c times the powers its exponent names; the last product is
-            # added straight into acc
-            term = [(origin, 0, c)]
+            # the scaled numerator times the powers its exponent names; the
+            # last product is added straight into acc
+            term = [(origin, 0, num * (common // den))]
             for factor in factors[:-1]:
                 term = _nonzero_terms(_mul_terms(term, factor, trunc))
             _mul_terms(term, factors[-1] if factors else one, trunc, acc)
-        return FormalSeries._from_table(m, trunc, _keyed(acc))
+        return FormalSeries._from_table(m, trunc, _keyed(acc, common))
 
     # -- comparisons --------------------------------------------------------
 
@@ -440,7 +474,9 @@ class FormalMap:
         return _invert_matrix(self.linear_matrix()) is not None
 
     def linear_inverse(self) -> list[list[Scalar]]:
-        """Inverse of the linear part; refuses a singular one."""
+        """Inverse of the linear part; refuses a singular or unknown one."""
+        if self._trunc < 1:
+            raise PrecisionError("the linear part of a map truncated at 0 is unknown")
         inv = _invert_matrix(self.linear_matrix())
         if inv is None:
             raise InversionError("formal map has singular linear part")

@@ -376,6 +376,39 @@ def test_oversized_numbers_exit_2(capsys, series_text, message):
     assert err.startswith(message)
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_oversized_computed_coefficients_exit_2(capsys, fmt):
+    # every input passes the parser guards; the quotient's coefficients grow
+    # like 2^(4000 j) and pass Python's limit on int-to-str conversion
+    code, out, err = invoke(
+        capsys, "divide", "-f", "z", "-g", "z/2^4000 + z^2", "--vars", "z",
+        "--trunc", "10", "--format", fmt,
+    )
+    assert code == 2
+    assert not out
+    assert err == (
+        "error: coefficient of 16001 bits exceeds the limit of 4,300 digits "
+        "for printing\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "command,name",
+    [
+        ("check-conjugacy", "conj-order1.man"),
+        ("check-equivalence", "curves-shear-order1.man"),
+    ],
+)
+def test_map_truncated_at_0_exits_3(capsys, command, name, fmt):
+    code, out, err = invoke(
+        capsys, command, "--manifest", str(DATA / name), "--trunc", "0", "--format", fmt
+    )
+    assert code == 3
+    assert not out
+    assert err == "error: the linear part of a map truncated at 0 is unknown\n"
+
+
 @pytest.mark.parametrize(
     "series_text,column",
     [("²*z", 1), ("z^²", 3), ("z + ٣", 5)],

@@ -410,6 +410,16 @@ def test_singular_map_refusal_order_in_dynamics_checks():
         is_order_k_field_equivalence(flat, [xi], [VectorField([z])], 2)
 
 
+def test_map_truncated_at_0_is_refused_by_dynamics_checks():
+    x, y = plane(0)
+    phi = FormalMap([x, y])
+    f, xi = FormalMap([x, y]), VectorField([x, y])
+    with pytest.raises(PrecisionError, match="^the linear part of a map truncated at 0"):
+        is_order_k_conjugacy(phi, [f], [f], 1)
+    with pytest.raises(PrecisionError, match="^the linear part of a map truncated at 0"):
+        is_order_k_field_equivalence(phi, [xi], [xi], 1)
+
+
 def test_dynamics_dimension_error_texts():
     x, y = plane()
     phi = FormalMap([x + y, y])

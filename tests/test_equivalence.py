@@ -414,6 +414,17 @@ def test_singular_map_is_refused_by_equivalence_checks():
         is_order_k_equivalence(singular_map(), sets, sets, 2)
 
 
+def test_map_truncated_at_0_is_refused_by_equivalence_checks():
+    z, w = zw()
+    fam = family(w - z)
+    phi = FormalMap(list(zw(0)))
+    for sets in (fam, fam.with_mode("set")):
+        with pytest.raises(PrecisionError, match="^the linear part of a map truncated at 0"):
+            is_order_k_equivalence(phi, sets, sets, 1)
+    with pytest.raises(PrecisionError, match="^the linear part of a map truncated at 0"):
+        pair_order_k(phi, fam.ideals[0], fam.ideals[0], 1)
+
+
 def test_singular_map_refusal_comes_after_shape_and_mode_checks():
     z, w = zw()
     fam = family(w - z)

@@ -14,10 +14,14 @@ from germcalc import (
     InversionError,
     MultiIndex,
     PrecisionError,
+    VectorField,
     compose,
+    conjugate,
+    pushforward_field,
     realify,
     realify_map,
 )
+from germcalc import series as series_module
 from conftest import (
     exponent_tuples,
     inverse_oracle,
@@ -444,6 +448,117 @@ def test_inverse_composes_each_degree_at_its_own_truncation(monkeypatch):
         degree = 2 + index // n
         assert trunc == degree and comps == [degree] * n
     assert all(trunc < K for trunc, _ in calls[:-n])
+
+
+def test_a_map_truncated_at_0_has_no_known_linear_part():
+    for phi in (FormalMap([FormalSeries(1, 0)]), FormalMap.identity(2, 0)):
+        assert not phi.is_invertible
+        for call in (phi.linear_inverse, phi.inverse):
+            with pytest.raises(PrecisionError, match="truncated at 0 is unknown"):
+                call()
+        with pytest.raises(PrecisionError, match="truncated at 0 is unknown"):
+            conjugate(phi, phi)
+        with pytest.raises(PrecisionError, match="truncated at 0 is unknown"):
+            pushforward_field(VectorField(phi.components), phi)
+
+
+# -- integer numerators over one common denominator ---------------------------
+
+
+def over_q(*pairs, n=2, trunc=5):
+    return FormalSeries(n, trunc, {e: Fraction(c) for e, c in pairs})
+
+
+def denominator_cases():
+    """(f, components) whose denominators are pairwise coprime, cancel to
+    integers, pass 64 bits, or mix Q and Q(i) between f and components."""
+    big = Fraction(1, 3**50)
+    coprime = over_q(((1, 0), "1/6"), ((0, 2), "1/10"), ((1, 1), "1/15"), ((2, 1), "7/6"))
+    coprime_comps = [
+        over_q(((1, 0), "1/10"), ((0, 1), "1/15"), ((2, 0), "1/6")),
+        over_q(((0, 1), "1/6"), ((1, 1), "1/10"), ((0, 3), "1/15")),
+    ]
+    # (z/2 + w/2)^2 * 4 and friends: every denominator cancels
+    halves = [over_q(((1, 0), "1/2"), ((0, 1), "1/2")), over_q(((1, 0), "1/3"), ((0, 1), "2/3"))]
+    integral = over_q(((2, 0), "4"), ((0, 2), "9"), ((1, 1), "-6"), ((1, 0), "2"))
+    wide = over_q(((1, 0), big), ((1, 1), 3 * big), ((0, 3), big * big))
+    wide_comps = [over_q(((1, 0), 3**50), ((0, 2), big)), over_q(((0, 1), big), ((1, 1), 5))]
+    gaussian = [c + GaussianRational(0, Fraction(1, 6)) * c * c for c in coprime_comps]
+    yield coprime, coprime_comps
+    yield integral, halves
+    yield wide, wide_comps
+    yield coprime, gaussian
+    yield FormalSeries(2, 5, {e: GaussianRational(c, 1) for e, c in coprime.terms.items()}), coprime_comps
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_common_denominators_match_the_oracles(case):
+    f, comps = list(denominator_cases())[case]
+    assert_same_series(f.substitute(comps), substitute_oracle(f, comps))
+    for a in [f] + comps:
+        for b in comps:
+            assert_same_series(a * b, product_oracle(a, b))
+    x, y = (FormalSeries.variable(2, 5, j) for j in range(2))
+    phi = FormalMap([x + comps[0], y + comps[1]])
+    assert phi.is_invertible
+    assert phi.inverse() == inverse_oracle(phi)
+
+
+def test_denominators_that_cancel_give_integer_fractions():
+    halves = FormalSeries(1, 4, {(1,): Fraction(1, 2), (2,): Fraction(1, 2)})
+    square = (2 * halves) * (2 * halves)
+    assert square == FormalSeries(1, 4, {(2,): 1, (3,): 2, (4,): 1})
+    assert all(c.denominator == 1 for c in square.terms.values())
+    f = FormalSeries(1, 4, {(1,): 6, (2,): 36})
+    t = FormalSeries(1, 4, {(1,): Fraction(1, 6)})
+    assert f.substitute([t]) == FormalSeries(1, 4, {(1,): 1, (2,): 1})
+
+
+def every_result(field):
+    """Products, substitutions, compositions, inverses and transports of
+    random inputs over the given field."""
+    rng = random.Random(f"types:{field}")
+    for n in (1, 2, 3):
+        while True:
+            phi = random_invertible_map(rng, n, 4)
+            phi = FormalMap([in_field(rng, field, c) for c in phi.components])
+            if phi.is_invertible:
+                break
+        f = FormalMap([in_field(rng, field, random_series(rng, n, 4, min_order=1))
+                       for _ in range(n)])
+        a, b = f.components[0], phi.components[-1]
+        yield a * b
+        yield a.substitute(phi.components)
+        yield from phi.compose(f).components
+        yield from phi.inverse().components
+        yield from conjugate(f, phi).components
+        yield from pushforward_field(VectorField(f.components), phi).components
+
+
+def test_coefficients_over_q_are_fractions():
+    for result in every_result("Q"):
+        assert all(type(c) is Fraction for c in result.terms.values())
+
+
+def test_coefficients_over_q_i_are_fractions_or_gaussian():
+    seen = set()
+    for result in every_result("Q(i)"):
+        seen |= {type(c) for c in result.terms.values()}
+    assert seen <= {Fraction, GaussianRational} and GaussianRational in seen
+
+
+def test_the_product_loop_sees_only_ints_over_q(monkeypatch):
+    seen = []
+    original = series_module._mul_terms
+
+    def recording(left, right, truncation, table=None):
+        seen.extend(type(c) for terms in (left, right) for _, _, c in terms)
+        return original(left, right, truncation, table)
+
+    monkeypatch.setattr(series_module, "_mul_terms", recording)
+    for _ in every_result("Q"):
+        pass
+    assert seen and set(seen) == {int}
 
 
 # -- realification ----------------------------------------------------------
