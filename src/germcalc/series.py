@@ -46,13 +46,15 @@ def _term_list(series: "FormalSeries") -> list[tuple[tuple[int, ...], int, Scala
 def _scaled_terms(series: "FormalSeries") -> tuple[list, int]:
     """The terms of a series as (exponent tuple, degree, numerator) and
     their common denominator: int numerators over the lcm of the
-    denominators when every coefficient is a Fraction, else the
-    coefficients as they are over 1."""
-    terms = _term_list(series)
-    if not all(type(c) is Fraction for _, _, c in terms):
-        return terms, 1
-    den = lcm(*(c.denominator for _, _, c in terms))
-    return [(e, d, c.numerator * (den // c.denominator)) for e, d, c in terms], den
+    denominators over Q, the coefficients as they are over 1 over Q(i)."""
+    try:
+        ratios = [c.as_integer_ratio() for c in series.terms.values()]
+    except AttributeError:  # a GaussianRational has no integer ratio
+        return _term_list(series), 1
+    den = lcm(*[q for _, q in ratios])
+    return [
+        (m.exponents, m.degree, p * (den // q)) for m, (p, q) in zip(series.terms, ratios)
+    ], den
 
 
 def _mul_terms(left, right, truncation: int, table=None) -> dict:
@@ -354,8 +356,7 @@ class FormalSeries:
         one = [(origin, 0, 1)]
         scaled = [_scaled_terms(c.truncate(trunc)) for c in components]
         powers = [[one, terms] for terms, _ in scaled]
-        # the image of c * x^e is its numerator over den(c) * prod D_j^e_j;
-        # all images are summed as numerators over the lcm of those
+        # the image of c * x^e is a numerator over den(c) * prod_j D_j^e_j
         images = []
         for mi, c in self.sorted_terms():
             if mi.degree <= trunc:

@@ -470,30 +470,35 @@ def over_q(*pairs, n=2, trunc=5):
 
 
 def denominator_cases():
-    """(f, components) whose denominators are pairwise coprime, cancel to
-    integers, pass 64 bits, or mix Q and Q(i) between f and components."""
+    """(f, components) by name: denominators pairwise coprime, cancelling
+    to integers, past 64 bits, or Q and Q(i) mixed between f and the
+    components."""
     big = Fraction(1, 3**50)
     coprime = over_q(((1, 0), "1/6"), ((0, 2), "1/10"), ((1, 1), "1/15"), ((2, 1), "7/6"))
     coprime_comps = [
         over_q(((1, 0), "1/10"), ((0, 1), "1/15"), ((2, 0), "1/6")),
         over_q(((0, 1), "1/6"), ((1, 1), "1/10"), ((0, 3), "1/15")),
     ]
-    # (z/2 + w/2)^2 * 4 and friends: every denominator cancels
+    # f's integer coefficients clear every denominator of the components:
+    # 4(z/2 + w/2)^2 = (z + w)^2, and so on
     halves = [over_q(((1, 0), "1/2"), ((0, 1), "1/2")), over_q(((1, 0), "1/3"), ((0, 1), "2/3"))]
     integral = over_q(((2, 0), "4"), ((0, 2), "9"), ((1, 1), "-6"), ((1, 0), "2"))
     wide = over_q(((1, 0), big), ((1, 1), 3 * big), ((0, 3), big * big))
     wide_comps = [over_q(((1, 0), 3**50), ((0, 2), big)), over_q(((0, 1), big), ((1, 1), 5))]
     gaussian = [c + GaussianRational(0, Fraction(1, 6)) * c * c for c in coprime_comps]
-    yield coprime, coprime_comps
-    yield integral, halves
-    yield wide, wide_comps
-    yield coprime, gaussian
-    yield FormalSeries(2, 5, {e: GaussianRational(c, 1) for e, c in coprime.terms.items()}), coprime_comps
+    gaussian_f = FormalSeries(2, 5, {e: GaussianRational(c, 1) for e, c in coprime.terms.items()})
+    return {
+        "coprime": (coprime, coprime_comps),
+        "cancelling": (integral, halves),
+        "wide": (wide, wide_comps),
+        "gaussian-components": (coprime, gaussian),
+        "gaussian-series": (gaussian_f, coprime_comps),
+    }
 
 
-@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("case", list(denominator_cases()))
 def test_common_denominators_match_the_oracles(case):
-    f, comps = list(denominator_cases())[case]
+    f, comps = denominator_cases()[case]
     assert_same_series(f.substitute(comps), substitute_oracle(f, comps))
     for a in [f] + comps:
         for b in comps:
@@ -502,6 +507,8 @@ def test_common_denominators_match_the_oracles(case):
     phi = FormalMap([x + comps[0], y + comps[1]])
     assert phi.is_invertible
     assert phi.inverse() == inverse_oracle(phi)
+    if case == "cancelling":
+        assert all(c.denominator == 1 for c in f.substitute(comps).terms.values())
 
 
 def test_denominators_that_cancel_give_integer_fractions():
