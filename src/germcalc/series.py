@@ -360,7 +360,7 @@ class FormalSeries:
         images = []
         for mi, c in self.sorted_terms():
             if mi.degree <= trunc:
-                num, den = (c.numerator, c.denominator) if type(c) is Fraction else (c, 1)
+                num, den = c.as_integer_ratio() if type(c) is Fraction else (c, 1)
                 for (_, comp_den), e in zip(scaled, mi.exponents):
                     den *= comp_den**e
                 images.append((mi.exponents, num, den))
