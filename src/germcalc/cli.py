@@ -25,7 +25,8 @@ from .division import formal_division, reduce_mod_ideal
 from .dynamics import is_order_k_conjugacy, is_order_k_field_equivalence
 from .equivalence import equivalence_horizon, is_order_k_equivalence
 from .errors import CrossCheckError, GermcalcError, ParseError, PrecisionError
-from .expressions import format_series, infer_variables, parse_map, parse_series
+from .expressions import _MAX_LITERAL_DIGITS, format_series, infer_variables
+from .expressions import parse_map, parse_series
 from .ideals import IdealPresentation
 from .manifest import Manifest, load_manifest
 
@@ -305,7 +306,20 @@ def _cmd_check_dynamics(args) -> tuple[int, dict]:
     return (0 if verdict.ok else 1), report
 
 
+# the values at level m lie strictly between -2^m and 2^m
+_MAX_PRINTED_LEVELS = (10**_MAX_LITERAL_DIGITS).bit_length() - 1
+
+
+def _check_printed_levels(levels: int) -> None:
+    if levels > _MAX_PRINTED_LEVELS:
+        raise ParseError(
+            f"--levels {levels} prints values past {_MAX_LITERAL_DIGITS:,} digits; "
+            f"the largest level that prints is {_MAX_PRINTED_LEVELS}"
+        )
+
+
 def _cmd_counterexample_sequence(args) -> tuple[int, dict]:
+    _check_printed_levels(args.levels)
     seq = build_shift_sequence(args.levels)
     report = {
         "command": "counterexample sequence",

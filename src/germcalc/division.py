@@ -43,11 +43,12 @@ def formal_division(
     if not divisors:
         raise ValueError("at least one divisor is required")
     n = f.dimension
-    for g in divisors:
+    for j, g in enumerate(divisors):
         if g.dimension != n:
             raise DimensionError("divisor dimension differs from dividend")
         if g.is_zero:
-            raise ValueError("zero divisor")
+            # its initial term, if any, lies beyond the truncation
+            raise PrecisionError(f"divisor {j} has no term through degree {g.truncation}")
     if truncation > f.truncation or any(truncation > g.truncation for g in divisors):
         raise PrecisionError(
             f"working truncation {truncation} exceeds an input truncation"

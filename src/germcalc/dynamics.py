@@ -1,10 +1,11 @@
 """Finite-order equivalence of self-map germs and formal vector fields.
 
 Self-maps transform by conjugation G = Phi o F o Phi^-1; vector fields
-transform by the pushforward (DPhi . xi) o Phi^-1.  Order-k closeness of
-two maps or fields means every component of the difference vanishes to
-order at least k at the origin.  F itself is never required to be
-invertible; only the conjugating map is.
+transform by the pushforward (DPhi . xi) o Phi^-1.  A VectorField is a
+FormalMap's component tuple without a map's own methods, and never
+equals a map.  Order-k closeness of two maps or fields means every
+component of the difference vanishes to order at least k at the origin.
+F itself is never required to be invertible; only the conjugating map is.
 
 The checks never form Phi^-1: they compare G o Phi with Phi o F and
 eta o Phi with DPhi . xi, the transported differences composed with Phi.
@@ -18,45 +19,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import DimensionError, PrecisionError
-from .series import FormalMap, FormalSeries, compose, vanishing_components
+from .series import FormalMap, FormalSeries, _ComponentTuple, compose
 
 
-class VectorField:
+class VectorField(_ComponentTuple):
     """A formal vector field vanishing at the origin, one coefficient
     series per coordinate direction."""
 
-    __slots__ = ("_comps", "_trunc")
-
-    def __init__(self, components: Sequence[FormalSeries]):
-        comps, trunc = vanishing_components(components, "vector field")
-        object.__setattr__(self, "_comps", comps)
-        object.__setattr__(self, "_trunc", trunc)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VectorField is immutable")
-
-    @property
-    def dimension(self) -> int:
-        return len(self._comps)
-
-    @property
-    def truncation(self) -> int:
-        return self._trunc
-
-    @property
-    def components(self) -> tuple[FormalSeries, ...]:
-        return self._comps
-
-    def truncate(self, degree: int) -> "VectorField":
-        return VectorField([c.truncate(degree) for c in self._comps])
-
-    def __eq__(self, other):
-        if isinstance(other, VectorField):
-            return self._comps == other._comps
-        return NotImplemented
-
-    def __repr__(self):
-        return f"VectorField({list(self._comps)!r})"
+    __slots__ = ()
+    _kind = "vector field"
 
 
 def _phi_after(f: FormalMap, phi: FormalMap) -> FormalMap:
@@ -90,9 +61,7 @@ def pushforward_field(xi: VectorField, phi: FormalMap) -> VectorField:
     Differentiating Phi costs one degree of precision, so the result
     carries truncation min(truncations) - 1.
     """
-    moved = _dphi_times(xi, phi)
-    phi_inv = phi.inverse()
-    return VectorField([compose(c, phi_inv) for c in moved.components])
+    return _dphi_times(xi, phi).compose(phi.inverse())
 
 
 @dataclass(frozen=True)

@@ -180,8 +180,8 @@ def _tokenize(text: str) -> list[_Token]:
 class _Parser:
     """Recursive descent over the token list.
 
-    Values are either scalars or series; arithmetic promotes scalars to
-    constant series on first contact.  The truncation acts as a cap on
+    Values are either scalars or series; the series operators take a
+    scalar operand as a constant series.  The truncation acts as a cap on
     literal exponents -- a power the truncation cannot carry is a typo or
     a missing --trunc, not a silent zero.
     """
@@ -227,7 +227,7 @@ class _Parser:
             if tok.kind == "op" and tok.text in "+-":
                 self.advance()
                 rhs = self.parse_term()
-                value = self._bounded(self._add(value, rhs, tok), tok)
+                value = self._bounded(value - rhs if tok.text == "-" else value + rhs, tok)
             else:
                 return value
 
@@ -237,7 +237,7 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "op" and tok.text == "*":
                 self.advance()
-                value = self._bounded(self._mul(value, self.parse_factor()), tok)
+                value = self._bounded(value * self.parse_factor(), tok)
             elif tok.kind == "op" and tok.text == "/":
                 self.advance()
                 value = self._bounded(self._div(value, self.parse_factor(), tok), tok)
@@ -255,7 +255,7 @@ class _Parser:
             self.advance()
             value = self.parse_factor()
             if tok.text == "-":
-                value = self._negate(value)
+                value = -value
         else:
             value = self.parse_power()
         self.depth -= 1
@@ -357,20 +357,9 @@ class _Parser:
             return value
         return FormalSeries.constant(len(self.names), self.truncation, value)
 
-    def _add(self, a, b, tok: _Token):
-        negate = tok.text == "-"
-        if isinstance(a, FormalSeries) or isinstance(b, FormalSeries):
-            a, b = self._promote(a), self._promote(b)
-        return a - b if negate else a + b
-
-    def _mul(self, a, b):
-        if isinstance(a, FormalSeries) or isinstance(b, FormalSeries):
-            a, b = self._promote(a), self._promote(b)
-        return a * b
-
     def _div(self, a, b, tok: _Token):
         if isinstance(b, FormalSeries):
-            if not all(m.degree == 0 for m, _ in b.sorted_terms()):
+            if any(m.degree for m in b.terms):
                 raise ParseError(
                     "division is only defined by a nonzero constant",
                     tok.position,
@@ -378,11 +367,7 @@ class _Parser:
             b = b.constant_term()
         if not b:
             raise ParseError("division by zero", tok.position)
-        inverse = 1 / b if isinstance(b, GaussianRational) else Fraction(1) / b
-        return self._mul(a, inverse)
-
-    def _negate(self, value):
-        return -value
+        return a * (Fraction(1) / b)
 
     def _pow(self, base, exponent: int):
         if isinstance(base, FormalSeries):

@@ -18,10 +18,11 @@ of each component as term lists, power e over the e-th power of the
 component's denominator, and sums the images of all terms into one
 table over the lcm of their denominators.
 
-A FormalMap is a tuple of series with zero constant term, one per target
-coordinate, sharing a truncation.  Composition is exact through the
-carried truncation; the inverse is solved one degree at a time, each step
-at the truncation of its own degree (see FormalMap.inverse).
+A FormalMap, like a VectorField (see dynamics), is n series in n
+variables with zero constant term, cut to their common truncation; the
+two share one base class.  Composition is exact through the carried
+truncation; the inverse is solved one degree at a time, each step at the
+truncation of its own degree (see FormalMap.inverse).
 """
 
 from __future__ import annotations
@@ -408,47 +409,32 @@ def compose(f: FormalSeries, phi: "FormalMap") -> FormalSeries:
     return f.substitute(phi.components)
 
 
-def vanishing_components(
-    components: Sequence[FormalSeries], kind: str
-) -> tuple[tuple[FormalSeries, ...], int]:
-    """Validate the components of a map or vector field on n variables
-    (n series in dimension n, none with a constant term) and truncate them
-    to their common truncation, which is returned alongside.  ``kind``
-    names the object in error messages: "formal map" or "vector field"."""
-    comps = tuple(components)
-    if not comps:
-        raise ValueError(f"a {kind} needs at least one component")
-    n = len(comps)
-    noun = kind.split()[-1]
-    for c in comps:
-        if c.dimension != n:
-            raise DimensionError(
-                f"{noun} on {n} variables has a component in dimension {c.dimension}"
-            )
-        if c.constant_term():
-            raise ValueError(f"{kind} components must vanish at 0")
-    trunc = min(c.truncation for c in comps)
-    return tuple(c.truncate(trunc) for c in comps), trunc
-
-
-class FormalMap:
-    """A formal self-map germ fixing the origin, one series per coordinate."""
+class _ComponentTuple:
+    """n series in n variables, none with a constant term, cut to their
+    common truncation: a formal map or a vector field, named by ``_kind``
+    in errors.  Equal only to the same class with equal components."""
 
     __slots__ = ("_comps", "_trunc")
 
     def __init__(self, components: Sequence[FormalSeries]):
-        comps, trunc = vanishing_components(components, "formal map")
-        object.__setattr__(self, "_comps", comps)
+        comps = tuple(components)
+        if not comps:
+            raise ValueError(f"a {self._kind} needs at least one component")
+        n = len(comps)
+        for c in comps:
+            if c.dimension != n:
+                noun = self._kind.split()[-1]
+                raise DimensionError(
+                    f"{noun} on {n} variables has a component in dimension {c.dimension}"
+                )
+            if c.constant_term():
+                raise ValueError(f"{self._kind} components must vanish at 0")
+        trunc = min(c.truncation for c in comps)
+        object.__setattr__(self, "_comps", tuple(c.truncate(trunc) for c in comps))
         object.__setattr__(self, "_trunc", trunc)
 
     def __setattr__(self, name, value):
-        raise AttributeError("FormalMap is immutable")
-
-    @classmethod
-    def identity(cls, dimension: int, truncation: int) -> "FormalMap":
-        return cls(
-            [FormalSeries.variable(dimension, truncation, i) for i in range(dimension)]
-        )
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def dimension(self) -> int:
@@ -462,8 +448,35 @@ class FormalMap:
     def components(self) -> tuple[FormalSeries, ...]:
         return self._comps
 
-    def truncate(self, degree: int) -> "FormalMap":
-        return FormalMap([c.truncate(degree) for c in self._comps])
+    def truncate(self, degree: int):
+        return type(self)([c.truncate(degree) for c in self._comps])
+
+    def compose(self, other: "FormalMap"):
+        """self after the map other, in the class of self."""
+        if other.dimension != self.dimension:
+            raise DimensionError("cannot compose maps of different dimensions")
+        return type(self)([c.substitute(other.components) for c in self._comps])
+
+    def __eq__(self, other):
+        if isinstance(other, _ComponentTuple):
+            return type(other) is type(self) and self._comps == other._comps
+        return NotImplemented
+
+    def __repr__(self):
+        return f"{type(self).__name__}({list(self._comps)!r})"
+
+
+class FormalMap(_ComponentTuple):
+    """A formal self-map germ fixing the origin, one series per coordinate."""
+
+    __slots__ = ()
+    _kind = "formal map"
+
+    @classmethod
+    def identity(cls, dimension: int, truncation: int) -> "FormalMap":
+        return cls(
+            [FormalSeries.variable(dimension, truncation, i) for i in range(dimension)]
+        )
 
     def linear_matrix(self) -> list[list[Scalar]]:
         n = self.dimension
@@ -482,12 +495,6 @@ class FormalMap:
         if inv is None:
             raise InversionError("formal map has singular linear part")
         return inv
-
-    def compose(self, other: "FormalMap") -> "FormalMap":
-        """self after other."""
-        if other.dimension != self.dimension:
-            raise DimensionError("cannot compose maps of different dimensions")
-        return FormalMap([c.substitute(other.components) for c in self._comps])
 
     def inverse(self) -> "FormalMap":
         """Compositional inverse through the carried truncation.
@@ -517,14 +524,6 @@ class FormalMap:
                     if coeff and not e.is_zero:
                         psi[i] = psi[i] - coeff * e
         return FormalMap(psi)
-
-    def __eq__(self, other):
-        if isinstance(other, FormalMap):
-            return self._comps == other._comps
-        return NotImplemented
-
-    def __repr__(self):
-        return f"FormalMap({list(self._comps)!r})"
 
 
 def _invert_matrix(rows: list[list[Scalar]]) -> Optional[list[list[Scalar]]]:
@@ -585,9 +584,4 @@ def realify(f: FormalSeries) -> tuple[FormalSeries, FormalSeries]:
 
 def realify_map(phi: FormalMap) -> FormalMap:
     """Realify each component; coordinates interleave as x_1, y_1, ..."""
-    comps: list[FormalSeries] = []
-    for c in phi.components:
-        re, im = realify(c)
-        comps.append(re)
-        comps.append(im)
-    return FormalMap(comps)
+    return FormalMap([part for c in phi.components for part in realify(c)])

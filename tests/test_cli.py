@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 from packaging.version import Version
 
-from germcalc.cli import main
+from germcalc.cli import _MAX_PRINTED_LEVELS, _check_printed_levels, main
+from germcalc.curves import build_shift_sequence
+from germcalc.errors import ParseError
+from germcalc.expressions import _MAX_LITERAL_DIGITS
 
 DATA = Path(__file__).parent / "data" / "manifests"
 
@@ -374,6 +377,57 @@ def test_oversized_numbers_exit_2(capsys, series_text, message):
     assert code == 2
     assert not out
     assert err.startswith(message)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_sequence_levels_past_the_printer_exit_2(capsys, fmt):
+    code, out, err = invoke(
+        capsys, "counterexample", "sequence", "--levels", "14285", "--format", fmt
+    )
+    assert code == 2
+    assert not out
+    assert err == (
+        "error: --levels 14285 prints values past 4,300 digits; "
+        "the largest level that prints is 14284\n"
+    )
+
+
+def test_the_last_level_that_prints_is_the_bound():
+    # through the check and the values themselves, never by printing them
+    assert _MAX_PRINTED_LEVELS == 14284
+    _check_printed_levels(_MAX_PRINTED_LEVELS)
+    with pytest.raises(ParseError):
+        _check_printed_levels(_MAX_PRINTED_LEVELS + 1)
+    seq = build_shift_sequence(_MAX_PRINTED_LEVELS + 1)
+
+    def widest(m):
+        return max(abs(seq.c(m)), seq.min_positive(m), -seq.max_negative(m))
+
+    limit = 10**_MAX_LITERAL_DIGITS
+    assert all(widest(m) < limit for m in range(1, _MAX_PRINTED_LEVELS + 1))
+    assert widest(_MAX_PRINTED_LEVELS + 1) >= limit
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "divisor,trunc,message",
+    [
+        ("z", "0", "divisor 0 has no term through degree 0"),
+        ("0", "4", "divisor 0 has no term through degree 4"),
+        ("z^2; 0", "3", "divisor 1 has no term through degree 3"),
+    ],
+    ids=["z-at-0", "literal-0", "second-divisor"],
+)
+def test_divisor_vanishing_through_the_truncation_exits_3(
+    capsys, divisor, trunc, message, fmt
+):
+    argv = ["divide", "-f", "z", "--vars", "z", "--trunc", trunc, "--format", fmt]
+    for g in divisor.split("; "):
+        argv += ["-g", g]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 3
+    assert not out
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

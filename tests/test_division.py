@@ -84,6 +84,19 @@ def test_zero_divisor_rejected():
         formal_division(t1, [], 4)
 
 
+def test_divisor_vanishing_through_its_truncation_is_a_precision_error():
+    t1, t2 = t_vars(4)
+    with pytest.raises(PrecisionError) as err:
+        formal_division(t1, [t2, FormalSeries.zero(2, 4)], 4)
+    assert str(err.value) == "divisor 1 has no term through degree 4"
+    # z at truncation 0 is the zero class: its initial term lies beyond 0
+    with pytest.raises(PrecisionError, match="divisor 0 .* degree 0$"):
+        formal_division(t1.truncate(0), [t1.truncate(0)], 0)
+    with pytest.raises(ValueError) as empty:
+        formal_division(t1, [], 4)
+    assert not isinstance(empty.value, PrecisionError)
+
+
 def test_truncation_beyond_inputs_rejected():
     t1, t2 = t_vars(4)
     with pytest.raises(PrecisionError):

@@ -73,6 +73,68 @@ def test_field_needs_components():
         VectorField([])
 
 
+# -- maps and fields share one component-tuple shell ------------------------
+
+
+def xy_components(trunc=K):
+    x = FormalSeries.variable(2, trunc, 0)
+    y = FormalSeries.variable(2, trunc, 1)
+    return [x + y * y, y - x * y]
+
+
+def test_a_map_never_equals_a_field():
+    comps = xy_components()
+    phi, xi = FormalMap(comps), VectorField(comps)
+    assert phi.components == xi.components
+    assert phi != xi
+    assert xi != phi
+    assert not phi == xi
+    assert not xi == phi
+    assert phi == FormalMap(comps)
+    assert xi == VectorField(comps)
+
+
+@pytest.mark.parametrize("cls", [FormalMap, VectorField])
+def test_truncate_and_compose_keep_the_receivers_class(cls):
+    obj = cls(xy_components())
+    shear = FormalMap(xy_components())
+    assert type(obj.truncate(3)) is cls
+    assert type(obj.compose(shear)) is cls
+    assert obj.compose(shear).components == tuple(
+        c.substitute(shear.components) for c in obj.components
+    )
+
+
+@pytest.mark.parametrize(
+    "cls,kind,noun",
+    [(FormalMap, "formal map", "map"), (VectorField, "vector field", "field")],
+)
+def test_component_errors_keep_their_texts(cls, kind, noun):
+    with pytest.raises(ValueError) as empty:
+        cls([])
+    assert str(empty.value) == f"a {kind} needs at least one component"
+    x = FormalSeries.variable(2, K, 0)
+    with pytest.raises(DimensionError) as wrong:
+        cls([x])
+    assert str(wrong.value) == (
+        f"{noun} on 1 variables has a component in dimension 2"
+    )
+    with pytest.raises(ValueError) as constant:
+        cls([z1() + 1])
+    assert str(constant.value) == f"{kind} components must vanish at 0"
+
+
+@pytest.mark.parametrize("cls", [FormalMap, VectorField])
+def test_assignment_names_the_class(cls):
+    obj = cls(xy_components())
+    with pytest.raises(AttributeError) as err:
+        obj._comps = ()
+    assert str(err.value) == f"{cls.__name__} is immutable"
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+    assert obj.components == tuple(xy_components())
+
+
 def test_field_takes_minimum_truncation():
     x = FormalSeries.variable(2, 7, 0)
     y = FormalSeries.variable(2, 4, 1)
