@@ -45,6 +45,7 @@ from .errors import (
     DimensionError,
     GermcalcError,
     InversionError,
+    LimitError,
     ParseError,
     PrecisionError,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "IdealPresentation",
     "InversionError",
     "JetSpace",
+    "LimitError",
     "MultiIndex",
     "ObstructionReport",
     "ParseError",

@@ -18,12 +18,13 @@ is a well-defined representative of f modulo (I + m^(K+1)).
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DimensionError, PrecisionError
-from .monomial import Staircase
-from .series import FormalSeries, _keyed, _term_list
+from .monomial import Staircase, guard_bits, unpack
+from .series import FormalSeries, _bound
 
 if TYPE_CHECKING:
     # An annotation only: ideals imports this module for its division.
@@ -54,67 +55,51 @@ def formal_division(
             f"working truncation {truncation} exceeds an input truncation"
         )
 
-    alphas = [g.initial_exponent() for g in divisors]
-    leads = [g.coefficient(a) for g, a in zip(divisors, alphas)]
-    staircase = Staircase(n, alphas)
+    # The loop runs on packed keys (see monomial.pack): the heap orders
+    # them as the monomial order does, a corner a divides m when m - a
+    # sets no guard bit, and a term of a divisor times x^s is at degree
+    # <= truncation when its key plus s lies below bound.
+    guards, bound = guard_bits(n), _bound(n, truncation)
+    alphas = [min(g._table) for g in divisors]
+    leads = [g._table[a] for g, a in zip(divisors, alphas)]
+    staircase = Staircase(n, (unpack(a, n) for a in alphas))
+    divisor_terms = [sorted(g.truncate(truncation)._table.items()) for g in divisors]
+    work = dict(f.truncate(truncation)._table)
+    remainder: dict[int, object] = {}
+    quotients: list[dict[int, object]] = [{} for _ in divisors]
 
-    # The loop runs on the plain term lists of the series module, keyed for
-    # the heap by (degree, reversed exponents) as MultiIndex.sort_key is;
-    # MultiIndex keys are built only for the returned series.
-    corners = [(a.exponents, a.degree) for a in alphas]
-    divisor_terms = [_term_list(g.truncate(truncation)) for g in divisors]
-    work: dict[tuple[int, ...], object] = {
-        m.exponents: c for m, c in f.truncate(truncation).terms.items()
-    }
-    remainder: dict[tuple[int, ...], object] = {}
-    quotients: list[dict[tuple[int, ...], object]] = [{} for _ in divisors]
-
-    heap = [((sum(m),) + m[::-1], m) for m in work]
+    heap = list(work)
     heapq.heapify(heap)
 
     while heap:
-        key, m = heapq.heappop(heap)
+        m = heapq.heappop(heap)
         c = work.get(m)
         if not c:
             work.pop(m, None)
             continue
-        for chosen, (a, a_degree) in enumerate(corners):
-            if all(x >= y for x, y in zip(m, a)):
+        for chosen, a in enumerate(alphas):
+            if not (m - a) & guards:
                 break
         else:
             remainder[m] = c
             del work[m]
             continue
-        shift = tuple(x - y for x, y in zip(m, a))
-        shift_degree = key[0] - a_degree
-        qc = c / leads[chosen]
-        q = quotients[chosen]
-        prev = q.get(shift, 0) + qc
-        if prev:
-            q[shift] = prev
-        elif shift in q:
-            del q[shift]
-        for beta, beta_degree, gcoeff in divisor_terms[chosen]:
-            degree = beta_degree + shift_degree
-            if degree > truncation:
-                continue
-            target = tuple(x + y for x, y in zip(beta, shift))
+        # m is cancelled once, so x^shift enters the quotient once
+        shift = m - a
+        qc = quotients[chosen][shift] = c / leads[chosen]
+        terms = divisor_terms[chosen]
+        for beta, gcoeff in terms[: bisect_left(terms, (bound - shift,))]:
+            target = beta + shift
             updated = work.get(target, 0) - qc * gcoeff
             if updated:
                 work[target] = updated
                 if target != m:
-                    heapq.heappush(heap, ((degree,) + target[::-1], target))
+                    heapq.heappush(heap, target)
             elif target in work:
                 del work[target]
 
-    def series(table):
-        return FormalSeries._from_table(n, truncation, _keyed(table))
-
-    return DivisionResult(
-        quotients=tuple(series(q) for q in quotients),
-        remainder=series(remainder),
-        staircase=staircase,
-    )
+    *qs, r = (FormalSeries._from_table(n, truncation, t) for t in quotients + [remainder])
+    return DivisionResult(quotients=tuple(qs), remainder=r, staircase=staircase)
 
 
 def reduce_mod_ideal(

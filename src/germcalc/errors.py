@@ -18,6 +18,10 @@ class PrecisionError(GermcalcError, ValueError):
     """A truncation degree is too small for the requested computation."""
 
 
+class LimitError(GermcalcError, ValueError):
+    """A degree does not fit the fixed width of a packed monomial key."""
+
+
 class InversionError(GermcalcError, ValueError):
     """A formal map with singular linear part cannot be inverted."""
 

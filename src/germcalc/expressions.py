@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import GermcalcError, ParseError
+from .monomial import unpack
 from .scalars import GaussianRational, I
 from .series import FormalMap, FormalSeries
 
@@ -343,7 +344,7 @@ class _Parser:
     def _bounded(value, tok: _Token):
         """value, unless one of its coefficients passes _MAX_POWER_BITS."""
         series = isinstance(value, FormalSeries)
-        bits = max(map(_bits, value.terms.values() if series else [value]), default=0)
+        bits = max(map(_bits, value._table.values() if series else [value]), default=0)
         if bits > _MAX_POWER_BITS:
             raise ParseError(
                 f"coefficient of {bits} bits exceeds the limit "
@@ -359,7 +360,7 @@ class _Parser:
 
     def _div(self, a, b, tok: _Token):
         if isinstance(b, FormalSeries):
-            if any(m.degree for m in b.terms):
+            if any(b._table):  # a nonzero packed key has positive degree
                 raise ParseError(
                     "division is only defined by a nonzero constant",
                     tok.position,
@@ -493,14 +494,14 @@ def format_series(f: FormalSeries, names: Optional[Sequence[str]] = None) -> str
         names = default_variables(f.dimension)
     if len(names) != f.dimension:
         raise ValueError("need one name per variable")
-    terms = f.sorted_terms()
+    terms = sorted(f._table.items())  # packed keys sort in monomial order
     if not terms:
         return "0"
     pieces = []
-    for mi, coeff in terms:
+    for key, coeff in terms:
         negative = _is_negative(coeff)
         magnitude = -coeff if negative else coeff
-        mono = _monomial_text(mi.exponents, names)
+        mono = _monomial_text(unpack(key, f.dimension), names)
         if not mono:
             body = format_scalar(magnitude)
         elif magnitude == 1:

@@ -7,15 +7,53 @@ least element for it, which is what makes truncated division terminate.
 
 A staircase is a subset of N^n stable under adding arbitrary multi-indices;
 it is stored by its finitely many minimal points (vertices).
+
+The series kernel keys a monomial by one int (Bachmann and Schoenemann,
+ISSAC 1998): the degree, then a_n, ..., a_1, in FIELD_BITS-wide fields
+whose top bits are guards kept clear.  Integer order is the monomial
+order, a product is one addition, and a divides m exactly when m - a sets
+no guard bit (the lowest field that borrows sets its own).
 """
 
 from __future__ import annotations
 
+from functools import total_ordering
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import DimensionError
+from .errors import DimensionError, LimitError
+
+FIELD_BITS = 16
+MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1  # the largest value below a guard bit
+_FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
+def check_width(name: str, degree: int) -> None:
+    """Refuse a degree that a packed key cannot hold."""
+    if degree > MAX_DEGREE:
+        raise LimitError(f"{name} {degree} exceeds the limit of {MAX_DEGREE} "
+                         f"set by {FIELD_BITS}-bit exponent fields")
+
+
+def pack(exponents: Sequence[int]) -> int:
+    """The packed key of an exponent vector of naturals."""
+    key = sum(exponents)
+    check_width("degree", key)
+    for e in reversed(exponents):
+        key = key << FIELD_BITS | e
+    return key
+
+
+def unpack(key: int, dimension: int) -> tuple[int, ...]:
+    """The exponent vector of a packed key."""
+    return tuple(key >> (FIELD_BITS * i) & _FIELD_MASK for i in range(dimension))
+
+
+def guard_bits(dimension: int) -> int:
+    """The guard bits of the exponent fields (see the module docstring)."""
+    return sum(1 << (FIELD_BITS * i + FIELD_BITS - 1) for i in range(dimension))
+
+
+@total_ordering
 class MultiIndex:
     """An exponent vector in N^n, ordered degree-first then right-to-left."""
 
@@ -82,22 +120,11 @@ class MultiIndex:
         self._check_dim(other)
         return all(a >= b for a, b in zip(self._exp, other._exp))
 
-    # Rich comparisons implement the monomial order, not the product order.
+    # Rich comparisons implement the monomial order, not the product order;
+    # total_ordering derives the other three from this one and __eq__.
     def __lt__(self, other):
         self._check_dim(other)
         return self._key < other._key
-
-    def __le__(self, other):
-        self._check_dim(other)
-        return self._key <= other._key
-
-    def __gt__(self, other):
-        self._check_dim(other)
-        return self._key > other._key
-
-    def __ge__(self, other):
-        self._check_dim(other)
-        return self._key >= other._key
 
     def __eq__(self, other):
         if isinstance(other, MultiIndex):
@@ -117,11 +144,7 @@ class MultiIndex:
 def compare(a: MultiIndex, b: MultiIndex) -> int:
     """-1, 0 or 1 according to the monomial order."""
     a._check_dim(b)
-    if a.sort_key < b.sort_key:
-        return -1
-    if a.sort_key > b.sort_key:
-        return 1
-    return 0
+    return (a.sort_key > b.sort_key) - (a.sort_key < b.sort_key)
 
 
 def _as_multi_index(point) -> MultiIndex:

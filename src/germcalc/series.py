@@ -1,22 +1,24 @@
 """Truncated formal power series and formal maps.
 
 A FormalSeries carries its ambient variable count, an explicit truncation
-degree K, and a sparse term table keyed by MultiIndex; it represents a
-residue class modulo terms of degree > K.  Every binary operation
-propagates the minimum of the operand truncations, and nothing in this
-module invents a default K.
+degree K, and a sparse term table keyed by packed monomials (see
+monomial.pack); it represents a residue class modulo terms of degree > K.
+Every binary operation propagates the minimum of the operand truncations,
+and nothing in this module invents a default K.  The constructor takes
+tuple or MultiIndex keys, and the MultiIndex view of the table (terms,
+sorted_terms) is built on first read and kept, since a series is
+immutable.  The truncation is at most monomial.MAX_DEGREE.
 
-Products run on plain term lists of (exponent tuple, degree, coefficient)
-triples.  Their one loop, _mul_terms, adds exponents as tuples and skips
-every pair of terms whose degrees sum past the truncation; a MultiIndex
-key is built once per term of a result, not once per pair.  Over Q the
-loop sees only ints: each operand is cleared to integer numerators over
-the lcm of its denominators, and each result coefficient is reduced once.
-Over Q(i) coefficients pass through as they are, over 1.  A series
-product is that loop and one keyed table.  Substitution keeps the powers
-of each component as term lists, power e over the e-th power of the
-component's denominator, and sums the images of all terms into one
-table over the lcm of their denominators.
+Products run on term lists of (packed key, coefficient) pairs sorted by
+key, so by degree.  Their one loop, _mul_terms, adds two keys to multiply
+two monomials, and a bisection on the right operand bounds each left
+term's pairs, so no pair past the truncation is visited.  Over Q the loop
+sees only ints: each operand is cleared to integer numerators over the
+lcm of its denominators, and each result coefficient is reduced once.
+Over Q(i) coefficients pass through as they are, over 1.  Substitution
+keeps the powers of each component as term lists, power e over the e-th
+power of the component's denominator, and sums the images of all terms
+into one table over the lcm of their denominators.
 
 A FormalMap, like a VectorField (see dynamics), is n series in n
 variables with zero constant term, cut to their common truncation; the
@@ -27,122 +29,121 @@ truncation of its own degree (see FormalMap.inverse).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from math import lcm
-from operator import add
+from math import lcm, prod
 from typing import Optional, Sequence
 
 from .errors import DimensionError, InversionError, PrecisionError
-from .monomial import MultiIndex
+from .monomial import _FIELD_MASK, FIELD_BITS, MultiIndex, check_width, pack, unpack
 from .scalars import GaussianRational, as_gaussian, coerce_scalar
 
 Scalar = Fraction | GaussianRational
 
 
-def _term_list(series: "FormalSeries") -> list[tuple[tuple[int, ...], int, Scalar]]:
-    """The terms of a series as (exponent tuple, degree, coefficient)."""
-    return [(m.exponents, m.degree, c) for m, c in series.terms.items()]
+def _bound(dimension: int, truncation: int) -> int:
+    """The least packed key past degree truncation: a key, or a sum of two
+    keys, has degree <= truncation exactly when it lies below this."""
+    return truncation + 1 << FIELD_BITS * dimension
 
 
 def _scaled_terms(series: "FormalSeries") -> tuple[list, int]:
-    """The terms of a series as (exponent tuple, degree, numerator) and
-    their common denominator: int numerators over the lcm of the
+    """The terms of a series as (packed key, numerator) pairs sorted by key,
+    and their common denominator: int numerators over the lcm of the
     denominators over Q, the coefficients as they are over 1 over Q(i)."""
+    items = sorted(series._table.items())
     try:
-        ratios = [c.as_integer_ratio() for c in series.terms.values()]
+        ratios = [c.as_integer_ratio() for _, c in items]
     except AttributeError:  # a GaussianRational has no integer ratio
-        return _term_list(series), 1
+        return items, 1
     den = lcm(*[q for _, q in ratios])
-    return [
-        (m.exponents, m.degree, p * (den // q)) for m, (p, q) in zip(series.terms, ratios)
-    ], den
+    return [(k, p * (den // q)) for (k, _), (p, q) in zip(items, ratios)], den
 
 
-def _mul_terms(left, right, truncation: int, table=None) -> dict:
-    """The product of two term lists of (exponent tuple, degree,
-    coefficient) through degree truncation, added into table (a new dict
-    when None) and returned.  Sums that cancel stay in the table as zeros."""
+def _mul_terms(left, right, bound: int, table=None) -> dict:
+    """The product of two term lists of (packed key, coefficient) pairs,
+    right sorted by key, through the degree that bound ends (see _bound),
+    added into table (a new dict when None) and returned.  Sums that
+    cancel stay in the table as zeros."""
     if table is None:
         table = {}
     get = table.get
-    for ea, da, ca in left:
-        room = truncation - da
-        if room < 0:
-            continue
-        for eb, db, cb in right:
-            if db <= room:
-                key = tuple(map(add, ea, eb))
-                table[key] = get(key, 0) + ca * cb
+    for ka, ca in left:
+        # the right terms kb with ka + kb below bound
+        for kb, cb in right[: bisect_left(right, (bound - ka,))]:
+            key = ka + kb
+            table[key] = get(key, 0) + ca * cb
     return table
 
 
-def _nonzero_terms(table: dict) -> list[tuple[tuple[int, ...], int, Scalar]]:
-    """A product table as a term list, cancelled terms dropped."""
-    return [(e, sum(e), c) for e, c in table.items() if c]
+def _nonzero_terms(table: dict) -> list[tuple[int, Scalar]]:
+    """A product table as a term list sorted by key, cancelled terms
+    dropped."""
+    return sorted((k, c) for k, c in table.items() if c)
 
 
-def _over(num, den: int) -> Scalar:
-    """num / den as a series coefficient, a Fraction for an int num."""
-    if type(num) is int:
-        return Fraction(num, den)
-    return num / den if den != 1 else num
+_ONE = [(0, 1)]
+_ZERO = Fraction(0)
 
 
-def _keyed(table: dict, den: int = 1) -> dict[MultiIndex, Scalar]:
-    """A table of numerators over den keyed by exponent tuples as a series
-    term table, zero coefficients dropped."""
-    return {MultiIndex(e): _over(c, den) for e, c in table.items() if c}
+def _powers(components: Sequence["FormalSeries"], truncation: int) -> tuple:
+    """The truncation, the denominator D_j of each component at it, and the
+    powers of each component as term lists, power e over D_j^e, grown on
+    demand by substitute from [1, component]."""
+    scaled = [_scaled_terms(c.truncate(truncation)) for c in components]
+    return truncation, [den for _, den in scaled], [[_ONE, terms] for terms, _ in scaled]
 
 
-def _as_exponent(dimension: int, key) -> MultiIndex:
-    mi = key if isinstance(key, MultiIndex) else MultiIndex(key)
-    if mi.dimension != dimension:
-        raise DimensionError(
-            f"exponent {mi} does not live in dimension {dimension}"
-        )
-    return mi
+def _reduced(table: dict, den: int) -> dict[int, Scalar]:
+    """A table of numerators over den as a series term table, zero
+    coefficients dropped; an int numerator becomes a Fraction."""
+    if den == 1:
+        return {k: Fraction(c) if type(c) is int else c for k, c in table.items() if c}
+    return {k: Fraction(c, den) if type(c) is int else c / den for k, c in table.items() if c}
 
 
 class FormalSeries:
     """A formal power series known exactly up to its truncation degree."""
 
-    __slots__ = ("_n", "_trunc", "_terms")
+    __slots__ = ("_n", "_trunc", "_table", "_view")
 
     def __init__(self, dimension: int, truncation: int, terms=None):
         if dimension < 1:
             raise ValueError("dimension must be at least 1")
         if truncation < 0:
             raise ValueError("truncation degree must be a natural number")
-        table: dict[MultiIndex, Scalar] = {}
-        if terms:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for key, value in items:
-                mi = _as_exponent(dimension, key)
-                if mi.degree > truncation:
-                    continue
-                c = coerce_scalar(value)
-                if mi in table:
-                    c = table[mi] + c
-                if c:
-                    table[mi] = c
-                elif mi in table:
-                    del table[mi]
+        check_width("truncation", truncation)
         object.__setattr__(self, "_n", dimension)
         object.__setattr__(self, "_trunc", truncation)
-        object.__setattr__(self, "_terms", table)
+        object.__setattr__(self, "_view", None)
+        table: dict[int, Scalar] = {}
+        for key, value in terms.items() if hasattr(terms, "items") else terms or ():
+            k = self._packed_key(key)
+            if k is not None:
+                c = coerce_scalar(value)
+                table[k] = table[k] + c if k in table else c
+        object.__setattr__(self, "_table", {k: c for k, c in table.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("FormalSeries is immutable")
+
+    def _packed_key(self, key) -> Optional[int]:
+        """The packed key of a tuple or MultiIndex exponent of this
+        dimension, None past the truncation."""
+        mi = key if isinstance(key, MultiIndex) else MultiIndex(key)
+        if mi.dimension != self._n:
+            raise DimensionError(f"exponent {mi} does not live in dimension {self._n}")
+        return pack(mi.exponents) if mi.degree <= self._trunc else None
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def _from_table(cls, dimension: int, truncation: int, table: dict) -> "FormalSeries":
         """A series over a ready term table, taken over without a copy:
-        every key a MultiIndex of this dimension and degree <= truncation,
+        every key a packed key of this dimension and degree <= truncation,
         every coefficient nonzero."""
         out = cls(dimension, truncation)
-        object.__setattr__(out, "_terms", table)
+        object.__setattr__(out, "_table", table)
         return out
 
     @classmethod
@@ -176,34 +177,37 @@ class FormalSeries:
 
     @property
     def terms(self) -> dict[MultiIndex, Scalar]:
-        """The sparse term table; treat as read-only."""
-        return self._terms
+        """The term table keyed by MultiIndex, in increasing monomial order;
+        treat as read-only."""
+        if self._view is None:
+            view = {MultiIndex(unpack(k, self._n)): c for k, c in sorted(self._table.items())}
+            object.__setattr__(self, "_view", view)
+        return self._view
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._table
 
     def coefficient(self, key) -> Scalar:
-        mi = _as_exponent(self._n, key)
-        return self._terms.get(mi, Fraction(0))
+        return self._table.get(self._packed_key(key), _ZERO)
 
     def constant_term(self) -> Scalar:
-        return self._terms.get(MultiIndex((0,) * self._n), Fraction(0))
+        return self._table.get(0, _ZERO)
 
     def sorted_terms(self) -> list[tuple[MultiIndex, Scalar]]:
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key)
+        return list(self.terms.items())
 
     def initial_exponent(self) -> Optional[MultiIndex]:
         """Exponent of the order-smallest term, None for the zero series."""
-        if not self._terms:
+        if not self._table:
             return None
-        return min(self._terms, key=lambda m: m.sort_key)
+        return MultiIndex(unpack(min(self._table), self._n))
 
     def order(self) -> Optional[int]:
         """Degree of the lowest term, None for the zero series."""
-        if not self._terms:
+        if not self._table:
             return None
-        return min(m.degree for m in self._terms)
+        return min(self._table) >> FIELD_BITS * self._n
 
     def vanishes_to_order(self, k: int) -> bool:
         """True iff every stored term has degree >= k.
@@ -214,7 +218,7 @@ class FormalSeries:
             raise PrecisionError(
                 f"cannot test vanishing to order {k} at truncation {self._trunc}"
             )
-        return all(m.degree >= k for m in self._terms)
+        return self.is_zero or self.order() >= k
 
     # -- ring operations ----------------------------------------------------
 
@@ -231,15 +235,13 @@ class FormalSeries:
                 return NotImplemented
         self._check_compatible(other)
         trunc = min(self._trunc, other._trunc)
-        table = {m: c for m, c in self._terms.items() if m.degree <= trunc}
-        for m, c in other._terms.items():
-            if m.degree > trunc:
-                continue
-            s = table.get(m, 0) + c
+        table = dict(self.truncate(trunc)._table)
+        for k, c in other.truncate(trunc)._table.items():
+            s = table.get(k, 0) + c
             if s:
-                table[m] = s
-            elif m in table:
-                del table[m]
+                table[k] = s
+            elif k in table:
+                del table[k]
         return FormalSeries._from_table(self._n, trunc, table)
 
     def _promote(self, value) -> Optional["FormalSeries"]:
@@ -254,7 +256,7 @@ class FormalSeries:
 
     def __neg__(self):
         return FormalSeries._from_table(
-            self._n, self._trunc, {m: -c for m, c in self._terms.items()}
+            self._n, self._trunc, {k: -c for k, c in self._table.items()}
         )
 
     def __sub__(self, other):
@@ -275,8 +277,8 @@ class FormalSeries:
             self._check_compatible(other)
             trunc = min(self._trunc, other._trunc)
             (left, da), (right, db) = _scaled_terms(self), _scaled_terms(other)
-            table = _mul_terms(left, right, trunc)
-            return FormalSeries._from_table(self._n, trunc, _keyed(table, da * db))
+            table = _mul_terms(left, right, _bound(self._n, trunc))
+            return FormalSeries._from_table(self._n, trunc, _reduced(table, da * db))
         try:
             c = coerce_scalar(other)
         except TypeError:
@@ -284,7 +286,7 @@ class FormalSeries:
         if not c:
             return FormalSeries(self._n, self._trunc)
         return FormalSeries._from_table(
-            self._n, self._trunc, {m: v * c for m, v in self._terms.items()}
+            self._n, self._trunc, {k: v * c for k, v in self._table.items()}
         )
 
     def __rmul__(self, other):
@@ -299,12 +301,14 @@ class FormalSeries:
             )
         if degree == self._trunc:
             return self
+        bound = _bound(self._n, degree)
         return FormalSeries._from_table(
-            self._n, degree, {m: c for m, c in self._terms.items() if m.degree <= degree}
+            self._n, degree, {k: c for k, c in self._table.items() if k < bound}
         )
 
     def homogeneous_part(self, degree: int) -> "FormalSeries":
-        table = {m: c for m, c in self._terms.items() if m.degree == degree}
+        shift = FIELD_BITS * self._n
+        table = {k: c for k, c in self._table.items() if k >> shift == degree}
         return FormalSeries._from_table(self._n, self._trunc, table)
 
     def derivative(self, index: int) -> "FormalSeries":
@@ -313,14 +317,14 @@ class FormalSeries:
             raise ValueError(f"variable index {index} out of range")
         if self._trunc == 0:
             raise PrecisionError("cannot differentiate a series truncated at 0")
-        table: dict[MultiIndex, Scalar] = {}
-        for m, c in self._terms.items():
-            e = m[index]
-            if e == 0:
-                continue
-            exp = list(m.exponents)
-            exp[index] = e - 1
-            table[MultiIndex(exp)] = c * e
+        # x_index^-1 lowers that field and the degree field by one each
+        low = FIELD_BITS * index
+        step = (1 << low) + (1 << FIELD_BITS * self._n)
+        table: dict[int, Scalar] = {}
+        for k, c in self._table.items():
+            e = k >> low & _FIELD_MASK
+            if e:
+                table[k - step] = c * e
         return FormalSeries._from_table(self._n, self._trunc - 1, table)
 
     def evaluate(self, point: Sequence) -> Scalar:
@@ -329,17 +333,19 @@ class FormalSeries:
             raise DimensionError("evaluation point has wrong length")
         values = [coerce_scalar(p) for p in point]
         total: Scalar = Fraction(0)
-        for m, c in self._terms.items():
+        for k, c in self._table.items():
             term = c
-            for v, e in zip(values, m.exponents):
+            for v, e in zip(values, unpack(k, self._n)):
                 if e:
                     term = term * v**e
             total = total + term
         return total
 
-    def substitute(self, components: Sequence["FormalSeries"]) -> "FormalSeries":
+    def substitute(self, components: Sequence["FormalSeries"], powers=None) -> "FormalSeries":
         """Substitute one series per variable; components must have zero
-        constant term and live in a common dimension."""
+        constant term and live in a common dimension.  powers, from
+        _powers, shares the powers of the components between the
+        substitutions of a composition."""
         if len(components) != self._n:
             raise DimensionError(
                 f"need {self._n} substitution components, got {len(components)}"
@@ -353,35 +359,33 @@ class FormalSeries:
                 raise DimensionError("substitution components have mixed dimensions")
             if comp.constant_term():
                 raise ValueError("substitution components must vanish at 0")
-        origin = (0,) * m
-        one = [(origin, 0, 1)]
-        scaled = [_scaled_terms(c.truncate(trunc)) for c in components]
-        powers = [[one, terms] for terms, _ in scaled]
+        if powers is None or powers[0] != trunc:
+            powers = _powers(components, trunc)
+        _, dens, cache = powers
+        bound = _bound(m, trunc)
         # the image of c * x^e is a numerator over den(c) * prod_j D_j^e_j
         images = []
-        for mi, c in self.sorted_terms():
-            if mi.degree <= trunc:
-                num, den = c.as_integer_ratio() if type(c) is Fraction else (c, 1)
-                for (_, comp_den), e in zip(scaled, mi.exponents):
-                    den *= comp_den**e
-                images.append((mi.exponents, num, den))
+        for key, c in self.truncate(trunc)._table.items():
+            num, den = c.as_integer_ratio() if type(c) is Fraction else (c, 1)
+            exponents = unpack(key, self._n)
+            images.append((exponents, num, den * prod(d**e for d, e in zip(dens, exponents))))
         common = lcm(*(den for _, _, den in images))
-        acc: dict[tuple[int, ...], Scalar] = {}
+        acc: dict[int, Scalar] = {}
         for exponents, num, den in images:
             factors = []
             for j, e in enumerate(exponents):
                 if e:
-                    cache = powers[j]
-                    while len(cache) <= e:
-                        cache.append(_nonzero_terms(_mul_terms(cache[-1], cache[1], trunc)))
-                    factors.append(cache[e])
+                    power = cache[j]
+                    while len(power) <= e:
+                        power.append(_nonzero_terms(_mul_terms(power[-1], power[1], bound)))
+                    factors.append(power[e])
             # the scaled numerator times the powers its exponent names; the
             # last product is added straight into acc
-            term = [(origin, 0, num * (common // den))]
+            term = [(0, num * (common // den))]
             for factor in factors[:-1]:
-                term = _nonzero_terms(_mul_terms(term, factor, trunc))
-            _mul_terms(term, factors[-1] if factors else one, trunc, acc)
-        return FormalSeries._from_table(m, trunc, _keyed(acc, common))
+                term = _nonzero_terms(_mul_terms(term, factor, bound))
+            _mul_terms(term, factors[-1] if factors else _ONE, bound, acc)
+        return FormalSeries._from_table(m, trunc, _reduced(acc, common))
 
     # -- comparisons --------------------------------------------------------
 
@@ -390,7 +394,7 @@ class FormalSeries:
             return (
                 self._n == other._n
                 and self._trunc == other._trunc
-                and self._terms == other._terms
+                and self._table == other._table
             )
         return NotImplemented
 
@@ -455,7 +459,9 @@ class _ComponentTuple:
         """self after the map other, in the class of self."""
         if other.dimension != self.dimension:
             raise DimensionError("cannot compose maps of different dimensions")
-        return type(self)([c.substitute(other.components) for c in self._comps])
+        comps = other.components
+        powers = _powers(comps, min(self._trunc, other.truncation))
+        return type(self)([c.substitute(comps, powers) for c in self._comps])
 
     def __eq__(self, other):
         if isinstance(other, _ComponentTuple):
@@ -514,9 +520,10 @@ class FormalMap(_ComponentTuple):
         psi = [FormalSeries(n, 1, zip(units, row)) for row in inv_linear]
         for degree in range(2, self._trunc + 1):
             # psi is exact through degree - 1; its degree-d part is next
-            psi = [FormalSeries._from_table(n, degree, p.terms) for p in psi]
+            psi = [FormalSeries._from_table(n, degree, p._table) for p in psi]
+            powers = _powers(psi, degree)
             error = [
-                c.truncate(degree).substitute(psi).homogeneous_part(degree)
+                c.truncate(degree).substitute(psi, powers).homogeneous_part(degree)
                 for c in self._comps
             ]
             for i, row in enumerate(inv_linear):
@@ -568,17 +575,10 @@ def realify(f: FormalSeries) -> tuple[FormalSeries, FormalSeries]:
         x, y = (FormalSeries.variable(m, trunc, t) for t in (2 * j, 2 * j + 1))
         components.append(x + i_unit * y)
     expanded = f.substitute(components)
-    real_terms: dict[MultiIndex, Fraction] = {}
-    imag_terms: dict[MultiIndex, Fraction] = {}
-    for mi, c in expanded.terms.items():
-        g = as_gaussian(c)
-        if g.real:
-            real_terms[mi] = g.real
-        if g.imag:
-            imag_terms[mi] = g.imag
+    parts = [(k, as_gaussian(c)) for k, c in expanded._table.items()]
     return (
-        FormalSeries._from_table(m, trunc, real_terms),
-        FormalSeries._from_table(m, trunc, imag_terms),
+        FormalSeries._from_table(m, trunc, {k: g.real for k, g in parts if g.real}),
+        FormalSeries._from_table(m, trunc, {k: g.imag for k, g in parts if g.imag}),
     )
 
 

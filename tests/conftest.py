@@ -170,7 +170,7 @@ class EliminationJetSpace:
             for m in monomials_up_to(ideal.dimension, degree):
                 shifted = {b + m: c for b, c in g.terms.items() if (b + m).degree <= degree}
                 if shifted:
-                    self._insert(FormalSeries._from_table(ideal.dimension, degree, shifted))
+                    self._insert(FormalSeries(ideal.dimension, degree, shifted))
 
     def _insert(self, s):
         pivots = self.pivots
@@ -226,7 +226,7 @@ def product_oracle(a, b):
                 table[key] = s
             elif key in table:
                 del table[key]
-    return FormalSeries._from_table(a.dimension, trunc, table)
+    return FormalSeries(a.dimension, trunc, table)
 
 
 def substitute_oracle(f, components):

@@ -392,6 +392,18 @@ def test_sequence_levels_past_the_printer_exit_2(capsys, fmt):
     )
 
 
+def test_a_truncation_past_the_packed_width_exits_2(capsys):
+    code, out, err = invoke(
+        capsys, "jet", "-f", "z", "--order", "2", "--vars", "z", "--trunc", "100000"
+    )
+    assert code == 2
+    assert not out
+    assert err == (
+        "error: truncation 100000 exceeds the limit of 32767 "
+        "set by 16-bit exponent fields\n"
+    )
+
+
 def test_the_last_level_that_prints_is_the_bound():
     # through the check and the values themselves, never by printing them
     assert _MAX_PRINTED_LEVELS == 14284

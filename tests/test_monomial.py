@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from germcalc import (
     DimensionError,
+    LimitError,
     MultiIndex,
     Staircase,
     chain_stabilization,
@@ -14,6 +15,7 @@ from germcalc import (
     monomials_up_to,
     vertex_extraction,
 )
+from germcalc.monomial import FIELD_BITS, MAX_DEGREE, guard_bits, pack, unpack
 
 # -- oracles ----------------------------------------------------------------
 #
@@ -249,3 +251,103 @@ def test_monomials_up_to_count_and_order():
     assert len(set(out)) == len(out)
     for earlier, later in zip(out, out[1:]):
         assert compare(earlier, later) == -1
+
+
+# -- packed keys ------------------------------------------------------------
+#
+# Exponent vectors in n = 1..4 variables whose degree fits a packed key,
+# drawn up to and including MAX_DEGREE in one entry or in their sum.
+
+
+@st.composite
+def packable(draw, n, degree=None):
+    """An exponent vector of n entries and the given (or a drawn) degree."""
+    total = draw(st.integers(0, MAX_DEGREE)) if degree is None else degree
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
+
+
+@st.composite
+def packable_pair(draw):
+    n = draw(st.integers(1, 4))
+    return draw(packable(n)), draw(packable(n))
+
+
+@st.composite
+def split_pair(draw):
+    """Two vectors whose sum still fits, the sum at MAX_DEGREE included."""
+    n = draw(st.integers(1, 4))
+    whole = draw(packable(n))
+    part = tuple(draw(st.integers(0, e)) for e in whole)
+    return part, tuple(e - p for e, p in zip(whole, part))
+
+
+def test_max_degree_is_the_largest_value_below_a_guard_bit():
+    assert MAX_DEGREE == 2 ** (FIELD_BITS - 1) - 1
+    for n in range(1, 5):
+        for i in range(n):
+            top = tuple(MAX_DEGREE if j == i else 0 for j in range(n))
+            assert unpack(pack(top), n) == top
+
+
+def test_a_degree_past_the_limit_is_refused():
+    for exps in [(MAX_DEGREE + 1,), (MAX_DEGREE, 1), (1, 0, 0, MAX_DEGREE)]:
+        with pytest.raises(LimitError, match=str(MAX_DEGREE)):
+            pack(exps)
+
+
+@given(st.integers(1, 4).flatmap(packable))
+def test_pack_unpack_round_trip(exps):
+    key = pack(exps)
+    assert unpack(key, len(exps)) == exps
+    assert key >> FIELD_BITS * len(exps) == sum(exps)
+
+
+@given(packable_pair())
+def test_integer_order_is_the_monomial_order(pair):
+    a, b = pair
+    ka, kb = pack(a), pack(b)
+    assert (ka < kb) == (MultiIndex(a).sort_key < MultiIndex(b).sort_key)
+    assert (ka == kb) == (a == b)
+    assert (ka < kb) == (oracle_compare(a, b) == -1)
+
+
+def test_integer_order_exhaustive_in_small_degrees():
+    for n in range(1, 5):
+        exps = [m.exponents for m in monomials_up_to(n, 4)]
+        assert sorted(exps, key=pack) == exps
+
+
+@given(split_pair())
+def test_packed_sum_is_the_multi_index_sum(pair):
+    a, b = pair
+    assert pack(a) + pack(b) == pack((MultiIndex(a) + MultiIndex(b)).exponents)
+
+
+def _guard_dominates(a, b):
+    return not (pack(a) - pack(b)) & guard_bits(len(a))
+
+
+@given(packable_pair())
+def test_guard_bits_decide_divisibility(pair):
+    a, b = pair
+    assert _guard_dominates(a, b) == MultiIndex(a).dominates(MultiIndex(b))
+    assert _guard_dominates(b, a) == MultiIndex(b).dominates(MultiIndex(a))
+
+
+@given(split_pair())
+def test_guard_bits_decide_divisibility_of_sums(pair):
+    a, b = pair
+    whole = tuple(x + y for x, y in zip(a, b))
+    assert _guard_dominates(whole, a) and _guard_dominates(whole, b)
+    assert _guard_dominates(a, whole) == (not any(b))
+
+
+def test_guard_bits_at_the_field_limits():
+    for n in range(1, 5):
+        for i in range(n):
+            top = tuple(MAX_DEGREE if j == i else 0 for j in range(n))
+            for j in range(n):
+                unit = tuple(int(t == j) for t in range(n))
+                assert _guard_dominates(top, unit) == (i == j)
+                assert not _guard_dominates(unit, top)

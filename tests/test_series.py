@@ -12,6 +12,7 @@ from germcalc import (
     GaussianRational,
     I,
     InversionError,
+    LimitError,
     MultiIndex,
     PrecisionError,
     VectorField,
@@ -22,6 +23,7 @@ from germcalc import (
     realify_map,
 )
 from germcalc import series as series_module
+from germcalc.monomial import MAX_DEGREE
 from conftest import (
     exponent_tuples,
     inverse_oracle,
@@ -83,6 +85,39 @@ def test_immutability():
     f = s2({(1, 0): 1})
     with pytest.raises(AttributeError):
         f.truncation = 9
+
+
+def test_terms_are_one_multi_index_view_in_monomial_order():
+    f = s2({(0, 1): 2, (2, 0): 3, MultiIndex((1, 0)): 1})
+    view = f.terms
+    assert all(type(m) is MultiIndex for m in view)
+    assert view == {MultiIndex((1, 0)): 1, MultiIndex((0, 1)): 2, MultiIndex((2, 0)): 3}
+    assert list(view) == [MultiIndex((1, 0)), MultiIndex((0, 1)), MultiIndex((2, 0))]
+    assert f.terms is view
+    assert f.sorted_terms() == list(view.items())
+    assert f.initial_exponent() == MultiIndex((1, 0))
+
+
+def test_coefficient_takes_tuple_or_multi_index_keys():
+    f = s2({(1, 2): 5})
+    assert f.coefficient((1, 2)) == f.coefficient(MultiIndex((1, 2))) == 5
+    assert f.coefficient((2, 1)) == f.coefficient((9, 9)) == 0
+    for key in [(1, 2, 0), (1,), MultiIndex((1, 2, 0))]:
+        with pytest.raises(DimensionError):
+            f.coefficient(key)
+    with pytest.raises(ValueError):
+        f.coefficient((1, -1))
+
+
+def test_truncation_past_the_packed_width_is_refused():
+    # through the constructor's check only: no series of that size is built
+    top = FormalSeries.monomial(2, MAX_DEGREE, (MAX_DEGREE - 1, 0))
+    z, w = (FormalSeries.variable(2, MAX_DEGREE, i) for i in range(2))
+    assert (top * w).coefficient((MAX_DEGREE - 1, 1)) == 1
+    assert (top * w * z).is_zero
+    assert top.derivative(0).coefficient((MAX_DEGREE - 2, 0)) == MAX_DEGREE - 1
+    with pytest.raises(LimitError, match=f"limit of {MAX_DEGREE}"):
+        FormalSeries(1, MAX_DEGREE + 1)
 
 
 # -- arithmetic -------------------------------------------------------------
@@ -435,9 +470,9 @@ def test_inverse_composes_each_degree_at_its_own_truncation(monkeypatch):
     calls = []
     original = FormalSeries.substitute
 
-    def recording(self, components):
+    def recording(self, components, *shared):
         calls.append((self.truncation, [c.truncation for c in components]))
-        return original(self, components)
+        return original(self, components, *shared)
 
     monkeypatch.setattr(FormalSeries, "substitute", recording)
     K, n = 8, 2
@@ -448,6 +483,17 @@ def test_inverse_composes_each_degree_at_its_own_truncation(monkeypatch):
         degree = 2 + index // n
         assert trunc == degree and comps == [degree] * n
     assert all(trunc < K for trunc, _ in calls[:-n])
+
+
+def test_shared_powers_apply_only_at_their_own_truncation():
+    rng = random.Random(43)
+    phi = random_invertible_map(rng, 2, 5)
+    f = random_series(rng, 2, 5, density=0.6)
+    comps = phi.components
+    for trunc in (3, 5):
+        shared = series_module._powers(comps, trunc)
+        assert f.substitute(comps, shared) == substitute_oracle(f, comps)
+        assert f.truncate(3).substitute(comps, shared) == substitute_oracle(f.truncate(3), comps)
 
 
 def test_a_map_truncated_at_0_has_no_known_linear_part():
@@ -556,9 +602,9 @@ def test_the_product_loop_sees_only_ints_over_q(monkeypatch):
     seen = []
     original = series_module._mul_terms
 
-    def recording(left, right, truncation, table=None):
-        seen.extend(type(c) for terms in (left, right) for _, _, c in terms)
-        return original(left, right, truncation, table)
+    def recording(left, right, bound, table=None):
+        seen.extend(type(c) for terms in (left, right) for _, c in terms)
+        return original(left, right, bound, table)
 
     monkeypatch.setattr(series_module, "_mul_terms", recording)
     for _ in every_result("Q"):
