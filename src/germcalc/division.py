@@ -7,7 +7,8 @@ working truncation K.  The loop always cancels the order-smallest term of
 the working series that lies in the staircase, using the smallest-index
 divisor whose translate covers it; each cancellation only creates strictly
 larger terms, so the process sweeps the finitely many monomials of degree
-at most K once.
+at most K once.  So the first term that lands in the remainder stays
+there, and a membership test stops at it, building no quotient.
 
 reduce_mod_ideal computes the canonical normal form against the degree-K
 jet of an ideal: the staircase used is the ideal's diagram of initial
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DimensionError, PrecisionError
-from .monomial import Staircase, guard_bits, unpack
+from .monomial import Staircase, guard_bits
 from .series import FormalSeries, _bound
 
 if TYPE_CHECKING:
@@ -38,9 +39,12 @@ class DivisionResult:
     staircase: Staircase
 
 
-def formal_division(
-    f: FormalSeries, divisors: Sequence[FormalSeries], truncation: int
-) -> DivisionResult:
+def _divide(
+    f: FormalSeries, divisors: Sequence[FormalSeries], truncation: int, quotients=None
+) -> dict[int, object]:
+    """The remainder table of f on division by the divisors, filling
+    quotients, one table per divisor, when given; without quotients, only
+    the remainder's first term, or no term when the remainder is zero."""
     if not divisors:
         raise ValueError("at least one divisor is required")
     n = f.dimension
@@ -62,11 +66,9 @@ def formal_division(
     guards, bound = guard_bits(n), _bound(n, truncation)
     alphas = [min(g._table) for g in divisors]
     leads = [g._table[a] for g, a in zip(divisors, alphas)]
-    staircase = Staircase(n, (unpack(a, n) for a in alphas))
     divisor_terms = [sorted(g.truncate(truncation)._table.items()) for g in divisors]
     work = dict(f.truncate(truncation)._table)
     remainder: dict[int, object] = {}
-    quotients: list[dict[int, object]] = [{} for _ in divisors]
 
     heap = list(work)
     heapq.heapify(heap)
@@ -82,11 +84,15 @@ def formal_division(
                 break
         else:
             remainder[m] = c
+            if quotients is None:
+                return remainder
             del work[m]
             continue
         # m is cancelled once, so x^shift enters the quotient once
         shift = m - a
-        qc = quotients[chosen][shift] = c / leads[chosen]
+        qc = c / leads[chosen]
+        if quotients is not None:
+            quotients[chosen][shift] = qc
         terms = divisor_terms[chosen]
         for beta, gcoeff in terms[: bisect_left(terms, (bound - shift,))]:
             target = beta + shift
@@ -97,8 +103,17 @@ def formal_division(
                     heapq.heappush(heap, target)
             elif target in work:
                 del work[target]
+    return remainder
 
-    *qs, r = (FormalSeries._from_table(n, truncation, t) for t in quotients + [remainder])
+
+def formal_division(
+    f: FormalSeries, divisors: Sequence[FormalSeries], truncation: int
+) -> DivisionResult:
+    quotients: list[dict[int, object]] = [{} for _ in divisors]
+    remainder = _divide(f, divisors, truncation, quotients)
+    staircase = Staircase(f.dimension, (g.initial_exponent() for g in divisors))
+    *qs, r = (FormalSeries._from_table(f.dimension, truncation, t)
+              for t in quotients + [remainder])
     return DivisionResult(quotients=tuple(qs), remainder=r, staircase=staircase)
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Optional
 
 from .errors import DimensionError, PrecisionError
 from .ideals import HorizonReport, IdealPresentation, jet_membership
-from .series import FormalMap, compose
+from .series import FormalMap, _powers
 
 MODES = ("family", "set")
 
@@ -80,18 +80,25 @@ class GermFamily:
         return len(self.ideals)
 
 
-def _pulled(ideal: IdealPresentation, phi: FormalMap) -> tuple:
+def _pulled(ideal: IdealPresentation, phi: FormalMap, powers: dict) -> tuple:
     """The generators composed with phi, zeros kept so that positions index
-    ideal.generators, and the ideal they generate (which drops zeros)."""
-    gens = tuple(compose(g, phi) for g in ideal.generators)
-    return gens, IdealPresentation(ideal.dimension, gens)
+    ideal.generators, and the ideal they generate (which drops zeros).
+    powers maps a working truncation to phi's powers at it (series._powers),
+    filled on demand and shared by the calls that pass the same dict."""
+    if phi.dimension != ideal.dimension:
+        raise DimensionError("map dimension differs from ideal dimension")
+    comps, gens = phi.components, []
+    for g in ideal.generators:
+        trunc = min(g.truncation, phi.truncation)
+        if trunc not in powers:
+            powers[trunc] = _powers(comps, trunc)
+        gens.append(g.substitute(comps, powers[trunc]))
+    return tuple(gens), IdealPresentation(ideal.dimension, gens)
 
 
 def pullback(ideal: IdealPresentation, phi: FormalMap) -> IdealPresentation:
     """The ideal generated by the compositions g(Phi) of the generators."""
-    if phi.dimension != ideal.dimension:
-        raise DimensionError("map dimension differs from ideal dimension")
-    return _pulled(ideal, phi)[1]
+    return _pulled(ideal, phi, {})[1]
 
 
 @dataclass(frozen=True)
@@ -166,7 +173,7 @@ def pair_order_k(
 ) -> bool:
     """Two-sided order-k equivalence verdict for a single pair of ideals."""
     phi.linear_inverse()  # refuses a singular Phi
-    ok, _ = _pair_order_k(left, _pulled(right, phi), k)
+    ok, _ = _pair_order_k(left, _pulled(right, phi, {}), k)
     return ok
 
 
@@ -181,21 +188,23 @@ def _match(
     candidates: Optional[CandidateHook] = None,
 ) -> EquivalenceReport:
     """Compare two families of one mode with a pairwise verdict:
-    pair(left ideal, _pulled(right ideal, phi), k) gives (ok, failure).
+    pair(left ideal, _pulled(right ideal, phi, powers), k) gives (ok, failure).
 
     Family mode pairs members by position.  Set mode searches a partner
     for every left member in the right pool and for every right member in
     the left pool, in the order the candidate hook proposes (every pool
     index by default), and evaluates each (left, right) pair only once.
     Each right member is pulled back at most once, when a pair first
-    needs it, so members the hook never proposes cost nothing.
+    needs it, so members the hook never proposes cost nothing, and every
+    pullback reads one table of phi's powers per working truncation.
     """
+    powers: dict = {}
     if left.mode == "family":
         if left.labels != right.labels:
             raise ValueError("family mode requires identical label sequences")
         verdicts = []
         for label, ileft, iright in zip(left.labels, left.ideals, right.ideals):
-            good, failure = pair(ileft, _pulled(iright, phi), k)
+            good, failure = pair(ileft, _pulled(iright, phi, powers), k)
             verdicts.append(IndexVerdict(label=label, ok=good, failure=failure))
         return EquivalenceReport(
             ok=all(v.ok for v in verdicts),
@@ -212,7 +221,7 @@ def _match(
         known = memo.get(key)
         if known is None:
             if j not in pulled:
-                pulled[j] = _pulled(right_pool.ideals[j], phi)
+                pulled[j] = _pulled(right_pool.ideals[j], phi, powers)
             known, _ = pair(left_pool.ideals[i], pulled[j], k)
             memo[key] = known
         return known

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .division import formal_division
+from .division import _divide, formal_division
 from .errors import DimensionError, PrecisionError
 from .monomial import MultiIndex, Staircase, monomials_up_to
 from .series import FormalSeries
@@ -118,9 +118,7 @@ class JetSpace:
             object.__setattr__(self, "_rows", [x - self.reduce(x) for x in xs])
         return list(self._rows)
 
-    def reduce(self, f: FormalSeries) -> FormalSeries:
-        """Normal form of (the degree-jet of) f: its remainder on division
-        by the reduced standard basis, with no term in the diagram."""
+    def _jet(self, f: FormalSeries) -> FormalSeries:
         if f.dimension != self._n:
             raise DimensionError("cannot reduce a series of wrong dimension")
         r = f.truncate(self._degree) if f.truncation > self._degree else f
@@ -128,12 +126,20 @@ class JetSpace:
             raise PrecisionError(
                 f"series truncated at {r.truncation}, need degree {self._degree}"
             )
+        return r
+
+    def reduce(self, f: FormalSeries) -> FormalSeries:
+        """Normal form of (the degree-jet of) f: its remainder on division
+        by the reduced standard basis, with no term in the diagram."""
+        r = self._jet(f)
         if not self._corners:
             return r
         return formal_division(r, list(self._corners.values()), self._degree).remainder
 
     def contains(self, f: FormalSeries) -> bool:
-        return self.reduce(f).is_zero
+        """Whether the normal form is zero, read off its first term."""
+        r, corners = self._jet(f), list(self._corners.values())
+        return not _divide(r, corners, self._degree) if corners else r.is_zero
 
     def contains_space(self, other: "JetSpace") -> bool:
         if other.degree != self._degree or other.dimension != self._n:
@@ -237,7 +243,7 @@ def jet_membership(f: FormalSeries, ideal: IdealPresentation, k: int) -> bool:
     jet = f.truncate(k - 1)
     if len(ideal.generators) == 1:
         ideal._check_degree(k - 1)
-        return formal_division(jet, ideal.generators, k - 1).remainder.is_zero
+        return not _divide(jet, ideal.generators, k - 1)
     return ideal.jet_space(k - 1).contains(jet)
 
 

@@ -129,7 +129,11 @@ class FormalSeries:
 
     def _packed_key(self, key) -> Optional[int]:
         """The packed key of a tuple or MultiIndex exponent of this
-        dimension, None past the truncation."""
+        dimension, None past the truncation.  A plain tuple of naturals packs
+        directly; any other key, and every error, goes through MultiIndex."""
+        if (type(key) is tuple and len(key) == self._n
+                and all(type(e) is int and e >= 0 for e in key)):
+            return pack(key) if sum(key) <= self._trunc else None
         mi = key if isinstance(key, MultiIndex) else MultiIndex(key)
         if mi.dimension != self._n:
             raise DimensionError(f"exponent {mi} does not live in dimension {self._n}")

@@ -24,6 +24,7 @@ from germcalc import (
     pullback,
     shift_map,
 )
+from germcalc import equivalence
 from germcalc.equivalence import pair_order_k
 from conftest import (
     inverse_pair_oracle,
@@ -547,3 +548,61 @@ def test_pair_verdicts_match_the_inverse_oracle():
             for i, (ok, _) in enumerate(expected):
                 assert pair_order_k(phi, lefts[i], rights[i], k) == ok
     assert verdicts.count(True) >= 100 and verdicts.count(False) >= 60
+
+
+# -- one table of Phi's powers per working truncation --------------------------
+
+
+def _pulled_by_compose(ideal, phi, powers):
+    gens = tuple(compose(g, phi) for g in ideal.generators)
+    return gens, IdealPresentation(ideal.dimension, gens)
+
+
+def test_pullbacks_share_one_power_table_per_working_truncation(monkeypatch):
+    rng = random.Random(67)
+    phi = random_invertible_map(rng, 2, 5)
+    phi_inv = phi.inverse()
+    # generator truncations 3..6 against a map known to degree 5
+    lefts, rights = [], []
+    for truncs in ((3, 6), (4,), (5, 6), (6, 4)):
+        gens = [random_nonzero_series(rng, 2, t, min_order=1, density=0.5) for t in truncs]
+        lefts.append(IdealPresentation(2, gens))
+        j = rng.randint(2, 4)
+        rights.append(IdealPresentation(2, [
+            compose(g, phi_inv) + random_series(rng, 2, g.truncation, min_order=j, density=0.3)
+            for g in gens
+        ]))
+    shared: dict = {}
+    for ideal in rights:
+        gens, _ = equivalence._pulled(ideal, phi, shared)
+        assert gens == tuple(compose(g, phi) for g in ideal.generators)
+    assert sorted(shared) == [3, 4, 5]
+
+    built = []
+    original = equivalence._powers
+
+    def counting(components, truncation):
+        built.append(truncation)
+        return original(components, truncation)
+
+    monkeypatch.setattr(equivalence, "_powers", counting)
+    families = [
+        (GermFamily.of("family", zip("abcd", lefts)), GermFamily.of("family", zip("abcd", rights))),
+        (GermFamily.of("set", zip("abcd", lefts)), GermFamily.of("set", zip("wxyz", rights[::-1]))),
+    ]
+    reports = []
+    for k in (1, 2, 3):
+        for left, right in families:
+            del built[:]
+            reports.append(is_order_k_equivalence(phi, left, right, k))
+            # each working truncation's table is built at most once per match
+            assert sorted(built) == sorted(set(built)) and set(built) <= {3, 4, 5}
+    assert any(r.ok for r in reports) and not all(r.ok for r in reports)
+    assert any(v.failure for r in reports for v in r.per_index)
+
+    monkeypatch.setattr(equivalence, "_pulled", _pulled_by_compose)
+    expected = [
+        is_order_k_equivalence(phi, left, right, k)
+        for k in (1, 2, 3) for left, right in families
+    ]
+    assert reports == expected

@@ -1,9 +1,11 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import germcalc.division
 import germcalc.ideals
 from germcalc import (
     I as IMAG,
@@ -16,6 +18,7 @@ from germcalc import (
     PrecisionError,
     Staircase,
     chain_stabilization,
+    formal_division,
     jet_membership,
     membership_up_to,
     monomials_up_to,
@@ -399,3 +402,83 @@ def test_principal_membership_keeps_the_precision_error():
     with pytest.raises(PrecisionError) as err:
         jet_membership(t2 * t2, principal, 6)
     assert str(err.value) == "jet degree 5 exceeds generator truncation 4"
+
+
+# -- membership stops at the first remainder term ------------------------------
+
+
+def _membership_case(rng, field, n, count, trunc, combined):
+    """(ideal, f, k): f a combination of the generators plus a tail from a
+    random order on when combined, else a random series."""
+    gens = [_series_over(rng, field, n, trunc, min_order=rng.randint(1, 2), density=0.4)
+            for _ in range(count)]
+    gens = [g if not g.is_zero else random_nonzero_series(rng, n, trunc, min_order=1)
+            for g in gens]
+    k = rng.randint(2, trunc + 1)
+    if not combined:
+        return IdealPresentation(n, gens), _series_over(rng, field, n, trunc), k
+    f = _series_over(rng, field, n, trunc, min_order=rng.randint(1, trunc + 1), density=0.3)
+    for g in gens:
+        f = f + _series_over(rng, field, n, trunc, density=0.3) * g
+    return IdealPresentation(n, gens), f, k
+
+
+def test_remainder_only_membership_matches_division_and_oracle():
+    combos = list(itertools.product((1, 2, 3), ("Q", "Q(i)"), (1, 2, 3)))
+    rng = random.Random(71)
+    verdicts = []
+    for i, (n, field, count) in enumerate(combos * 6):
+        trunc = 3 if n == 3 else 4
+        ideal, f, k = _membership_case(rng, field, n, count, trunc, i % 2 == 0)
+        d = k - 1
+        jet = f.truncate(d)
+        # on any divisors, the early exit returns the full remainder's first term
+        full = formal_division(jet, ideal.generators, d).remainder
+        first = germcalc.division._divide(jet, ideal.generators, d)
+        assert first == dict(sorted(full._table.items())[:1])
+        # on the reduced standard basis, every verdict is membership itself
+        space = ideal.jet_space(d)
+        member = dense_membership_oracle(f, ideal, k)
+        assert jet_membership(f, ideal, k) == member, (n, field, count, k)
+        assert space.contains(f) == space.reduce(f).is_zero == member
+        if space.basis:
+            assert formal_division(jet, space.basis, d).remainder.is_zero == member
+            assert (not germcalc.division._divide(jet, space.basis, d)) == member
+        verdicts.append(member)
+    assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
+
+
+def _count_division_builds(monkeypatch):
+    """Record Staircase.__init__ and FormalSeries._from_table calls made
+    from division.py."""
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            if sys._getframe(1).f_code.co_filename == germcalc.division.__file__:
+                calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Staircase, "__init__", counting("Staircase", Staircase.__init__))
+    monkeypatch.setattr(FormalSeries, "_from_table",
+                        staticmethod(counting("_from_table", FormalSeries._from_table)))
+    return calls
+
+
+def test_membership_builds_no_quotient_and_no_staircase(monkeypatch):
+    t1, t2 = t_vars(6)
+    principal = parabola_ideal()
+    pair = IdealPresentation(2, [t1 * t1 - t2 * t2 * t2, t1 * t2])
+    space = pair.jet_space(5)  # built before counting: the build divides
+    calls = _count_division_builds(monkeypatch)
+    assert jet_membership(t2 * (t1 - t2 * t2), principal, 6)
+    assert not jet_membership(t1, principal, 3)
+    assert jet_membership(t1 * t1 * t2, pair, 6)
+    assert not jet_membership(t2 * t2, pair, 6)
+    assert space.contains(t1 * t2 * t2)
+    assert not space.contains(t1 + t2 * t2)
+    assert calls == []
+    # the guard sees what a full division builds
+    formal_division(t1, principal.generators, 5)
+    assert sorted(set(calls)) == ["Staircase", "_from_table"]

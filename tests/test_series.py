@@ -109,6 +109,35 @@ def test_coefficient_takes_tuple_or_multi_index_keys():
         f.coefficient((1, -1))
 
 
+def _outcome(make):
+    """make()'s term table, or the type and text of what it raised."""
+    try:
+        return make()._table
+    except Exception as err:
+        return type(err), str(err)
+
+
+def test_tuple_keys_build_what_multi_index_keys_build():
+    # plain tuples of naturals pack directly; everything else, and every
+    # error, goes through MultiIndex
+    cases = [
+        [((-1, 2), 1)],                   # a negative entry
+        [((True, 0), 1), ((0, 1), 2)],    # a bool entry
+        [((1.0, 0), 1)],                  # a float entry
+        [((1, 2, 3), 1)],                 # wrong lengths
+        [((1,), 1)],
+        [((3, 3), 1), ((1, 0), 4)],       # past the truncation: dropped
+        [((1, 0), 2), ((1, 0), -2), ((0, 2), Fraction(1, 3))],  # summing to zero
+    ]
+    for terms in cases:
+        want = _outcome(lambda: s2([(MultiIndex(k), c) for k, c in terms], trunc=5))
+        assert _outcome(lambda: s2(terms, trunc=5)) == want, terms
+        mixed = [(MultiIndex(k) if i % 2 else k, c) for i, (k, c) in enumerate(terms)]
+        assert _outcome(lambda: s2(mixed, trunc=5)) == want, terms
+    assert _outcome(lambda: s2([((1, 0), 2), ((1, 0), -2)])) == {}
+    assert _outcome(lambda: s2([((3, 3), 1)], trunc=5)) == {}
+
+
 def test_truncation_past_the_packed_width_is_refused():
     # through the constructor's check only: no series of that size is built
     top = FormalSeries.monomial(2, MAX_DEGREE, (MAX_DEGREE - 1, 0))
