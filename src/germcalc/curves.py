@@ -56,12 +56,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .equivalence import GermFamily, is_order_k_equivalence, pair_order_k
-from .errors import CrossCheckError, PrecisionError
+from .errors import CrossCheckError, PrecisionError, _Frozen
 from .ideals import IdealPresentation
 from .series import FormalMap, FormalSeries, realify, realify_map
 
 
-class ShiftSequence:
+class ShiftSequence(_Frozen):
     """The integers c_1..c_M together with their progressions S_m."""
 
     __slots__ = ("_values",)
@@ -71,9 +71,6 @@ class ShiftSequence:
         if not vals:
             raise ValueError("a shift sequence needs at least one level")
         object.__setattr__(self, "_values", vals)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ShiftSequence is immutable")
 
     @property
     def levels(self) -> int:

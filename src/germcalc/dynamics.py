@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import DimensionError, PrecisionError
-from .series import FormalMap, FormalSeries, _ComponentTuple, compose
+from .series import FormalMap, FormalSeries, _ComponentTuple
 
 
 class VectorField(_ComponentTuple):
@@ -92,8 +92,9 @@ def _difference_verdict(
             f"series dimensions differ: {target.dimension} vs {phi.dimension}"
         )
     worst: Optional[int] = None
-    for a, b in zip(target.components, moved):
-        diff = compose(a, phi) - b
+    # one composition builds phi's powers once for every component
+    for a, b in zip(target.compose(phi).components, moved):
+        diff = a - b
         if diff.truncation < k - 1:
             raise PrecisionError(
                 f"order-{k} comparison needs degree {k - 1}, have {diff.truncation}"

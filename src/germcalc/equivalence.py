@@ -20,7 +20,7 @@ cross-check (see the curve-set driver).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
 from .errors import DimensionError, PrecisionError
@@ -178,7 +178,6 @@ def pair_order_k(
 
 
 def _match(
-    pair: Callable,
     phi: FormalMap,
     left: GermFamily,
     right: GermFamily,
@@ -187,8 +186,7 @@ def _match(
     right_pool: GermFamily,
     candidates: Optional[CandidateHook] = None,
 ) -> EquivalenceReport:
-    """Compare two families of one mode with a pairwise verdict:
-    pair(left ideal, _pulled(right ideal, phi, powers), k) gives (ok, failure).
+    """Compare two families of one mode, pair by pair with _pair_order_k.
 
     Family mode pairs members by position.  Set mode searches a partner
     for every left member in the right pool and for every right member in
@@ -204,7 +202,7 @@ def _match(
             raise ValueError("family mode requires identical label sequences")
         verdicts = []
         for label, ileft, iright in zip(left.labels, left.ideals, right.ideals):
-            good, failure = pair(ileft, _pulled(iright, phi, powers), k)
+            good, failure = _pair_order_k(ileft, _pulled(iright, phi, powers), k)
             verdicts.append(IndexVerdict(label=label, ok=good, failure=failure))
         return EquivalenceReport(
             ok=all(v.ok for v in verdicts),
@@ -222,7 +220,7 @@ def _match(
         if known is None:
             if j not in pulled:
                 pulled[j] = _pulled(right_pool.ideals[j], phi, powers)
-            known, _ = pair(left_pool.ideals[i], pulled[j], k)
+            known, _ = _pair_order_k(left_pool.ideals[i], pulled[j], k)
             memo[key] = known
         return known
 
@@ -281,31 +279,26 @@ def is_order_k_equivalence(
             if pool.labels[: len(fam.labels)] != fam.labels:
                 raise ValueError("a candidate pool must extend its family as a prefix")
         _check_shapes(phi, left_pool, right_pool, k, precision)
-    return _match(
-        _pair_order_k, phi, left, right, k, left_pool, right_pool, candidates
-    )
+    return _match(phi, left, right, k, left_pool, right_pool, candidates)
 
 
 def jet_coset_membership(
     lam: FormalMap, left: GermFamily, right: GermFamily
 ) -> EquivalenceReport:
     """Whether the degree-k jet of lam carries the right jet ideals onto
-    the left ones, for k = lam.truncation.
+    the left ones, for k = lam.truncation; the report's order is k.
 
-    This is the jet-level counterpart of order-(k+1) equivalence: the
-    pullback of each right member's degree-k jet ideal must equal the left
-    member's degree-k jet ideal as a subspace of the jet space.
+    Two ideals have equal degree-k jets exactly when each lies in the
+    other + m^(k+1), so this is the order-(k+1) pair check, witnesses
+    included.  Unlike is_order_k_equivalence it takes a singular lam and
+    needs the generators known only to degree k.
     """
     k = lam.truncation
     _check_shapes(
         lam, left, right, k, f"jet comparison at degree {k} needs truncations >= {k}"
     )
     _common_mode(left, right)
-
-    def pair(ileft: IdealPresentation, pulled: tuple, k: int):
-        return pulled[1].jet_space(k) == ileft.jet_space(k), None
-
-    return _match(pair, lam, left, right, k, left, right)
+    return replace(_match(lam, left, right, k + 1, left, right), order=k)
 
 
 def equivalence_horizon(

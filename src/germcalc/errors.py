@@ -1,9 +1,19 @@
-"""Shared exception types.
+"""Shared exception types, and the guard of the immutable value types.
 
 Everything raised on purpose by this package derives from GermcalcError, so
 callers (in particular the command line driver) can map failures to exit
 codes without matching on message strings.
 """
+
+
+class _Frozen:
+    """Refuses attribute assignment; constructors write their slots with
+    object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class GermcalcError(Exception):

@@ -25,12 +25,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .division import _divide, formal_division
-from .errors import DimensionError, PrecisionError
+from .errors import DimensionError, PrecisionError, _Frozen
 from .monomial import MultiIndex, Staircase, monomials_up_to
 from .series import FormalSeries
 
 
-class JetSpace:
+class JetSpace(_Frozen):
     """The ideal the spanning series generate modulo m^(degree+1), kept as
     its reduced standard basis.
 
@@ -87,9 +87,6 @@ class JetSpace:
         object.__setattr__(self, "_corners", corners)
         object.__setattr__(self, "_pivots", None)
         object.__setattr__(self, "_rows", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("JetSpace is immutable from outside")
 
     @property
     def dimension(self) -> int:
@@ -162,7 +159,7 @@ class JetSpace:
         return f"JetSpace(n={self._n}, d={self._degree}, rank={self.rank})"
 
 
-class IdealPresentation:
+class IdealPresentation(_Frozen):
     """An ideal of the formal power series ring given by finitely many
     generators.  Zero generators are dropped; no generators means the zero
     ideal.  Jet spaces are cached per degree."""
@@ -177,9 +174,6 @@ class IdealPresentation:
         object.__setattr__(self, "_n", dimension)
         object.__setattr__(self, "_gens", gens)
         object.__setattr__(self, "_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IdealPresentation is immutable")
 
     @property
     def dimension(self) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import total_ordering
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import DimensionError, LimitError
+from .errors import DimensionError, LimitError, _Frozen
 
 FIELD_BITS = 16
 MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1  # the largest value below a guard bit
@@ -54,7 +54,7 @@ def guard_bits(dimension: int) -> int:
 
 
 @total_ordering
-class MultiIndex:
+class MultiIndex(_Frozen):
     """An exponent vector in N^n, ordered degree-first then right-to-left."""
 
     __slots__ = ("_exp", "_key")
@@ -66,9 +66,6 @@ class MultiIndex:
                 raise ValueError(f"multi-index entries must be naturals, got {exp!r}")
         object.__setattr__(self, "_exp", exp)
         object.__setattr__(self, "_key", (sum(exp),) + exp[::-1])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiIndex is immutable")
 
     @property
     def exponents(self) -> tuple[int, ...]:
@@ -151,7 +148,7 @@ def _as_multi_index(point) -> MultiIndex:
     return point if isinstance(point, MultiIndex) else MultiIndex(point)
 
 
-class Staircase:
+class Staircase(_Frozen):
     """A subset of N^n stable under addition of N^n, stored by its vertices.
 
     Construction normalizes: dominated input points are discarded, so two
@@ -175,9 +172,6 @@ class Staircase:
         )
         object.__setattr__(self, "_dim", dimension)
         object.__setattr__(self, "_vertices", minimal)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Staircase is immutable")
 
     @property
     def dimension(self) -> int:

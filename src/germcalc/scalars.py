@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import _Frozen
+
 _REAL = (int, Fraction)
 
 
-class GaussianRational:
+class GaussianRational(_Frozen):
     """a + b*i with exact rational parts and field arithmetic."""
 
     __slots__ = ("real", "imag")
@@ -23,9 +25,6 @@ class GaussianRational:
             raise TypeError("GaussianRational parts must be int or Fraction")
         object.__setattr__(self, "real", Fraction(real))
         object.__setattr__(self, "imag", Fraction(imag))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
 
     # -- coercion -----------------------------------------------------------
 

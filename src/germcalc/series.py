@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Optional, Sequence
 
-from .errors import DimensionError, InversionError, PrecisionError
+from .errors import DimensionError, InversionError, PrecisionError, _Frozen
 from .monomial import _FIELD_MASK, FIELD_BITS, MultiIndex, check_width, pack, unpack
 from .scalars import GaussianRational, as_gaussian, coerce_scalar
 
@@ -102,7 +102,7 @@ def _reduced(table: dict, den: int) -> dict[int, Scalar]:
     return {k: Fraction(c, den) if type(c) is int else c / den for k, c in table.items() if c}
 
 
-class FormalSeries:
+class FormalSeries(_Frozen):
     """A formal power series known exactly up to its truncation degree."""
 
     __slots__ = ("_n", "_trunc", "_table", "_view")
@@ -124,9 +124,6 @@ class FormalSeries:
                 table[k] = table[k] + c if k in table else c
         object.__setattr__(self, "_table", {k: c for k, c in table.items() if c})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FormalSeries is immutable")
-
     def _packed_key(self, key) -> Optional[int]:
         """The packed key of a tuple or MultiIndex exponent of this
         dimension, None past the truncation.  A plain tuple of naturals packs
@@ -143,11 +140,14 @@ class FormalSeries:
 
     @classmethod
     def _from_table(cls, dimension: int, truncation: int, table: dict) -> "FormalSeries":
-        """A series over a ready term table, taken over without a copy:
-        every key a packed key of this dimension and degree <= truncation,
-        every coefficient nonzero."""
-        out = cls(dimension, truncation)
+        """A series over a ready term table, taken over without a copy and
+        without the constructor's checks: every key a packed key of this
+        dimension and degree <= truncation, every coefficient nonzero."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_n", dimension)
+        object.__setattr__(out, "_trunc", truncation)
         object.__setattr__(out, "_table", table)
+        object.__setattr__(out, "_view", None)
         return out
 
     @classmethod
@@ -417,7 +417,7 @@ def compose(f: FormalSeries, phi: "FormalMap") -> FormalSeries:
     return f.substitute(phi.components)
 
 
-class _ComponentTuple:
+class _ComponentTuple(_Frozen):
     """n series in n variables, none with a constant term, cut to their
     common truncation: a formal map or a vector field, named by ``_kind``
     in errors.  Equal only to the same class with equal components."""
@@ -440,9 +440,6 @@ class _ComponentTuple:
         trunc = min(c.truncation for c in comps)
         object.__setattr__(self, "_comps", tuple(c.truncate(trunc) for c in comps))
         object.__setattr__(self, "_trunc", trunc)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def dimension(self) -> int:

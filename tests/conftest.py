@@ -9,13 +9,16 @@ import random
 from fractions import Fraction
 
 from germcalc import (
+    EquivalenceReport,
     FormalMap,
     FormalSeries,
     IdealPresentation,
+    JetSpace,
     Staircase,
     compose,
     monomials_up_to,
 )
+from germcalc.equivalence import IndexVerdict, MatchVerdict
 
 
 def exponent_tuples(dimension, degree):
@@ -287,6 +290,44 @@ def inverse_pair_oracle(phi, phi_inv, left, right, k):
         if not dense_membership_oracle(compose(g, phi_inv), right, k):
             return False, ("inverse", pos)
     return True, None
+
+
+def jet_coset_oracle(lam, left, right):
+    """The jet-coset report read off reduced standard bases, for
+    k = lam.truncation: a pair matches when the degree-k jet space of the
+    right ideal's generators composed with lam equals the left ideal's.
+    Family mode pairs members by position and gives no witness.  Set mode
+    tries every index in order, first a partner for each left member, then
+    for each right member, and counts the indices tried."""
+    k = lam.truncation
+    pulled = [
+        JetSpace(ideal.dimension, k, [compose(g, lam) for g in ideal.generators])
+        for ideal in right.ideals
+    ]
+
+    def hit(i, j):
+        return pulled[j] == left.ideals[i].jet_space(k)
+
+    if left.mode == "family":
+        per_index = tuple(IndexVerdict(label, hit(i, i)) for i, label in enumerate(left.labels))
+        return EquivalenceReport(all(v.ok for v in per_index), k, "family", per_index=per_index)
+
+    def search(label, pool, matches):
+        for j in range(len(pool)):
+            if matches(j):
+                return MatchVerdict(label, pool.labels[j], j + 1)
+        return MatchVerdict(label, None, len(pool))
+
+    left_matching = tuple(
+        search(label, right, lambda j, i=i: hit(i, j)) for i, label in enumerate(left.labels)
+    )
+    right_matching = tuple(
+        search(label, left, lambda i, j=j: hit(i, j)) for j, label in enumerate(right.labels)
+    )
+    return EquivalenceReport(
+        all(m.partner is not None for m in left_matching + right_matching), k, "set",
+        left_matching=left_matching, right_matching=right_matching,
+    )
 
 
 def transport_oracle(transported, target, k):

@@ -17,6 +17,7 @@ from germcalc import (
     is_order_k_field_equivalence,
     pushforward_field,
 )
+from germcalc import series as series_module
 from conftest import (
     transport_oracle,
     random_invertible_map,
@@ -154,6 +155,37 @@ def test_field_is_immutable():
     xi = VectorField([z1()])
     with pytest.raises(AttributeError):
         xi._trunc = 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_transport_checks_build_the_powers_of_phi_once_per_pair(n, monkeypatch):
+    rng = random.Random(150 + n)
+    phi = random_invertible_map(rng, n, 4)
+    fs = [random_tangent_to_identity_map(rng, n, 4) for _ in range(2)]
+    gs = [conjugate(f, phi) for f in fs]
+    xis = [VectorField(random_tangent_to_identity_map(rng, n, 4).components) for _ in range(2)]
+    etas = [pushforward_field(xi, phi) for xi in xis]
+    from_phi, substituted = [], []
+    powers, substitute = series_module._powers, FormalSeries.substitute
+
+    def counting_powers(components, truncation):
+        from_phi.append(components is phi.components)
+        return powers(components, truncation)
+
+    def counting_substitute(self, components, *shared):
+        substituted.append(self)
+        return substitute(self, components, *shared)
+
+    monkeypatch.setattr(series_module, "_powers", counting_powers)
+    monkeypatch.setattr(FormalSeries, "substitute", counting_substitute)
+    assert is_order_k_conjugacy(phi, fs, gs, 4).ok
+    # one table of phi's powers per pair, one of F's for phi o F
+    assert from_phi == [False, True] * len(fs)
+    assert len(substituted) == 2 * n * len(fs)
+    del from_phi[:], substituted[:]
+    assert is_order_k_field_equivalence(phi, xis, etas, 3).ok
+    assert from_phi == [True] * len(xis)
+    assert len(substituted) == n * len(xis)
 
 
 # -- conjugation ------------------------------------------------------------

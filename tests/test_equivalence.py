@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,10 @@ from germcalc import (
     FormalSeries,
     GaussianRational,
     GermFamily,
+    I,
     IdealPresentation,
     InversionError,
+    JetSpace,
     PrecisionError,
     build_shift_sequence,
     compose,
@@ -27,7 +30,9 @@ from germcalc import (
 from germcalc import equivalence
 from germcalc.equivalence import pair_order_k
 from conftest import (
+    exponent_tuples,
     inverse_pair_oracle,
+    jet_coset_oracle,
     random_ideal,
     random_invertible_map,
     random_nonzero_series,
@@ -319,19 +324,23 @@ def test_jet_coset_identity():
     assert jet_coset_membership(ident.truncate(2), fam, fam).ok
 
 
-def test_jet_coset_for_shifted_curves():
+def _shifted_curves():
+    """(lam, left, right): the shear's 2-jet and two families of ten curve
+    ideals, one generator each."""
     seq = build_shift_sequence(4)
     pairs = [(m, n) for m in (1, 2) for n in range(-2, 3)]
-    left = GermFamily.of(
-        "family",
-        [(f"({m},{n})", curve_ideal(curve("phi", m, n, K, seq))) for m, n in pairs],
+    left, right = (
+        GermFamily.of(
+            "family",
+            [(f"({m},{n})", curve_ideal(curve(tag, m, n, K, seq))) for m, n in pairs],
+        )
+        for tag in ("phi", "psi")
     )
-    right = GermFamily.of(
-        "family",
-        [(f"({m},{n})", curve_ideal(curve("psi", m, n, K, seq))) for m, n in pairs],
-    )
-    lam = shift_map(seq.c(2), K).truncate(2)
-    assert jet_coset_membership(lam, left, right).ok
+    return shift_map(seq.c(2), K).truncate(2), left, right
+
+
+def test_jet_coset_for_shifted_curves():
+    assert jet_coset_membership(*_shifted_curves()).ok
 
 
 def test_jet_coset_set_mode_reports_candidates_tried():
@@ -361,6 +370,110 @@ def test_jet_coset_chain_implies_membership_scan():
             assert jet_coset_membership(phi.truncate(k), left, right).ok
         for g in right.ideals[0].generators:
             assert membership_up_to(compose(g, phi), left.ideals[0], 5)
+
+
+JC_K = 4
+
+
+def _jet_coset_ideal(rng, n, field):
+    """One or two generators over Q, or over Q(i) with an imaginary part."""
+    ideal = random_ideal(rng, n, JC_K, max_generators=2)
+    if field == "Q":
+        return ideal
+    return IdealPresentation(n, [
+        g + I * random_series(rng, n, JC_K, density=0.3, min_order=1) for g in ideal.generators
+    ])
+
+
+def _jet_coset_case(n, field, mode, k):
+    """(lam, left, right): three left members, the right ones pushed forward
+    through phi (so lam = phi.truncate(k) matches them), one of them then
+    disturbed at a degree <= k in about half of the cases."""
+    rng = random.Random(f"jet-coset {n} {field} {mode} {k}")
+    phi = random_invertible_map(rng, n, JC_K)
+    if field == "Q(i)":
+        phi = FormalMap([
+            c + I * random_series(rng, n, JC_K, density=0.2, scale=3, min_order=2)
+            for c in phi.components
+        ])
+    phi_inv = phi.inverse()
+    members = [_jet_coset_ideal(rng, n, field) for _ in range(3)]
+    pushed = [
+        [compose(g, phi_inv) for g in ideal.generators] for ideal in members
+    ]
+    if rng.random() < 0.5:
+        gens = pushed[rng.randrange(3)]
+        d = rng.randint(1, k)
+        exponent = rng.choice([e for e in exponent_tuples(n, d) if sum(e) == d])
+        gens[0] = gens[0] + FormalSeries.monomial(n, JC_K, exponent, rng.randint(1, 3))
+    left = GermFamily.of(mode, zip(["a0", "a1", "a2"], members))
+    right_labels = ["a0", "a1", "a2"] if mode == "family" else ["b0", "b1", "b2"]
+    order = [0, 1, 2] if mode == "family" else rng.sample(range(3), 3)
+    right = GermFamily.of(
+        mode, [(right_labels[i], IdealPresentation(n, pushed[i])) for i in order]
+    )
+    return phi.truncate(k), left, right
+
+
+def test_jet_coset_matches_the_reduced_basis_oracle():
+    """The jet-coset check against the comparison of reduced standard
+    bases: family and set mode, n = 1..3, Q and Q(i), k = 1..JC_K - 1,
+    and a singular lam.  Where the order-(k+1) check is defined, the
+    report is that check's, witnesses included, with order k."""
+    reports, pairs = [], []
+    for n, field, mode, k in itertools.product(
+        (1, 2, 3), ("Q", "Q(i)"), ("family", "set"), range(1, JC_K)
+    ):
+        lam, left, right = _jet_coset_case(n, field, mode, k)
+        report = jet_coset_membership(lam, left, right)
+        expected = jet_coset_oracle(lam, left, right)
+        assert report.order == lam.truncation == k
+        assert report.ok == expected.ok, (n, field, mode, k)
+        assert [(v.label, v.ok) for v in report.per_index] == [
+            (v.label, v.ok) for v in expected.per_index
+        ]
+        assert report.left_matching == expected.left_matching
+        assert report.right_matching == expected.right_matching
+        full = is_order_k_equivalence(lam, left, right, k + 1)
+        assert [v.failure for v in report.per_index] == [v.failure for v in full.per_index]
+        assert report == replace(full, order=k)
+        reports.append(report.ok)
+        pairs += [v.ok for v in report.per_index]
+        pairs += [m.partner is not None for m in report.left_matching + report.right_matching]
+    assert reports.count(True) >= 8 and reports.count(False) >= 8
+    assert pairs.count(True) >= 100 and pairs.count(False) >= 10
+
+    # a singular lam, which is_order_k_equivalence refuses
+    z, w = zw()
+    lam = FormalMap([z, z]).truncate(2)
+    left = GermFamily.of(
+        "family", [("zero", IdealPresentation(2, [])), ("line", IdealPresentation(2, [w - z]))]
+    )
+    right = family(w - z, w - z, labels=["zero", "line"])
+    report, expected = jet_coset_membership(lam, left, right), jet_coset_oracle(lam, left, right)
+    assert report.order == 2 and not report.ok and not expected.ok
+    assert [(v.label, v.ok) for v in report.per_index] == [("zero", True), ("line", False)]
+    assert [(v.label, v.ok) for v in expected.per_index] == [("zero", True), ("line", False)]
+    assert report.per_index[1].failure == ("inverse", 0)
+    with pytest.raises(InversionError):
+        is_order_k_equivalence(lam, left, right, 3)
+
+
+def test_jet_coset_of_principal_ideals_builds_no_jet_space(monkeypatch):
+    lam, left, right = _shifted_curves()
+    assert not any(pullback(ideal, lam).is_zero_ideal for ideal in right.ideals)
+    built = []
+    original = JetSpace.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(JetSpace, "__init__", counting)
+    assert jet_coset_membership(lam, left, right).ok
+    z, w = zw()
+    assert not jet_coset_membership(FormalMap([z, 2 * w]).truncate(1), family(w - z), family(w - z)).ok
+    assert built == []
 
 
 # -- horizon ----------------------------------------------------------------

@@ -11,13 +11,18 @@ from germcalc import (
     FormalSeries,
     GaussianRational,
     I,
+    IdealPresentation,
     InversionError,
+    JetSpace,
     LimitError,
     MultiIndex,
     PrecisionError,
+    ShiftSequence,
+    Staircase,
     VectorField,
     compose,
     conjugate,
+    formal_division,
     pushforward_field,
     realify,
     realify_map,
@@ -693,3 +698,52 @@ def test_realify_map_respects_composition():
         rr = realify_map(phi)
         rhs = (compose(realify(f)[0], rr), compose(realify(f)[1], rr))
         assert lhs[0] == rhs[0] and lhs[1] == rhs[1]
+
+
+def test_series_results_skip_the_constructor(monkeypatch):
+    rng = random.Random(131)
+    a = random_nonzero_series(rng, 2, 5, density=0.6)
+    b = random_nonzero_series(rng, 2, 5, density=0.6)
+    g = random_nonzero_series(rng, 2, 5, density=0.5, min_order=1)
+    built = []
+    original = FormalSeries.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(FormalSeries, "__init__", counting)
+    product, cut, division = a * b, a.truncate(3), formal_division(a, [g], 5)
+    assert built == []
+    monkeypatch.undo()
+    assert product == product_oracle(a, b)
+    assert cut == FormalSeries(2, 3, {m: c for m, c in a.terms.items() if m.degree <= 3})
+    (q,), r = division.quotients, division.remainder
+    assert q * g + r == a
+    for s in (product, cut, q, r):
+        rebuilt = FormalSeries(s.dimension, s.truncation, s.terms)
+        assert s == rebuilt and s.terms == rebuilt.terms and repr(s) == repr(rebuilt)
+
+
+_X = FormalSeries.variable(2, 3, 0)
+_Y = FormalSeries.variable(2, 3, 1)
+
+
+@pytest.mark.parametrize("obj,slot", [
+    (MultiIndex((1, 0)), "_exp"),
+    (Staircase(2, [(1, 0)]), "_vertices"),
+    (_X, "_table"),
+    (FormalMap([_X, _Y]), "_comps"),
+    (VectorField([_X, _Y]), "_comps"),
+    (JetSpace(2, 2, [_X]), "_corners"),
+    (IdealPresentation(2, [_X]), "_gens"),
+    (ShiftSequence([1, 2]), "_values"),
+    (GaussianRational(1, 2), "real"),
+], ids=lambda value: type(value).__name__ if not isinstance(value, str) else value)
+def test_assignment_says_the_class_is_immutable(obj, slot):
+    before = getattr(obj, slot)
+    for name in (slot, "extra"):
+        with pytest.raises(AttributeError) as err:
+            setattr(obj, name, None)
+        assert str(err.value) == f"{type(obj).__name__} is immutable"
+    assert getattr(obj, slot) is before
