@@ -7,8 +7,7 @@ codes without matching on message strings.
 
 
 class _Frozen:
-    """Refuses attribute assignment; constructors write their slots with
-    object.__setattr__."""
+    """Refuses attribute assignment; constructors use object.__setattr__."""
 
     __slots__ = ()
 

@@ -140,9 +140,8 @@ class FormalSeries(_Frozen):
 
     @classmethod
     def _from_table(cls, dimension: int, truncation: int, table: dict) -> "FormalSeries":
-        """A series over a ready term table, taken over without a copy and
-        without the constructor's checks: every key a packed key of this
-        dimension and degree <= truncation, every coefficient nonzero."""
+        """A series over a ready table, taken without a copy or the constructor's
+        checks: packed keys of this dimension and degree <= truncation, nonzero values."""
         out = object.__new__(cls)
         object.__setattr__(out, "_n", dimension)
         object.__setattr__(out, "_trunc", truncation)
@@ -299,6 +298,8 @@ class FormalSeries(_Frozen):
     def truncate(self, degree: int) -> "FormalSeries":
         """Discard terms of degree > degree; degree may not exceed the
         carried truncation (that would claim precision we do not have)."""
+        if degree < 0:
+            raise ValueError("truncation degree must be a natural number")
         if degree > self._trunc:
             raise PrecisionError(
                 f"cannot truncate at {degree}: series only known up to {self._trunc}"

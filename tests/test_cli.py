@@ -304,6 +304,10 @@ def test_missing_required_flags(capsys):
 def test_bad_flag_values(capsys):
     assert invoke(capsys, "jet", "-f", "z", "--order", "two")[0] == 2
     code, _, err = invoke(
+        capsys, "jet", "-f", "z", "--vars", "z", "--trunc", "3", "--order", "-1"
+    )
+    assert code == 2 and "natural number" in err
+    code, _, err = invoke(
         capsys, "divide", "-f", "z", "-g", "z", "--trunc", "-1"
     )
     assert code == 2 and "nonnegative" in err

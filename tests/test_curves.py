@@ -49,12 +49,6 @@ def test_sequence_needs_a_level():
         ShiftSequence([])
 
 
-def test_sequence_is_immutable():
-    seq = build_shift_sequence(3)
-    with pytest.raises(AttributeError):
-        seq._values = (2,)
-
-
 def test_endpoint_recurrence():
     seq = build_shift_sequence(13)
     for m in range(1, seq.levels):

@@ -101,6 +101,8 @@ def test_truncation_beyond_inputs_rejected():
     t1, t2 = t_vars(4)
     with pytest.raises(PrecisionError):
         formal_division(t1, [t2], 5)
+    with pytest.raises(ValueError, match="natural number"):
+        formal_division(t1, [t2], -1)
 
 
 def test_division_identity_randomized():

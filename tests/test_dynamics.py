@@ -151,12 +151,6 @@ def test_field_truncate_and_equality():
     assert xi != VectorField([z * z + z * z * z])
 
 
-def test_field_is_immutable():
-    xi = VectorField([z1()])
-    with pytest.raises(AttributeError):
-        xi._trunc = 3
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_transport_checks_build_the_powers_of_phi_once_per_pair(n, monkeypatch):
     rng = random.Random(150 + n)

@@ -248,6 +248,8 @@ def test_truncate():
     assert j2 == FormalSeries(2, 2, {(1, 0): 1, (2, 0): 2})
     with pytest.raises(PrecisionError):
         f.truncate(9)
+    with pytest.raises(ValueError, match="truncation degree must be a natural number"):
+        f.truncate(-1)
 
 
 def test_derivative():
@@ -371,6 +373,8 @@ def test_map_truncate():
     j2 = phi.truncate(2)
     assert j2.truncation == 2
     assert j2.components[0] == z1.truncate(2)
+    with pytest.raises(ValueError, match="natural number"):
+        phi.truncate(-1)
 
 
 # -- the product kernel against the per-pair oracles -------------------------
@@ -734,7 +738,7 @@ _Y = FormalSeries.variable(2, 3, 1)
     (Staircase(2, [(1, 0)]), "_vertices"),
     (_X, "_table"),
     (FormalMap([_X, _Y]), "_comps"),
-    (VectorField([_X, _Y]), "_comps"),
+    (VectorField([_X, _Y]), "_trunc"),
     (JetSpace(2, 2, [_X]), "_corners"),
     (IdealPresentation(2, [_X]), "_gens"),
     (ShiftSequence([1, 2]), "_values"),
