@@ -53,12 +53,18 @@ few unmatched curves of each side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
-from .equivalence import GermFamily, is_order_k_equivalence, pair_order_k
-from .errors import CrossCheckError, PrecisionError, _Frozen
+from .equivalence import GermFamily, _pair_order_k, _pulled, is_order_k_equivalence
+from .errors import CrossCheckError, LimitError, PrecisionError, _Frozen
 from .ideals import IdealPresentation
+from .monomial import check_width, pack
 from .series import FormalMap, FormalSeries, realify, realify_map
+
+# The most curves, over both pools, that one verification builds.
+MAX_POOL = 1 << 20
+_W, _Z, _ONE, _MINUS_ONE = pack((0, 1)), pack((1, 0)), Fraction(1), Fraction(-1)
 
 
 class ShiftSequence(_Frozen):
@@ -160,8 +166,16 @@ def curve(tag: str, m: int, n: int, truncation: int, seq: ShiftSequence) -> Curv
     if m < 1:
         raise ValueError("curve level must be at least 1")
     a = tangent_coefficient(tag, m, n, seq)
-    terms = {(0, 1): 1, (1, 0): -a, (m + 1, 0): -1}
-    return CurveSpec(tag=tag, level=m, index=n, series=FormalSeries(2, truncation, terms))
+    if truncation < 0:
+        raise ValueError("truncation degree must be a natural number")
+    check_width("truncation", truncation)
+    table = {_W: _ONE} if truncation else {}
+    if a and truncation:
+        table[_Z] = Fraction(-a)
+    if m + 1 <= truncation:
+        table[pack((m + 1, 0))] = _MINUS_ONE
+    series = FormalSeries._from_table(2, truncation, table)
+    return CurveSpec(tag=tag, level=m, index=n, series=series)
 
 
 def curve_ideal(spec: CurveSpec, realified: bool = False) -> IdealPresentation:
@@ -326,6 +340,11 @@ def verify_finite_order_equivalence(
 
     shift_value = seq.c(shift_level)
     windows = _pool_windows(shift_value, order, m_max, n_max, seq)
+    positions = sum(2 * bound + 1 for tag in windows.values() for bound in tag.values())
+    if positions > MAX_POOL:
+        raise LimitError(
+            f"the curve pools need {positions:,} curves, over the limit of {MAX_POOL:,}"
+        )
     phi = shift_map(shift_value, truncation, realified=realified)
     nominal = m_max * (2 * n_max + 1)
     other = {"phi": "psi", "psi": "phi"}
@@ -380,7 +399,7 @@ def verify_finite_order_equivalence(
     # Cross-check the pruning direction of the proposal arithmetic: curves
     # left unmatched must also fail the general pairwise verdict against
     # candidates the proposal never suggested.
-    cross_checked = 0
+    cross_checked, powers = 0, {}
     for tag, summary in (("phi", left_summary), ("psi", right_summary)):
         source, target = pools[tag], pools[other[tag]]
         failures = [i for i, m in enumerate(summary) if m.partner is None]
@@ -390,7 +409,7 @@ def verify_finite_order_equivalence(
                 pair = (source.ideals[i], target.ideals[j])
                 left_ideal, right_ideal = pair if tag == "phi" else pair[::-1]
                 cross_checked += 1
-                if pair_order_k(phi, left_ideal, right_ideal, order):
+                if _pair_order_k(left_ideal, _pulled(right_ideal, phi, powers), order)[0]:
                     raise CrossCheckError(
                         "candidate proposal missed a genuine partner; "
                         f"{specs[tag][i].label} matches pool position {j}"

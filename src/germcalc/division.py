@@ -10,6 +10,20 @@ larger terms, so the process sweeps the finitely many monomials of degree
 at most K once.  So the first term that lands in the remainder stays
 there, and a membership test stops at it, building no quotient.
 
+A membership test runs on ints over Q: the dividend's jet and each
+divisor are cleared to integer numerators over the lcm of their
+denominators, and when a term's coefficient c is no multiple of the lead
+coefficient L, the whole work table is scaled by |L| / gcd(c, L), the
+fraction-free pseudo-reduction of Bareiss (Math. Comp. 1968).  A divisor
+and any nonzero multiple of it leave the same remainder, and the first
+remainder term c is exact as c over the dividend's denominator times the
+running scale.  Over Q(i) the coefficients pass through as they are.
+Whole remainders, with or without quotients, stay on Fraction, and so
+does a first-term division asked to (ints=False, as JetSpace.contains
+asks): on ints they sped the ideal-queries benchmark up so far that its
+per-op bookkeeping pushed the run's peak memory past that metric's 10%
+bound (ROADMAP item 6).
+
 reduce_mod_ideal computes the canonical normal form against the degree-K
 jet of an ideal: the staircase used is the ideal's diagram of initial
 exponents up to degree K, not the raw generator exponents, so the result
@@ -21,11 +35,13 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DimensionError, PrecisionError
 from .monomial import Staircase, guard_bits
-from .series import FormalSeries, _bound
+from .series import FormalSeries, _bound, _scaled_terms
 
 if TYPE_CHECKING:
     # An annotation only: ideals imports this module for its division.
@@ -40,11 +56,13 @@ class DivisionResult:
 
 
 def _divide(
-    f: FormalSeries, divisors: Sequence[FormalSeries], truncation: int, quotients=None
+    f: FormalSeries, divisors: Sequence[FormalSeries], truncation: int,
+    quotients=None, whole: bool = False, ints: bool = True,
 ) -> dict[int, object]:
-    """The remainder table of f on division by the divisors, filling
-    quotients, one table per divisor, when given; without quotients, only
-    the remainder's first term, or no term when the remainder is zero."""
+    """The remainder table of f on division by the divisors: the whole
+    remainder when quotients, one table per divisor to fill, are given or
+    whole is set, else only its first term, or no term when the remainder
+    is zero, found on ints over Q unless ints is False."""
     if not divisors:
         raise ValueError("at least one divisor is required")
     n = f.dimension
@@ -64,10 +82,21 @@ def _divide(
     # sets no guard bit, and a term of a divisor times x^s is at degree
     # <= truncation when its key plus s lies below bound.
     guards, bound = guard_bits(n), _bound(n, truncation)
-    alphas = [min(g._table) for g in divisors]
-    leads = [g._table[a] for g, a in zip(divisors, alphas)]
-    divisor_terms = [sorted(g.truncate(truncation)._table.items()) for g in divisors]
-    work = dict(f.truncate(truncation)._table)
+    jet = f.truncate(truncation)
+    whole = whole or quotients is not None
+    integer = ints and not whole and all(
+        type(c) is Fraction for s in (jet, *divisors) for c in s._table.values()
+    )
+    if integer:
+        items, den = _scaled_terms(jet)
+        divisor_terms = [_scaled_terms(g)[0] for g in divisors]
+    else:
+        items, den = jet._table.items(), 1
+        divisor_terms = [sorted(g._table.items()) for g in divisors]
+    alphas = [terms[0][0] for terms in divisor_terms]
+    leads = [terms[0][1] for terms in divisor_terms]
+    work = dict(items)
+    scale = 1  # on ints, work holds numerators over den * scale
     remainder: dict[int, object] = {}
 
     heap = list(work)
@@ -83,14 +112,21 @@ def _divide(
             if not (m - a) & guards:
                 break
         else:
-            remainder[m] = c
-            if quotients is None:
+            remainder[m] = Fraction(c, den * scale) if integer else c
+            if not whole:
                 return remainder
             del work[m]
             continue
         # m is cancelled once, so x^shift enters the quotient once
         shift = m - a
-        qc = c / leads[chosen]
+        lead = leads[chosen]
+        if integer and c % lead:
+            s = abs(lead) // gcd(c, lead)
+            for key in work:
+                work[key] *= s
+            scale *= s
+            c *= s
+        qc = c // lead if integer else c / lead
         if quotients is not None:
             quotients[chosen][shift] = qc
         terms = divisor_terms[chosen]

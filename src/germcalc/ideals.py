@@ -17,6 +17,12 @@ which lies in the staircase of g.  The remainder of truncated division by
 g has no term in that staircase, so it is zero exactly when f lies in
 (g) + m^k.  jet_membership decides one-generator ideals that way and
 every other ideal against its jet space.
+
+Every division here takes the remainder alone from division._divide and
+builds no quotient and no Staircase.  S-pairs, corners and normal forms
+wrap its whole remainder table; membership reads only its first term,
+on ints over Q for a principal ideal and on Fraction against a jet
+space (see division for why).
 """
 
 from __future__ import annotations
@@ -24,10 +30,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .division import _divide, formal_division
+from .division import _divide
 from .errors import DimensionError, PrecisionError, _Frozen
 from .monomial import MultiIndex, Staircase, monomials_up_to
 from .series import FormalSeries
+
+
+def _remainder(f: FormalSeries, divisors: list, degree: int) -> FormalSeries:
+    """The remainder of f on division by the divisors at the degree."""
+    return FormalSeries._from_table(f.dimension, degree, _divide(f, divisors, degree, whole=True))
 
 
 class JetSpace(_Frozen):
@@ -74,14 +85,14 @@ class JetSpace(_Frozen):
                 continue
             spoly = (FormalSeries.monomial(dimension, degree, lcm - a, h.coefficient(b)) * g
                      - FormalSeries.monomial(dimension, degree, lcm - b, g.coefficient(a)) * h)
-            r = formal_division(spoly, gens, degree).remainder
+            r = _remainder(spoly, gens, degree)
             if not r.is_zero:
                 pairs += [(i, len(gens)) for i in range(len(gens))]
                 gens.append(r)
         corners = {}
         for v in Staircase(dimension, (g.initial_exponent() for g in gens)).sorted_vertices():
             x_v = FormalSeries.monomial(dimension, degree, v)
-            corners[v] = x_v - formal_division(x_v, gens, degree).remainder
+            corners[v] = x_v - _remainder(x_v, gens, degree)
         object.__setattr__(self, "_n", dimension)
         object.__setattr__(self, "_degree", degree)
         object.__setattr__(self, "_corners", corners)
@@ -131,12 +142,12 @@ class JetSpace(_Frozen):
         r = self._jet(f)
         if not self._corners:
             return r
-        return formal_division(r, list(self._corners.values()), self._degree).remainder
+        return _remainder(r, list(self._corners.values()), self._degree)
 
     def contains(self, f: FormalSeries) -> bool:
         """Whether the normal form is zero, read off its first term."""
         r, corners = self._jet(f), list(self._corners.values())
-        return not _divide(r, corners, self._degree) if corners else r.is_zero
+        return not _divide(r, corners, self._degree, ints=False) if corners else r.is_zero
 
     def contains_space(self, other: "JetSpace") -> bool:
         if other.degree != self._degree or other.dimension != self._n:

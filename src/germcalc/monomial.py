@@ -17,7 +17,7 @@ no guard bit (the lowest field that borrows sets its own).
 
 from __future__ import annotations
 
-from functools import total_ordering
+from functools import cache, total_ordering
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionError, LimitError, _Frozen
@@ -48,6 +48,7 @@ def unpack(key: int, dimension: int) -> tuple[int, ...]:
     return tuple(key >> (FIELD_BITS * i) & _FIELD_MASK for i in range(dimension))
 
 
+@cache
 def guard_bits(dimension: int) -> int:
     """The guard bits of the exponent fields (see the module docstring)."""
     return sum(1 << (FIELD_BITS * i + FIELD_BITS - 1) for i in range(dimension))

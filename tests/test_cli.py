@@ -334,6 +334,20 @@ def test_failed_cross_check_exits_4(capsys, monkeypatch):
     assert err.startswith("error: candidate proposal missed a genuine partner")
 
 
+def test_oversized_curve_pool_exits_2_before_any_curve(capsys, monkeypatch):
+    def no_curve(*args):
+        raise AssertionError("a curve was built")
+
+    monkeypatch.setattr("germcalc.curves.curve", no_curve)
+    code, out, err = invoke(capsys, "counterexample", "verify", "--k", "1", "--m-max", "40")
+    assert code == 2
+    assert not out
+    assert err == (
+        "error: the curve pools need 70,735,248,053,782 curves, "
+        "over the limit of 1,048,576\n"
+    )
+
+
 def test_singular_conjugating_map_exits_2(capsys, tmp_path):
     manifest = tmp_path / "conj-singular.man"
     manifest.write_text(

@@ -1,7 +1,13 @@
+from fractions import Fraction
+
 import pytest
 
+import germcalc.equivalence
 from germcalc import (
+    FormalMap,
     FormalSeries,
+    LimitError,
+    MultiIndex,
     PrecisionError,
     ShiftSequence,
     build_shift_sequence,
@@ -14,6 +20,8 @@ from germcalc import (
     verify_finite_order_equivalence,
     verify_tangent_obstruction,
 )
+from germcalc.curves import MAX_POOL, _pool_windows
+from germcalc.monomial import MAX_DEGREE
 
 # the doubling construction is deterministic, so the whole sequence can be
 # pinned; each entry is the larger-in-absolute-value endpoint of the gap
@@ -138,11 +146,38 @@ def test_power_term_drops_beyond_truncation():
 
 def test_curve_validation_and_label():
     seq = build_shift_sequence(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="curve level must be at least 1"):
         curve("phi", 0, 1, 6, seq)
+    with pytest.raises(ValueError, match="curve tag must be 'phi' or 'psi'"):
+        curve("chi", 1, 1, 6, seq)
+    with pytest.raises(ValueError, match="truncation degree must be a natural number"):
+        curve("phi", 1, 1, -1, seq)
+    with pytest.raises(LimitError, match=f"truncation {MAX_DEGREE + 1} exceeds"):
+        curve("psi", 1, 1, MAX_DEGREE + 1, seq)
+    assert curve("psi", 1, 1, MAX_DEGREE, seq).series.truncation == MAX_DEGREE
     spec = curve("psi", 2, -1, 6, seq)
     assert spec.label == "psi(2,-1)"
     assert (spec.tag, spec.level, spec.index) == ("psi", 2, -1)
+
+
+@pytest.mark.parametrize("tag", ["phi", "psi"])
+def test_curve_table_matches_the_constructor(tag):
+    # the packed table equals the constructor's series, below, at and
+    # above the power term's degree m + 1
+    seq = build_shift_sequence(9)
+    for m in range(1, 10):
+        for n in range(-3, 4):
+            a = tangent_coefficient(tag, m, n, seq)
+            for trunc in sorted({0, 1, m, m + 1, m + 2, 12}):
+                built = curve(tag, m, n, trunc, seq).series
+                expected = FormalSeries(2, trunc, {(0, 1): 1, (1, 0): -a, (m + 1, 0): -1})
+                assert built == expected, (m, n, trunc)
+                assert built.terms == expected.terms
+                assert all(type(c) is Fraction for c in built._table.values())
+    # index 0 puts no z term on a phi curve
+    assert curve("phi", 2, 0, 6, seq).series.terms == {
+        MultiIndex((0, 1)): 1, MultiIndex((3, 0)): -1
+    }
 
 
 def test_curve_specs_window():
@@ -284,6 +319,54 @@ def test_driver_verdict_cross_checks_and_windows_are_pinned(args, kwargs, expect
     report = verify_finite_order_equivalence(*args, **kwargs)
     got = (report.ok, report.cross_checked, len(report.unmatched), report.pool_windows)
     assert got == expected
+
+
+def test_cross_check_reuses_the_matchers_refusal_and_one_table_of_powers(monkeypatch):
+    # Phi's linear part is inverted once, by the matcher, and its powers
+    # are built once by the matcher and once for the whole cross-check
+    counts = {"inverse": 0, "powers": 0}
+    linear_inverse, powers = FormalMap.linear_inverse, germcalc.equivalence._powers
+
+    def counting_inverse(self):
+        counts["inverse"] += 1
+        return linear_inverse(self)
+
+    def counting_powers(*args):
+        counts["powers"] += 1
+        return powers(*args)
+
+    monkeypatch.setattr(FormalMap, "linear_inverse", counting_inverse)
+    monkeypatch.setattr(germcalc.equivalence, "_powers", counting_powers)
+    report = verify_finite_order_equivalence(3, 4, 3, cross_check_samples=10)
+    assert report.cross_checked == 42
+    assert counts == {"inverse": 1, "powers": 2}
+
+
+def _pool_size(k, m_max, n_max, order, shift_level):
+    seq = build_shift_sequence(max(m_max, shift_level))
+    windows = _pool_windows(seq.c(shift_level), order, m_max, n_max, seq)
+    return sum(2 * bound + 1 for tag in windows.values() for bound in tag.values())
+
+
+def test_pool_estimate_admits_every_full_scale_run():
+    # m_max 10 and n_max 32 at k = 1..8, under both shears, at every order
+    # 2..k + 3, the full scale of criterion 5 and the CLI's defaults
+    sizes = {(k, order, level): _pool_size(k, 10, 32, order, level)
+             for k in range(1, 9) for order in range(2, k + 4) for level in (k, k + 1)}
+    assert sizes[1, 2, 1] == 131_668
+    assert max(sizes.values()) == 132_332 <= MAX_POOL
+
+
+def test_oversized_pool_is_refused_before_any_curve(monkeypatch):
+    # about 7.1e13 curves: refused from the window arithmetic alone
+    assert _pool_size(1, 40, 32, 3, 1) == 70_735_248_053_782
+
+    def no_curve(*args):
+        raise AssertionError("a curve was built")
+
+    monkeypatch.setattr("germcalc.curves.curve", no_curve)
+    with pytest.raises(LimitError, match="need 70,735,248,053,782 curves, over the limit"):
+        verify_finite_order_equivalence(1, 40, 32)
 
 
 def test_verify_argument_validation():

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import germcalc.division
 from germcalc import (
     FormalSeries,
+    GaussianRational,
     IdealPresentation,
     MultiIndex,
     PrecisionError,
@@ -13,8 +15,11 @@ from germcalc import (
     jet_membership,
     reduce_mod_ideal,
 )
+from germcalc.division import _divide
+from germcalc.monomial import pack
 from conftest import (
     dense_membership_oracle,
+    exponent_tuples,
     random_ideal,
     random_nonzero_series,
     random_series,
@@ -202,3 +207,107 @@ def test_normal_forms_agree_iff_membership():
         if member != oracle or same != member:
             disagreements += 1
     assert disagreements == 0
+
+
+# -- remainder-only division on ints ------------------------------------------
+
+
+def _count_scalings(monkeypatch):
+    """Count the scaling steps of the integer loop: each one takes a gcd."""
+    calls = []
+    original = germcalc.division.gcd
+
+    def counting(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(germcalc.division, "gcd", counting)
+    return calls
+
+
+def _lead_series(rng, n, trunc, lead):
+    """A divisor with the given lead coefficient on a random linear or
+    quadratic initial term, and a random tail above it."""
+    tail = random_series(rng, n, trunc, min_order=3, density=0.5, scale=9)
+    exponent = [0] * n
+    exponent[rng.randrange(n)] += rng.randint(1, 2)
+    return FormalSeries.monomial(n, trunc, exponent, lead) + tail
+
+
+def _wide(rng, bits):
+    """A rational with numerator and denominator of about the given bits."""
+    sign = rng.choice((-1, 1))
+    return Fraction(sign * rng.getrandbits(bits) | 1, rng.getrandbits(bits) | 1)
+
+
+LEADS = (3, -5, Fraction(7, 4), Fraction(-9, 2), -1, 6)
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(i)"])
+def test_integer_remainder_matches_the_full_division(field, monkeypatch):
+    """The remainder-only loop, on ints over Q, gives the full division's
+    first remainder term, key and exact value, as the same loop on
+    Fraction does, and with whole=True its whole remainder."""
+    rng = random.Random(83 if field == "Q" else 84)
+    unit = GaussianRational(1, 1) if field == "Q(i)" else 1
+    scalings = _count_scalings(monkeypatch)
+    several, members = 0, 0
+    for case in range(60):
+        n = rng.randint(1, 3)
+        trunc = 4 if n == 3 else 6
+        divisors = [_lead_series(rng, n, trunc, rng.choice(LEADS) * unit)
+                    for _ in range(rng.randint(1, 3))]
+        f = random_nonzero_series(rng, n, trunc, density=0.6, scale=11) * unit
+        if case % 3 == 0:
+            # a member plus a tail, so that the loop runs long before a remainder term
+            for g in divisors:
+                f = f + random_series(rng, n, trunc, density=0.4) * g
+            f = f.truncate(trunc - 1)
+        k = f.truncation
+        before = len(scalings)
+        first = _divide(f, divisors, k)
+        full = formal_division(f, divisors, k).remainder
+        assert first == dict(sorted(full._table.items())[:1])
+        assert _divide(f, divisors, k, ints=False) == first
+        assert _divide(f, divisors, k, whole=True) == full._table
+        members += not first
+        if field == "Q":
+            assert all(type(c) is Fraction for c in first.values())
+            several += len(scalings) - before >= 2
+        else:
+            assert len(scalings) == before  # Q(i) keeps its arithmetic
+    assert members >= 5 and 60 - members >= 10
+    if field == "Q":
+        assert several >= 10
+
+
+def test_integer_remainder_near_the_coefficient_cap():
+    # numerators and denominators of about 8,000 bits, near the parser's
+    # 8,192-bit cap
+    rng = random.Random(85)
+    for n in (1, 2, 2):
+        x = (1,) + (0,) * (n - 1)
+        divisors = [
+            FormalSeries(n, 3, {e: _wide(rng, 8000) for e in exponent_tuples(n, 3)
+                                if e == x or sum(e) >= 2 and rng.random() < 0.6})
+            for _ in range(n)
+        ]
+        f = FormalSeries(n, 3, {e: _wide(rng, 7900) for e in exponent_tuples(n, 3)})
+        full = formal_division(f, divisors, 3).remainder
+        assert _divide(f, divisors, 3) == dict(sorted(full._table.items())[:1])
+        assert _divide(f, divisors, 3, whole=True) == full._table
+
+
+def test_integer_remainder_scales_once_per_missing_factor(monkeypatch):
+    # 3x + y^2 divides nothing of x^3 over the ints: each of the three
+    # cancellations scales the work table by 3, and the remainder y^6/27
+    # comes back exact
+    x, y = t_vars(6)
+    scalings = _count_scalings(monkeypatch)
+    assert _divide(x * x * x, [3 * x + y * y], 6) == {
+        pack((0, 6)): Fraction(-1, 27)
+    }
+    assert len(scalings) == 3
+    assert formal_division(x * x * x, [3 * x + y * y], 6).remainder == FormalSeries(
+        2, 6, {(0, 6): Fraction(-1, 27)}
+    )

@@ -22,6 +22,7 @@ from germcalc import (
     jet_membership,
     membership_up_to,
     monomials_up_to,
+    reduce_mod_ideal,
 )
 from conftest import (
     EliminationJetSpace,
@@ -482,3 +483,22 @@ def test_membership_builds_no_quotient_and_no_staircase(monkeypatch):
     # the guard sees what a full division builds
     formal_division(t1, principal.generators, 5)
     assert sorted(set(calls)) == ["Staircase", "_from_table"]
+
+
+def test_jet_space_divides_without_quotients(monkeypatch):
+    # S-pairs, corners, normal forms and basis rows take the remainder
+    # table alone: no quotient series and no Staircase from division.py
+    t1, t2 = t_vars(6)
+    pair = IdealPresentation(2, [t1 * t1 - t2 * t2 * t2, t1 * t2])
+    f = t1 * t1 * t1 + Fraction(1, 3) * t1 * t2 + Fraction(2, 5) * t2 * t2
+    calls = _count_division_builds(monkeypatch)
+    space = pair.jet_space(5)  # the initial exponents share t1: one S-pair
+    reduced = space.reduce(f)
+    rows = space.basis
+    normal = reduce_mod_ideal(f, pair, 5)
+    assert calls == []
+    corners = list(space._corners.values())
+    assert reduced == normal == formal_division(f.truncate(5), corners, 5).remainder
+    assert reduced == FormalSeries(2, 5, {(0, 2): Fraction(2, 5)})
+    assert [x - formal_division(x, corners, 5).remainder for x in
+            (FormalSeries.monomial(2, 5, m) for m in space.pivot_exponents)] == rows
