@@ -373,6 +373,11 @@ def _cmd_counterexample_verify(args) -> tuple[int, dict]:
     return (0 if result.ok else 1), report
 
 
+# a horizon run lists every integer of its range, over a sequence whose
+# cost grows quadratically with --levels; both are capped before any work
+_MAX_T_RANGE = 1 << 20
+
+
 def _cmd_counterexample_horizon(args) -> tuple[int, dict]:
     try:
         lo_text, _, hi_text = args.t_range.partition(":")
@@ -381,6 +386,12 @@ def _cmd_counterexample_horizon(args) -> tuple[int, dict]:
         raise ParseError("--t-range takes LO:HI with integer bounds") from None
     if lo > hi:
         raise ParseError("--t-range bounds are out of order")
+    if hi - lo >= _MAX_T_RANGE:
+        raise ParseError(f"--t-range spans more than {_MAX_T_RANGE:,} integers")
+    if args.levels > _MAX_PRINTED_LEVELS:
+        raise ParseError(
+            f"--levels {args.levels} is over the limit of {_MAX_PRINTED_LEVELS:,}"
+        )
     horizons = membership_horizons(lo, hi, build_shift_sequence(args.levels))
     finite = [h for _, h in horizons if h is not None]
     all_finite = len(finite) == len(horizons)

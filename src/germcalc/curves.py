@@ -64,6 +64,10 @@ from .series import FormalMap, FormalSeries, realify, realify_map
 
 # The most curves, over both pools, that one verification builds.
 MAX_POOL = 1 << 20
+# Unmatched curves per side whose pruned candidates the driver re-checks.
+_CROSS_CHECK_SAMPLES = 3
+# The obstruction check clears every integer in -window..window.
+_OBSTRUCTION_WINDOW = 1000
 _W, _Z, _ONE, _MINUS_ONE = pack((0, 1)), pack((1, 0)), Fraction(1), Fraction(-1)
 
 
@@ -304,9 +308,7 @@ def verify_finite_order_equivalence(
     *,
     order: Optional[int] = None,
     shift_level: Optional[int] = None,
-    seq: Optional[ShiftSequence] = None,
     realified: bool = False,
-    cross_check_samples: int = 3,
 ) -> CurveSetReport:
     """Match the two curve sets through the general set-mode checker.
 
@@ -325,6 +327,8 @@ def verify_finite_order_equivalence(
         raise ValueError("k must be at least 1")
     if m_max < k:
         raise ValueError("m_max must be at least k")
+    if n_max < 0:
+        raise ValueError("n_max must be at least 0")
     order = k + 2 if order is None else order
     shift_level = k if shift_level is None else shift_level
     truncation = k + 3 if truncation is None else truncation
@@ -332,12 +336,7 @@ def verify_finite_order_equivalence(
         raise PrecisionError(
             f"truncation {truncation} cannot certify order {order}"
         )
-    levels_needed = max(m_max, shift_level)
-    if seq is None:
-        seq = build_shift_sequence(levels_needed)
-    elif seq.levels < levels_needed:
-        raise ValueError(f"shift sequence too short, need {levels_needed} levels")
-
+    seq = build_shift_sequence(max(m_max, shift_level))
     shift_value = seq.c(shift_level)
     windows = _pool_windows(shift_value, order, m_max, n_max, seq)
     positions = sum(2 * bound + 1 for tag in windows.values() for bound in tag.values())
@@ -403,7 +402,7 @@ def verify_finite_order_equivalence(
     for tag, summary in (("phi", left_summary), ("psi", right_summary)):
         source, target = pools[tag], pools[other[tag]]
         failures = [i for i, m in enumerate(summary) if m.partner is None]
-        for i in failures[:cross_check_samples]:
+        for i in failures[:_CROSS_CHECK_SAMPLES]:
             samples = {0, len(target) // 2, len(target) - 1} - set(proposed(tag, i))
             for j in sorted(samples):
                 pair = (source.ideals[i], target.ideals[j])
@@ -447,18 +446,14 @@ class ObstructionReport:
         return self.ok
 
 
-def verify_tangent_obstruction(
-    m_max: int, seq: Optional[ShiftSequence] = None, *, window: int = 1000
-) -> ObstructionReport:
+def verify_tangent_obstruction(m_max: int) -> ObstructionReport:
     """Check the arithmetic facts behind the non-equivalence argument: no
-    integer within the window survives every level (so no tangent datum
-    can be preserved by a single formal map), and 0 is in no level at
-    all."""
-    if seq is None:
-        seq = build_shift_sequence(m_max)
-    if seq.levels < m_max:
-        raise ValueError(f"shift sequence too short, need {m_max} levels")
+    integer t with |t| <= _OBSTRUCTION_WINDOW survives every level up to
+    m_max (so no tangent datum can be preserved by a single formal map),
+    and 0 is in no level at all."""
+    seq = build_shift_sequence(m_max)
     zero_excluded = all(not seq.contains(0, m) for m in range(1, m_max + 1))
+    window = _OBSTRUCTION_WINDOW
     horizons = membership_horizons(-window, window, seq)
     finite = [h for _, h in horizons if h is not None]
     all_finite = len(finite) == len(horizons)

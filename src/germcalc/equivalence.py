@@ -168,15 +168,6 @@ def _pair_order_k(
     return True, None
 
 
-def pair_order_k(
-    phi: FormalMap, left: IdealPresentation, right: IdealPresentation, k: int
-) -> bool:
-    """Two-sided order-k equivalence verdict for a single pair of ideals."""
-    phi.linear_inverse()  # refuses a singular Phi
-    ok, _ = _pair_order_k(left, _pulled(right, phi, {}), k)
-    return ok
-
-
 def _match(
     phi: FormalMap,
     left: GermFamily,
@@ -306,8 +297,11 @@ def equivalence_horizon(
 ) -> HorizonReport:
     """Scan orders k = 1..bound and report each verdict individually.
 
-    Set-mode matchings may genuinely differ from one order to the next, so
-    every order is evaluated on its own rather than bisected.
+    Verdicts fall with k and never rise again, in either mode: I + m^(k+1)
+    lies in I + m^k, so a pair that passes at order k + 1 passes at order
+    k.  Set-mode partners may differ from one order to the next, but a
+    member with no partner at order k has none at any higher order.
+    Every order is still evaluated on its own.
     """
     if bound < 1:
         raise ValueError("horizon bound must be at least 1")

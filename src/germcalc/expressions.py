@@ -288,7 +288,7 @@ class _Parser:
                         f"of {_MAX_POWER_BITS} bits",
                         exp_tok.position,
                     )
-            return self._bounded(self._pow(base, exponent), exp_tok)
+            return self._bounded(base**exponent, exp_tok)
         return base
 
     def parse_atom(self):
@@ -369,14 +369,6 @@ class _Parser:
         if not b:
             raise ParseError("division by zero", tok.position)
         return a * (Fraction(1) / b)
-
-    def _pow(self, base, exponent: int):
-        if isinstance(base, FormalSeries):
-            out = FormalSeries.constant(len(self.names), self.truncation, 1)
-            for _ in range(exponent):
-                out = out * base
-            return out
-        return base**exponent
 
 
 def parse_series(

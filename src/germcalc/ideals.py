@@ -149,11 +149,6 @@ class JetSpace(_Frozen):
         r, corners = self._jet(f), list(self._corners.values())
         return not _divide(r, corners, self._degree, ints=False) if corners else r.is_zero
 
-    def contains_space(self, other: "JetSpace") -> bool:
-        if other.degree != self._degree or other.dimension != self._n:
-            raise DimensionError("jet spaces live at different degrees or dimensions")
-        return all(self.contains(g) for g in other._corners.values())
-
     def staircase(self) -> Staircase:
         return Staircase(self._n, self._corners)
 
@@ -193,10 +188,6 @@ class IdealPresentation(_Frozen):
     @property
     def generators(self) -> tuple[FormalSeries, ...]:
         return self._gens
-
-    @property
-    def is_zero_ideal(self) -> bool:
-        return not self._gens
 
     @property
     def generator_truncation(self) -> Optional[int]:
@@ -261,10 +252,6 @@ class HorizonReport:
     bound: int
     per_order: tuple[tuple[int, bool], ...]
     first_failure: Optional[int]
-
-    @property
-    def holds_up_to_bound(self) -> bool:
-        return self.first_failure is None
 
     def __bool__(self):
         return self.first_failure is None

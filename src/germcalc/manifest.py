@@ -25,9 +25,11 @@ component tuple.  A ``series`` header key carries the dividend for
 character is ``{`` are read as JSON with the same keys (``left`` and
 ``right`` become label-to-payload objects or pair lists).
 
-Expression payloads are kept as raw text here; ``resolve_*`` helpers
-parse them at a chosen truncation so one manifest can serve several
-precision levels.
+Expression payloads are kept as raw text here; the ``resolve_*``
+helpers parse the section payloads at a chosen truncation so one
+manifest can serve several precision levels.  The ``map`` and
+``series`` texts are parsed by the command line, whose flags override
+them.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .equivalence import GermFamily
 from .errors import ParseError
 from .expressions import parse_components, parse_map, parse_series
 from .ideals import IdealPresentation
-from .series import FormalMap, FormalSeries
+from .series import FormalMap
 
 KINDS = ("ideals", "maps", "fields")
 _HEADER_KEYS = ("vars", "trunc", "kind", "mode", "order", "map", "series")
@@ -73,16 +75,6 @@ class Manifest:
 
     # -- resolution ---------------------------------------------------------
 
-    def resolve_map(self, truncation: int) -> FormalMap:
-        if self.map_text is None:
-            raise ParseError("manifest has no map")
-        return parse_map(self.map_text, self.variables, truncation)
-
-    def resolve_series(self, truncation: int) -> FormalSeries:
-        if self.series_text is None:
-            raise ParseError("manifest has no series")
-        return parse_series(self.series_text, self.variables, truncation)
-
     def resolve_family(self, side: str, truncation: int) -> GermFamily:
         if self.kind != "ideals":
             raise ParseError(f"manifest kind is {self.kind}, not ideals")
@@ -96,17 +88,6 @@ class Manifest:
             ]
             items.append((label, IdealPresentation(len(self.variables), gens)))
         return GermFamily.of(self.mode, items)
-
-    def resolve_generators(self, side: str, truncation: int) -> list[FormalSeries]:
-        """All generators of a side in order, ignoring the label grouping."""
-        if self.kind != "ideals":
-            raise ParseError(f"manifest kind is {self.kind}, not ideals")
-        out = []
-        for _, payload in self._side(side):
-            out.extend(
-                parse_series(text, self.variables, truncation) for text in payload
-            )
-        return out
 
     def resolve_maps(self, side: str, truncation: int) -> tuple[list[str], list[FormalMap]]:
         return self._resolve_tuples(

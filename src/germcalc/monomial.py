@@ -182,10 +182,6 @@ class Staircase(_Frozen):
     def vertices(self) -> frozenset[MultiIndex]:
         return self._vertices
 
-    @property
-    def is_empty(self) -> bool:
-        return not self._vertices
-
     def sorted_vertices(self) -> list[MultiIndex]:
         return sorted(self._vertices, key=lambda v: v.sort_key)
 

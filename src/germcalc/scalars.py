@@ -36,10 +36,6 @@ class GaussianRational(_Frozen):
             return GaussianRational(value)
         return None
 
-    @property
-    def is_real(self) -> bool:
-        return self.imag == 0
-
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.real, -self.imag)
 

@@ -212,17 +212,6 @@ class FormalSeries(_Frozen):
             return None
         return min(self._table) >> FIELD_BITS * self._n
 
-    def vanishes_to_order(self, k: int) -> bool:
-        """True iff every stored term has degree >= k.
-
-        Decides membership in m^k provided k - 1 <= truncation.
-        """
-        if k - 1 > self._trunc:
-            raise PrecisionError(
-                f"cannot test vanishing to order {k} at truncation {self._trunc}"
-            )
-        return self.is_zero or self.order() >= k
-
     # -- ring operations ----------------------------------------------------
 
     def _check_compatible(self, other: "FormalSeries"):
@@ -295,6 +284,19 @@ class FormalSeries(_Frozen):
     def __rmul__(self, other):
         return self.__mul__(other)
 
+    def __pow__(self, exponent):
+        """A natural power by square-and-multiply; 1 for exponent 0."""
+        if not isinstance(exponent, int) or exponent < 0:
+            return NotImplemented
+        result, base = None, self
+        while exponent:
+            if exponent & 1:
+                result = base if result is None else result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return FormalSeries.constant(self._n, self._trunc, 1) if result is None else result
+
     def truncate(self, degree: int) -> "FormalSeries":
         """Discard terms of degree > degree; degree may not exceed the
         carried truncation (that would claim precision we do not have)."""
@@ -331,20 +333,6 @@ class FormalSeries(_Frozen):
             if e:
                 table[k - step] = c * e
         return FormalSeries._from_table(self._n, self._trunc - 1, table)
-
-    def evaluate(self, point: Sequence) -> Scalar:
-        """Exact evaluation of the stored polynomial representative."""
-        if len(point) != self._n:
-            raise DimensionError("evaluation point has wrong length")
-        values = [coerce_scalar(p) for p in point]
-        total: Scalar = Fraction(0)
-        for k, c in self._table.items():
-            term = c
-            for v, e in zip(values, unpack(k, self._n)):
-                if e:
-                    term = term * v**e
-            total = total + term
-        return total
 
     def substitute(self, components: Sequence["FormalSeries"], powers=None) -> "FormalSeries":
         """Substitute one series per variable; components must have zero

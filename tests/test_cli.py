@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from packaging.version import Version
 
+from germcalc import cli, curves
 from germcalc.cli import _MAX_PRINTED_LEVELS, _check_printed_levels, main
 from germcalc.curves import build_shift_sequence
 from germcalc.errors import ParseError
@@ -247,6 +248,52 @@ def test_counterexample_horizon_range_errors(capsys):
     assert code == 2
 
 
+def _refuse_horizon_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the horizon job was started")
+
+    monkeypatch.setattr(cli, "build_shift_sequence", no_work)
+    monkeypatch.setattr(cli, "membership_horizons", no_work)
+    monkeypatch.setattr(curves, "membership_horizon", no_work)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--t-range=0:1048576",), "--t-range spans more than 1,048,576 integers"),
+        (("--t-range=-1000000000:1000000000",), "--t-range spans more than 1,048,576 integers"),
+        (("--t-range=-5:5", "--levels", "14285"), "--levels 14285 is over the limit of 14,284"),
+        (("--t-range=-5:5", "--levels", "50000"), "--levels 50000 is over the limit of 14,284"),
+    ],
+)
+def test_counterexample_horizon_budget_exits_2_before_any_work(capsys, monkeypatch, argv, message):
+    _refuse_horizon_work(monkeypatch)
+    code, out, err = invoke(capsys, "counterexample", "horizon", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [("--t-range=0:1048575",), ("--t-range=-5:5", "--levels", "14284")]
+)
+def test_counterexample_horizon_budget_admits_its_bounds(monkeypatch, argv):
+    # the guards pass the largest range and level; the patched job
+    # stops the run before it does any work
+    _refuse_horizon_work(monkeypatch)
+    with pytest.raises(AssertionError, match="horizon job was started"):
+        main(["counterexample", "horizon", *argv])
+
+
+def test_counterexample_verify_refuses_a_negative_n_max(capsys, monkeypatch):
+    def no_curve(*args):
+        raise AssertionError("a curve was built")
+
+    monkeypatch.setattr(curves, "curve", no_curve)
+    code, out, err = invoke(
+        capsys, "counterexample", "verify", "--k", "3", "--m-max", "4", "--n-max", "-1"
+    )
+    assert (code, out, err) == (2, "", "error: n_max must be at least 0\n")
+
+
 # -- output discipline ------------------------------------------------------
 
 
@@ -299,6 +346,15 @@ def test_missing_required_flags(capsys):
     assert invoke(capsys, "check-equivalence")[0] == 2  # no --manifest
     code, _, err = invoke(capsys, "divide", "--vars", "z")
     assert code == 2 and "no input series" in err
+
+
+def test_manifest_without_a_map(capsys, tmp_path):
+    bare = tmp_path / "bare.man"
+    bare.write_text("vars: z, w\norder: 1\n[left]\na: w\n[right]\na: w\n")
+    code, out, err = invoke(capsys, "check-equivalence", "--manifest", str(bare))
+    assert code == 2 and not out
+    assert err == "error: no map: pass --map or a manifest 'map' key\n"
+    assert invoke(capsys, "check-equivalence", "--manifest", str(bare), "--map", "(z, w)")[0] == 0
 
 
 def test_bad_flag_values(capsys):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import germcalc.curves
 import germcalc.equivalence
 from germcalc import (
     FormalMap,
@@ -306,11 +307,6 @@ def test_report_carries_the_window_bookkeeping():
             (False, 18, 34, ((1, 10), (2, 9), (3, 9), (4, 8), (5, 9))),
         ),
         ((2, 3, 1), {"realified": True}, (False, 18, 6, ((1, 1), (2, 1), (3, 2)))),
-        (
-            (3, 4, 3),
-            {"cross_check_samples": 10},
-            (False, 42, 14, ((1, 5), (2, 4), (3, 3), (4, 4))),
-        ),
     ],
 )
 def test_driver_verdict_cross_checks_and_windows_are_pinned(args, kwargs, expected):
@@ -319,6 +315,14 @@ def test_driver_verdict_cross_checks_and_windows_are_pinned(args, kwargs, expect
     report = verify_finite_order_equivalence(*args, **kwargs)
     got = (report.ok, report.cross_checked, len(report.unmatched), report.pool_windows)
     assert got == expected
+
+
+def test_cross_check_sample_count_is_pinned(monkeypatch):
+    # ten unmatched curves per side re-checked instead of three
+    monkeypatch.setattr(germcalc.curves, "_CROSS_CHECK_SAMPLES", 10)
+    report = verify_finite_order_equivalence(3, 4, 3)
+    got = (report.ok, report.cross_checked, len(report.unmatched), report.pool_windows)
+    assert got == (False, 42, 14, ((1, 5), (2, 4), (3, 3), (4, 4)))
 
 
 def test_cross_check_reuses_the_matchers_refusal_and_one_table_of_powers(monkeypatch):
@@ -337,7 +341,8 @@ def test_cross_check_reuses_the_matchers_refusal_and_one_table_of_powers(monkeyp
 
     monkeypatch.setattr(FormalMap, "linear_inverse", counting_inverse)
     monkeypatch.setattr(germcalc.equivalence, "_powers", counting_powers)
-    report = verify_finite_order_equivalence(3, 4, 3, cross_check_samples=10)
+    monkeypatch.setattr(germcalc.curves, "_CROSS_CHECK_SAMPLES", 10)
+    report = verify_finite_order_equivalence(3, 4, 3)
     assert report.cross_checked == 42
     assert counts == {"inverse": 1, "powers": 2}
 
@@ -378,9 +383,20 @@ def test_verify_argument_validation():
         verify_finite_order_equivalence(2, 3, 4, truncation=3)
 
 
-def test_short_sequence_is_rejected():
-    with pytest.raises(ValueError):
-        verify_finite_order_equivalence(2, 3, 4, seq=build_shift_sequence(2))
+def test_negative_n_max_is_refused_before_any_curve(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the construction was started")
+
+    monkeypatch.setattr(germcalc.curves, "build_shift_sequence", no_work)
+    monkeypatch.setattr(germcalc.curves, "curve", no_work)
+    for k in range(1, 4):
+        for m_max in range(k, k + 3):
+            for n_max in (-1, -2, -5):
+                with pytest.raises(ValueError, match="^n_max must be at least 0$"):
+                    verify_finite_order_equivalence(k, m_max, n_max)
+    monkeypatch.undo()
+    report = verify_finite_order_equivalence(2, 3, 0)
+    assert [m.index for m in report.left + report.right] == [0] * 6
 
 
 # -- the obstruction --------------------------------------------------------
@@ -389,6 +405,7 @@ def test_short_sequence_is_rejected():
 def test_obstruction_at_full_depth():
     report = verify_tangent_obstruction(13)
     assert report.ok
+    assert report.window == 1000
     assert report.zero_excluded
     assert report.all_horizons_finite
     assert report.max_horizon == 12
@@ -407,8 +424,3 @@ def test_obstruction_shallow_depth_fails_honestly():
     report = verify_tangent_obstruction(3)
     assert not report.ok
     assert not report.all_horizons_finite
-
-
-def test_obstruction_sequence_length_check():
-    with pytest.raises(ValueError):
-        verify_tangent_obstruction(5, seq=build_shift_sequence(3))

@@ -23,12 +23,12 @@ from germcalc import (
     equivalence_horizon,
     is_order_k_equivalence,
     jet_coset_membership,
+    jet_membership,
     membership_up_to,
     pullback,
     shift_map,
 )
 from germcalc import equivalence
-from germcalc.equivalence import pair_order_k
 from conftest import (
     exponent_tuples,
     inverse_pair_oracle,
@@ -461,7 +461,7 @@ def test_jet_coset_matches_the_reduced_basis_oracle():
 
 def test_jet_coset_of_principal_ideals_builds_no_jet_space(monkeypatch):
     lam, left, right = _shifted_curves()
-    assert not any(pullback(ideal, lam).is_zero_ideal for ideal in right.ideals)
+    assert all(pullback(ideal, lam).generators for ideal in right.ideals)
     built = []
     original = JetSpace.__init__
 
@@ -483,7 +483,7 @@ def test_horizon_of_identical_families():
     z, w = zw()
     fam = family(w - z)
     report = equivalence_horizon(fam, fam, FormalMap.identity(2, K), 4)
-    assert report.holds_up_to_bound
+    assert report
     assert report.first_failure is None
     assert report.per_order == ((1, True), (2, True), (3, True), (4, True))
 
@@ -521,8 +521,6 @@ def test_singular_map_is_refused_by_equivalence_checks():
     fam = family(w - z)
     with pytest.raises(InversionError, match=SINGULAR):
         is_order_k_equivalence(singular_map(), fam, fam, 2)
-    with pytest.raises(InversionError, match=SINGULAR):
-        pair_order_k(singular_map(), fam.ideals[0], fam.ideals[0], 2)
     sets = fam.with_mode("set")
     with pytest.raises(InversionError, match=SINGULAR):
         is_order_k_equivalence(singular_map(), sets, sets, 2)
@@ -535,8 +533,6 @@ def test_map_truncated_at_0_is_refused_by_equivalence_checks():
     for sets in (fam, fam.with_mode("set")):
         with pytest.raises(PrecisionError, match="^the linear part of a map truncated at 0"):
             is_order_k_equivalence(phi, sets, sets, 1)
-    with pytest.raises(PrecisionError, match="^the linear part of a map truncated at 0"):
-        pair_order_k(phi, fam.ideals[0], fam.ideals[0], 1)
 
 
 def test_singular_map_refusal_comes_after_shape_and_mode_checks():
@@ -570,7 +566,6 @@ def test_pullback_witness_indexes_right_generators_past_a_vanishing_one():
     report = is_order_k_equivalence(phi, left, right, 3)
     assert not report.ok
     assert report.per_index[0].failure == ("pullback", 1)
-    assert not pair_order_k(phi, left.ideals[0], right.ideals[0], 3)
 
 
 # -- verdicts against the inverse oracle -------------------------------------
@@ -658,9 +653,51 @@ def test_pair_verdicts_match_the_inverse_oracle():
             backward = _oracle_search(table, 3, "abc", True)
             assert [(m.partner, m.tried) for m in report.left_matching] == forward
             assert [(m.partner, m.tried) for m in report.right_matching] == backward
-            for i, (ok, _) in enumerate(expected):
-                assert pair_order_k(phi, lefts[i], rights[i], k) == ok
     assert verdicts.count(True) >= 100 and verdicts.count(False) >= 60
+
+
+def _first_false(verdicts):
+    return verdicts.index(False) + 1 if False in verdicts else None
+
+
+def test_horizons_match_each_order_and_never_rise_again():
+    # I + m^(k+1) lies in I + m^k, so verdicts fall with k in both modes
+    rng = random.Random(71)
+    scans, member_scans = [], []
+    for n, field, mode in itertools.product((1, 2, 3), ("Q", "Q(i)"), ("family", "set")):
+        trunc = 4 if n == 1 else 3
+        for _ in range(3):
+            phi = _oracle_map(rng, field, n, trunc)
+            phi_inv = phi.inverse()
+            lefts = [_oracle_ideal(rng, field, n, trunc, rng.randint(1, 2)) for _ in range(2)]
+            rights = [_partner_ideal(rng, field, I, phi_inv, trunc) for I in lefts]
+            left = GermFamily.of(mode, zip("ab", lefts))
+            right = GermFamily.of(mode, zip("ab", rights))
+            scan = equivalence_horizon(left, right, phi, trunc)
+            verdicts = [is_order_k_equivalence(phi, left, right, k).ok for k in range(1, trunc + 1)]
+            assert scan.per_order == tuple(enumerate(verdicts, 1))
+            assert verdicts == sorted(verdicts, reverse=True)
+            assert scan.first_failure == _first_false(verdicts)
+            scans.append(scan.first_failure)
+
+            # a member of the left ideal, perturbed from a random degree on
+            ideal = lefts[0]
+            f = FormalSeries.zero(n, trunc)
+            for g in ideal.generators:
+                f = f + _over(rng, field, n, trunc, density=0.5) * g
+            j = rng.randint(0, trunc + 1)
+            if j <= trunc:
+                f = f + _over(rng, field, n, trunc, min_order=j, density=0.5)
+            members = [jet_membership(f, ideal, k) for k in range(1, trunc + 2)]
+            up_to = membership_up_to(f, ideal, trunc + 1)
+            first = _first_false(members)
+            assert members == sorted(members, reverse=True)
+            assert up_to.first_failure == first
+            assert up_to.per_order == tuple(enumerate(members, 1))[:first]
+            member_scans.append(first)
+    # runs that hold throughout, and failures at two orders or more
+    for firsts in (scans, member_scans):
+        assert None in firsts and len(set(firsts) - {None}) >= 2
 
 
 # -- one table of Phi's powers per working truncation --------------------------

@@ -51,9 +51,7 @@ def test_resolution_of_ideals_and_map():
     assert left.mode == "family"
     assert left.labels == ("curve",)
     assert left.ideals[0].generators == (w - z,)
-    phi = man.resolve_map(4)
-    assert phi.components == (z, w + z)
-    assert man.resolve_generators("right", 4) == [w + z]
+    assert man.resolve_family("right", 4).ideals[0].generators == (w + z,)
 
 
 def test_generator_lists_split_on_semicolon():
@@ -87,8 +85,7 @@ def test_fields_manifest_resolution():
 
 def test_series_header_key():
     man = parse_manifest("vars: z, w\nseries: w^2 - z\n[left]\ng: w\n")
-    z, w = zw(3)
-    assert man.resolve_series(3) == w * w - z
+    assert man.series_text == "w^2 - z"
 
 
 def test_comments_and_blank_lines_are_ignored():
@@ -212,10 +209,7 @@ def test_json_errors():
 
 def test_resolving_what_is_not_there():
     man = parse_manifest("vars: z\n[left]\na: z\n")
-    with pytest.raises(ParseError):
-        man.resolve_map(3)
-    with pytest.raises(ParseError):
-        man.resolve_series(3)
+    assert man.map_text is None and man.series_text is None
     with pytest.raises(ParseError):
         man.resolve_family("right", 3)
     with pytest.raises(ValueError):

@@ -155,7 +155,7 @@ def test_vertex_extraction_drops_dominated_points():
 
 def test_vertex_extraction_empty():
     s = vertex_extraction([], dimension=2)
-    assert s.is_empty
+    assert not s.vertices
     assert not s.contains((0, 0))
     with pytest.raises(ValueError):
         vertex_extraction([])

@@ -66,8 +66,8 @@ def test_equality_with_reals():
 
 
 def test_is_real_flag():
-    assert GaussianRational(7).is_real
-    assert not GaussianRational(0, 1).is_real
+    assert GaussianRational(7).imag == 0
+    assert GaussianRational(0, 1).imag != 0
 
 
 def test_bool():
