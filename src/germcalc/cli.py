@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .curves import (
     build_shift_sequence,
-    membership_horizons,
+    membership_horizon,
     verify_finite_order_equivalence,
 )
 from .division import formal_division, reduce_mod_ideal
@@ -373,8 +373,8 @@ def _cmd_counterexample_verify(args) -> tuple[int, dict]:
     return (0 if result.ok else 1), report
 
 
-# a horizon run lists every integer of its range, over a sequence whose
-# cost grows quadratically with --levels; both are capped before any work
+# a horizon report lists every integer of its range; --levels takes the bound
+# of `counterexample sequence`; both are checked before any work
 _MAX_T_RANGE = 1 << 20
 
 
@@ -392,7 +392,8 @@ def _cmd_counterexample_horizon(args) -> tuple[int, dict]:
         raise ParseError(
             f"--levels {args.levels} is over the limit of {_MAX_PRINTED_LEVELS:,}"
         )
-    horizons = membership_horizons(lo, hi, build_shift_sequence(args.levels))
+    seq = build_shift_sequence(args.levels)
+    horizons = [(t, membership_horizon(t, seq)) for t in range(lo, hi + 1)]
     finite = [h for _, h in horizons if h is not None]
     all_finite = len(finite) == len(horizons)
     report = {

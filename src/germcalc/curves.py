@@ -4,8 +4,11 @@ The construction walks a nested chain of arithmetic progressions.  Start
 with c_1 = 1 and S_m = 2^m Z + c_m; level m has a maximum negative
 element a_m and a minimum positive element b_m with b_m - a_m = 2^m, and
 c_{m+1} is whichever of the two is larger in absolute value (b_m on
-ties).  The progressions are nested, their small elements grow like
-2^(m-2), and no integer stays in all of them.
+ties).  In closed form c_m = ((-2)^m - 1)/3 for m >= 2, so 3 c_m + 1 is
+(-2)^m (and 4 at m = 1), and S_m is exactly {t : 2^m | 3t + 1}.  The
+progressions are nested, the smallest |element| of S_m is the Jacobsthal
+number (2^m - (-1)^m)/3 >= 2^(m-2), and no integer stays in all of them:
+t leaves at level v_2(3t + 1) + 1, since 3t + 1 is never 0.
 
 On top of the sequence sit two curve sets in the (z, w) plane:
 
@@ -48,13 +51,20 @@ only possible partners), and because the proposal could in principle be
 wrong in the pruning direction, excluded pool positions {0, len // 2,
 len - 1} are re-checked with the general pairwise verdict for the first
 few unmatched curves of each side.
+
+realified=True gives the complex verdicts at every order: for holomorphic
+F and g with no constant term, Re F and Im F lie in (Re g, Im g) + m^K
+exactly when F lies in (g) + m^K.  Complexified, (Re g, Im g) becomes
+(g(z), conj(g)(conj z)); setting conj z = 0 is a ring map that fixes F and
+g, kills conj(g)(conj z) and keeps m^K.  A realified pullback by a
+holomorphic map is the Re/Im pair of the complex pullback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .equivalence import GermFamily, _pair_order_k, _pulled, is_order_k_equivalence
 from .errors import CrossCheckError, LimitError, PrecisionError, _Frozen
@@ -64,6 +74,7 @@ from .series import FormalMap, FormalSeries, realify, realify_map
 
 # The most curves, over both pools, that one verification builds.
 MAX_POOL = 1 << 20
+_POOL_LIMIT = "the curve pools need {} curves, over the limit of {:,}"
 # Unmatched curves per side whose pruned candidates the driver re-checks.
 _CROSS_CHECK_SAMPLES = 3
 # The obstruction check clears every integer in -window..window.
@@ -72,75 +83,56 @@ _W, _Z, _ONE, _MINUS_ONE = pack((0, 1)), pack((1, 0)), Fraction(1), Fraction(-1)
 
 
 class ShiftSequence(_Frozen):
-    """The integers c_1..c_M together with their progressions S_m."""
+    """The levels 1..M of the construction, each answered from m alone."""
 
-    __slots__ = ("_values",)
+    __slots__ = ("levels",)
 
-    def __init__(self, values: Sequence[int]):
-        vals = tuple(int(v) for v in values)
-        if not vals:
+    def __init__(self, levels: int):
+        if levels < 1:
             raise ValueError("a shift sequence needs at least one level")
-        object.__setattr__(self, "_values", vals)
-
-    @property
-    def levels(self) -> int:
-        return len(self._values)
+        object.__setattr__(self, "levels", levels)
 
     @property
     def values(self) -> tuple[int, ...]:
-        return self._values
+        return tuple(map(self.c, range(1, self.levels + 1)))
 
-    def c(self, m: int) -> int:
+    def _modulus(self, m: int) -> int:
         if not 1 <= m <= self.levels:
             raise ValueError(f"level {m} outside 1..{self.levels}")
-        return self._values[m - 1]
+        return 1 << m
+
+    def c(self, m: int) -> int:
+        """c_1 = 1 and c_m = ((-2)^m - 1)/3 for m >= 2."""
+        modulus = self._modulus(m)
+        return 1 if m == 1 else ((-modulus if m & 1 else modulus) - 1) // 3
 
     def contains(self, t: int, m: int) -> bool:
-        """Whether t lies in S_m = 2^m Z + c_m."""
-        return (t - self.c(m)) % (1 << m) == 0
+        """Whether t lies in S_m = 2^m Z + c_m, that is 2^m | 3t + 1."""
+        return (3 * t + 1) % self._modulus(m) == 0
 
     def min_positive(self, m: int) -> int:
-        """b_m, the smallest positive element of S_m."""
-        r = self.c(m) % (1 << m)
-        return r if r else 1 << m
+        """b_m, the smallest positive element of S_m (c_m is odd)."""
+        return self.c(m) % (1 << m)
 
     def max_negative(self, m: int) -> int:
         """a_m, the largest negative element of S_m."""
         return self.min_positive(m) - (1 << m)
 
     def __repr__(self):
-        return f"ShiftSequence({list(self._values)!r})"
+        return f"ShiftSequence({self.levels})"
 
 
 def build_shift_sequence(levels: int) -> ShiftSequence:
     """Levels c_1..c_levels of the nested progression construction."""
-    if levels < 1:
-        raise ValueError("need at least one level")
-    values = [1]
-    for m in range(1, levels):
-        modulus = 1 << m
-        b = values[-1] % modulus
-        if b == 0:
-            b = modulus
-        a = b - modulus
-        values.append(a if abs(a) > b else b)
-    return ShiftSequence(values)
+    return ShiftSequence(levels)
 
 
 def membership_horizon(t: int, seq: ShiftSequence) -> Optional[int]:
-    """Least level m with t outside S_m; None if t sits in every computed
-    level."""
-    for m in range(1, seq.levels + 1):
-        if not seq.contains(t, m):
-            return m
-    return None
-
-
-def membership_horizons(
-    lo: int, hi: int, seq: ShiftSequence
-) -> list[tuple[int, Optional[int]]]:
-    """(t, membership_horizon(t, seq)) for every integer t in lo..hi."""
-    return [(t, membership_horizon(t, seq)) for t in range(lo, hi + 1)]
+    """Least level m with t outside S_m, v_2(3t + 1) + 1; None if t sits
+    in every computed level."""
+    x = 3 * t + 1
+    horizon = (x & -x).bit_length()
+    return horizon if horizon <= seq.levels else None
 
 
 @dataclass(frozen=True)
@@ -241,15 +233,6 @@ class CurveSetReport:
         return [m for m in self.left + self.right if m.partner is None]
 
 
-def _partner_levels(m: int, order: int, m_max: int) -> range:
-    """Levels whose curves can match a level-m curve modulo m^order: level
-    m itself while the power term z^(m+1) is visible, and every level
-    >= order - 1 once it is not."""
-    if m + 1 <= order - 1:
-        return range(m, m + 1)
-    return range(max(1, order - 1), m_max + 1)
-
-
 def _propose_partners(
     source_tag: str,
     m: int,
@@ -265,12 +248,13 @@ def _propose_partners(
     The image of a curve w = a z + z^(m+1) is w = (a + shift) z + z^(m+1)
     when mapping phi curves forward (shift = +c) or psi curves backward
     (shift = -c).  A partner must reproduce that function modulo z^order,
-    so its level is one of _partner_levels and its tangent equals the
-    image's.
+    so its tangent equals the image's and its level is m while the power
+    term shows (m < h = max(1, order - 1)), any level >= h once it does not.
     """
     a_image = tangent_coefficient(source_tag, m, n, seq) + shift
+    h = max(1, order - 1)
     out: list[tuple[int, int]] = []
-    for level in _partner_levels(m, order, m_max):
+    for level in range(m, m + 1) if m < h else range(h, m_max + 1):
         num = a_image - (seq.c(level) if source_tag == "phi" else 0)
         if num % (1 << level) == 0:
             out.append((level, num // (1 << level)))
@@ -283,20 +267,23 @@ def _pool_windows(
     """Per-level index bounds making the pools complete for the nominal
     window: every arithmetically possible partner of a nominal curve is
     inside the pool, so a failed search is a theorem about the infinite
-    sets, not an artifact of the cut-off.
-
-    A partner index is an affine image (2^m n + offset) / 2^level of the
-    source index, so its magnitude over the nominal window is bounded by
-    (2^m n_max + |offset|) / 2^level; the dominant case is a high level
-    retargeting down to level order-1, where the bound grows like
-    2^(m - order + 1) n_max."""
-    windows = {tag: dict.fromkeys(range(1, m_max + 1), n_max) for tag in ("phi", "psi")}
-    for m in range(1, m_max + 1):
-        for level in _partner_levels(m, order, m_max):
-            # a phi source maps forward onto psi, a psi source back onto phi
-            for target, offset in (("psi", shift - seq.c(level)), ("phi", seq.c(m) - shift)):
-                bound = -(-((1 << m) * n_max + abs(offset)) // (1 << level))
-                windows[target][level] = max(windows[target][level], bound)
+    sets, not an artifact of the cut-off.  A partner of curve (m, n) has
+    index (2^m n + offset) / 2^level, at most (2^m n_max + |offset|) /
+    2^level.  Below h = max(1, order - 1) a level is reached by its own
+    curves alone; from h on, by every level m >= h, with offset shift -
+    c_level from phi sources and c_m - shift from psi sources."""
+    h = max(1, order - 1)
+    far = max(
+        ((n_max << m) + abs(seq.c(m) - shift) for m in range(h, m_max + 1)), default=0
+    )
+    windows = {"phi": {}, "psi": {}}
+    for level in range(1, m_max + 1):
+        gap = abs(shift - seq.c(level))
+        if level < h:
+            windows["phi"][level] = windows["psi"][level] = n_max - (-gap >> level)
+        else:
+            windows["psi"][level] = -(-((n_max << m_max) + gap) >> level)
+            windows["phi"][level] = -(-far >> level)
     return windows
 
 
@@ -332,18 +319,29 @@ def verify_finite_order_equivalence(
     order = k + 2 if order is None else order
     shift_level = k if shift_level is None else shift_level
     truncation = k + 3 if truncation is None else truncation
+    if order < 1:
+        raise ValueError("equivalence order must be at least 1")
+    if shift_level < 1:
+        raise ValueError("shift_level must be at least 1")
     if truncation < order:
         raise PrecisionError(
             f"truncation {truncation} cannot certify order {order}"
         )
+    check_width("truncation", truncation)
+    # Bounds that need no window pass, with h = max(1, order - 1): the phi
+    # window at level h is at least 2^(m_max - h - 2), as c_m_max - c_(m_max-1)
+    # = +-2^(m_max - 1); the psi window at level 1 at least 2^(shift_level - 4);
+    # every window at least n_max.  Past 2^64 they refuse at once, and below
+    # it the exact count is short enough to print.
+    low = max(m_max - max(1, order - 1) - 1, shift_level - 3, n_max.bit_length() + 1)
+    if low >= 64:
+        raise LimitError(_POOL_LIMIT.format(f"at least 2^{low:,}", MAX_POOL))
     seq = build_shift_sequence(max(m_max, shift_level))
     shift_value = seq.c(shift_level)
     windows = _pool_windows(shift_value, order, m_max, n_max, seq)
     positions = sum(2 * bound + 1 for tag in windows.values() for bound in tag.values())
     if positions > MAX_POOL:
-        raise LimitError(
-            f"the curve pools need {positions:,} curves, over the limit of {MAX_POOL:,}"
-        )
+        raise LimitError(_POOL_LIMIT.format(f"{positions:,}", MAX_POOL))
     phi = shift_map(shift_value, truncation, realified=realified)
     nominal = m_max * (2 * n_max + 1)
     other = {"phi": "psi", "psi": "phi"}
@@ -384,13 +382,11 @@ def verify_finite_order_equivalence(
     )
 
     def summarize(tag: str, matches) -> tuple[CurveMatch, ...]:
-        spec_of = {s.label: s for s in specs[other[tag]]}
-        out = []
-        for spec, match in zip(specs[tag], matches):
-            found = spec_of.get(match.partner)
-            partner = None if found is None else (found.tag, found.level, found.index)
-            out.append(CurveMatch(spec.tag, spec.level, spec.index, partner))
-        return tuple(out)
+        key = {s.label: (s.tag, s.level, s.index) for s in specs[other[tag]]}
+        return tuple(
+            CurveMatch(spec.tag, spec.level, spec.index, key.get(match.partner))
+            for spec, match in zip(specs[tag], matches)
+        )
 
     left_summary = summarize("phi", report.left_matching)
     right_summary = summarize("psi", report.right_matching)
@@ -414,10 +410,6 @@ def verify_finite_order_equivalence(
                         f"{specs[tag][i].label} matches pool position {j}"
                     )
 
-    pool_windows = tuple(
-        (m, max(windows["phi"][m], windows["psi"][m]))
-        for m in range(1, m_max + 1)
-    )
     return CurveSetReport(
         ok=report.ok,
         order=order,
@@ -425,7 +417,9 @@ def verify_finite_order_equivalence(
         shift_value=shift_value,
         m_max=m_max,
         n_max=n_max,
-        pool_windows=pool_windows,
+        pool_windows=tuple(
+            (m, max(windows["phi"][m], windows["psi"][m])) for m in range(1, m_max + 1)
+        ),
         truncation=truncation,
         left=left_summary,
         right=right_summary,
@@ -447,23 +441,25 @@ class ObstructionReport:
 
 
 def verify_tangent_obstruction(m_max: int) -> ObstructionReport:
-    """Check the arithmetic facts behind the non-equivalence argument: no
-    integer t with |t| <= _OBSTRUCTION_WINDOW survives every level up to
-    m_max (so no tangent datum can be preserved by a single formal map),
-    and 0 is in no level at all."""
+    """Check the arithmetic behind the non-equivalence argument: through
+    m_max the closed form obeys the endpoint rule, so 3 c_m + 1 = (-2)^m and
+    no integer is in every S_m (no formal map preserves a tangent datum); no
+    |t| <= _OBSTRUCTION_WINDOW survives m_max levels; 0 is in no level."""
     seq = build_shift_sequence(m_max)
-    zero_excluded = all(not seq.contains(0, m) for m in range(1, m_max + 1))
-    window = _OBSTRUCTION_WINDOW
-    horizons = membership_horizons(-window, window, seq)
-    finite = [h for _, h in horizons if h is not None]
-    all_finite = len(finite) == len(horizons)
-    max_horizon = max(finite, default=None)
-    ok = zero_excluded and all_finite
+    # c_(m+1) is the endpoint of S_m larger in absolute value, b_m on ties
+    rule = all(
+        seq.c(m + 1) == max(seq.min_positive(m), seq.max_negative(m), key=abs)
+        for m in range(1, m_max)
+    )
+    window = range(-_OBSTRUCTION_WINDOW, _OBSTRUCTION_WINDOW + 1)
+    horizons = [membership_horizon(t, seq) for t in window]
+    all_finite = None not in horizons
+    zero_excluded = not seq.contains(0, 1)
     return ObstructionReport(
-        ok=ok,
+        ok=rule and zero_excluded and all_finite,
         m_max=m_max,
-        window=window,
+        window=_OBSTRUCTION_WINDOW,
         zero_excluded=zero_excluded,
         all_horizons_finite=all_finite,
-        max_horizon=max_horizon,
+        max_horizon=max(filter(None, horizons), default=None),
     )

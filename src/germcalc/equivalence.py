@@ -255,7 +255,8 @@ def is_order_k_equivalence(
     Family mode matches members by position (labels must agree).  Set mode
     asks for a partner for every left member among the right pool and for
     every right member among the left pool; pools default to the families
-    themselves and must contain them as label prefixes.
+    themselves and must contain them as label prefixes.  Verdicts compare the
+    presented ideals, not the set germs: (w^2) and (w) are not order-2 close.
     """
     if k < 1:
         raise ValueError("equivalence order must be at least 1")

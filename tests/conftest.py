@@ -339,3 +339,49 @@ def transport_oracle(transported, target, k):
     ]
     worst = min((o for o in orders if o is not None), default=None)
     return worst is None or worst >= k, worst
+
+
+# -- the curve construction, level by level --------------------------------
+
+
+def shift_values_oracle(levels):
+    """c_1..c_levels by the construction's rule: c_1 = 1, and c_(m+1) is
+    the endpoint of S_m = 2^m Z + c_m around zero larger in absolute
+    value, the positive one on ties."""
+    values = [1]
+    for m in range(1, levels):
+        modulus = 1 << m
+        b = values[-1] % modulus or modulus
+        a = b - modulus
+        values.append(a if abs(a) > b else b)
+    return values
+
+
+def membership_horizon_oracle(t, values):
+    """Least level m with t outside S_m, testing each level in turn; None
+    when t lies in every level of values."""
+    for m, c in enumerate(values, 1):
+        if (t - c) % (1 << m):
+            return m
+    return None
+
+
+def pool_windows_oracle(shift, order, m_max, n_max, values):
+    """The curve driver's pool windows by the quadratic loop over every
+    source level and each level its curves can match: level m itself while
+    z^(m+1) is visible modulo m^order, every level >= order - 1 once not."""
+    windows = {tag: dict.fromkeys(range(1, m_max + 1), n_max) for tag in ("phi", "psi")}
+    for m in range(1, m_max + 1):
+        if m + 1 <= order - 1:
+            levels = range(m, m + 1)
+        else:
+            levels = range(max(1, order - 1), m_max + 1)
+        for level in levels:
+            # a phi source maps forward onto psi, a psi source back onto phi
+            for target, offset in (
+                ("psi", shift - values[level - 1]),
+                ("phi", values[m - 1] - shift),
+            ):
+                bound = -(-((1 << m) * n_max + abs(offset)) // (1 << level))
+                windows[target][level] = max(windows[target][level], bound)
+    return windows

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -253,8 +254,7 @@ def _refuse_horizon_work(monkeypatch):
         raise AssertionError("the horizon job was started")
 
     monkeypatch.setattr(cli, "build_shift_sequence", no_work)
-    monkeypatch.setattr(cli, "membership_horizons", no_work)
-    monkeypatch.setattr(curves, "membership_horizon", no_work)
+    monkeypatch.setattr(cli, "membership_horizon", no_work)
 
 
 @pytest.mark.parametrize(
@@ -283,15 +283,27 @@ def test_counterexample_horizon_budget_admits_its_bounds(monkeypatch, argv):
         main(["counterexample", "horizon", *argv])
 
 
-def test_counterexample_verify_refuses_a_negative_n_max(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--n-max", "-1"), "n_max must be at least 0"),
+        (("--order", "0"), "equivalence order must be at least 1"),
+        (("--shift-level", "0"), "shift_level must be at least 1"),
+        (
+            ("--trunc", "40000"),
+            "truncation 40000 exceeds the limit of 32767 set by 16-bit exponent fields",
+        ),
+    ],
+)
+def test_counterexample_verify_refuses_bad_input(capsys, monkeypatch, argv, message):
     def no_curve(*args):
         raise AssertionError("a curve was built")
 
     monkeypatch.setattr(curves, "curve", no_curve)
     code, out, err = invoke(
-        capsys, "counterexample", "verify", "--k", "3", "--m-max", "4", "--n-max", "-1"
+        capsys, "counterexample", "verify", "--k", "3", "--m-max", "4", *argv
     )
-    assert (code, out, err) == (2, "", "error: n_max must be at least 0\n")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # -- output discipline ------------------------------------------------------
@@ -402,6 +414,29 @@ def test_oversized_curve_pool_exits_2_before_any_curve(capsys, monkeypatch):
         "error: the curve pools need 70,735,248,053,782 curves, "
         "over the limit of 1,048,576\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, need",
+    [
+        (("--m-max", "1000"), "at least 2^997"),
+        (("--m-max", "1000000"), "at least 2^999,997"),
+        (("--m-max", "1", "--n-max", "0", "--shift-level", "20000"), "at least 2^19,997"),
+    ],
+)
+def test_huge_curve_pools_exit_2_at_once(capsys, monkeypatch, argv, need):
+    # refused on the size estimate alone, never printing a count past
+    # Python's int-to-str limit
+    def no_curve(*args):
+        raise AssertionError("a curve was built")
+
+    monkeypatch.setattr("germcalc.curves.curve", no_curve)
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "counterexample", "verify", "--k", "1", *argv)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (2, "")
+    assert err == f"error: the curve pools need {need} curves, over the limit of 1,048,576\n"
+    assert elapsed < 0.1
 
 
 def test_singular_conjugating_map_exits_2(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,8 @@ from germcalc import (
 )
 from germcalc.curves import MAX_POOL, _pool_windows
 from germcalc.monomial import MAX_DEGREE
+
+from conftest import membership_horizon_oracle, pool_windows_oracle, shift_values_oracle
 
 # the doubling construction is deterministic, so the whole sequence can be
 # pinned; each entry is the larger-in-absolute-value endpoint of the gap
@@ -55,7 +58,7 @@ def test_sequence_needs_a_level():
     with pytest.raises(ValueError):
         build_shift_sequence(0)
     with pytest.raises(ValueError):
-        ShiftSequence([])
+        ShiftSequence(0)
 
 
 def test_endpoint_recurrence():
@@ -110,6 +113,47 @@ def test_membership_horizon_can_reach_nobody():
     seq = build_shift_sequence(1)
     assert membership_horizon(3, seq) is None
     assert membership_horizon(2, seq) == 1
+
+
+def test_closed_form_matches_the_level_by_level_construction():
+    levels = 2000
+    values = shift_values_oracle(levels)
+    seq = build_shift_sequence(levels)
+    assert seq.values == tuple(values)
+    rng = random.Random(16)
+    for m, c in enumerate(values, 1):
+        modulus = 1 << m
+        b = c % modulus or modulus
+        assert (seq.min_positive(m), seq.max_negative(m)) == (b, b - modulus)
+        near = [c + j * modulus + d for j in (-1, 0, 1) for d in (0, 1, modulus >> 1)]
+        for t in near + [rng.randint(-(1 << 40), 1 << 40) for _ in range(4)]:
+            assert seq.contains(t, m) == ((t - c) % modulus == 0), (t, m)
+
+
+def test_horizons_match_the_level_by_level_scan():
+    levels = 60
+    values = shift_values_oracle(levels)
+    seq = build_shift_sequence(levels)
+    deep = shift_values_oracle(70)
+    rng = random.Random(16)
+    ts = list(range(-2000, 2001)) + [rng.randint(-300_000, 300_000) for _ in range(3000)]
+    for m in (50, 59, 61, 70):
+        c = deep[m - 1]
+        ts += [c, c - 1, c + 1, c + (1 << 59), c - (1 << 60)]
+    for t in ts:
+        assert membership_horizon(t, seq) == membership_horizon_oracle(t, values), t
+
+
+def test_obstruction_report_matches_the_level_by_level_scan():
+    for m_max in range(1, 17):
+        values = shift_values_oracle(m_max)
+        horizons = [membership_horizon_oracle(t, values) for t in range(-1000, 1001)]
+        finite = [h for h in horizons if h is not None]
+        report = verify_tangent_obstruction(m_max)
+        assert report.zero_excluded and report.window == 1000
+        assert report.all_horizons_finite == (len(finite) == len(horizons))
+        assert report.max_horizon == max(finite, default=None)
+        assert report.ok == report.all_horizons_finite
 
 
 # -- curve specs ------------------------------------------------------------
@@ -282,10 +326,21 @@ def test_level_one_shear_does_not_stretch_one_order_further():
 
 
 def test_realified_matching_agrees():
-    plain = verify_finite_order_equivalence(1, 2, 3)
-    real = verify_finite_order_equivalence(1, 2, 3, realified=True)
-    assert plain.ok and real.ok
-    assert [m.partner for m in plain.left] == [m.partner for m in real.left]
+    # on holomorphic input the realified verdicts are the complex ones (see
+    # the module docstring), unmatched sets and cross-checks included
+    unmatched = {}
+    for k in range(1, 4):
+        for shift_level in (k, k + 1):
+            for order in (k + 1, k + 2):
+                args = (k, k + 1, 2)
+                kwargs = {"order": order, "shift_level": shift_level}
+                plain = verify_finite_order_equivalence(*args, **kwargs)
+                real = verify_finite_order_equivalence(*args, **kwargs, realified=True)
+                assert real == plain, (k, shift_level, order)
+                if not plain.ok:
+                    unmatched[k, shift_level, order] = len(plain.unmatched)
+    # the level-k shear at order k + 2 for k >= 2, the known gap
+    assert unmatched == {(2, 2, 4): 10, (3, 3, 5): 10}
 
 
 def test_report_carries_the_window_bookkeeping():
@@ -353,6 +408,25 @@ def _pool_size(k, m_max, n_max, order, shift_level):
     return sum(2 * bound + 1 for tag in windows.values() for bound in tag.values())
 
 
+def test_pool_windows_match_the_quadratic_loop_and_its_lower_bounds():
+    # a seeded grid: m_max <= 40, order 1..45, n_max 0..40, shift level 1..80
+    rng = random.Random(16)
+    values = shift_values_oracle(80)
+    seq = build_shift_sequence(80)
+    for _ in range(500):
+        m_max, order = rng.randint(1, 40), rng.randint(1, 45)
+        n_max, level = rng.choice((0, 1, rng.randint(0, 40))), rng.randint(1, 80)
+        shift = values[level - 1]
+        windows = _pool_windows(shift, order, m_max, n_max, seq)
+        assert windows == pool_windows_oracle(shift, order, m_max, n_max, values)
+        # the bounds the driver refuses on before this exact pass
+        positions = sum(2 * b + 1 for tag in windows.values() for b in tag.values())
+        lows = [m_max - max(1, order - 1) - 1, level - 3]
+        lows += [n_max.bit_length() + 1] if n_max else []
+        for low in lows:
+            assert low < 0 or positions > 1 << low, (m_max, order, n_max, level)
+
+
 def test_pool_estimate_admits_every_full_scale_run():
     # m_max 10 and n_max 32 at k = 1..8, under both shears, at every order
     # 2..k + 3, the full scale of criterion 5 and the CLI's defaults
@@ -374,6 +448,22 @@ def test_oversized_pool_is_refused_before_any_curve(monkeypatch):
         verify_finite_order_equivalence(1, 40, 32)
 
 
+@pytest.mark.parametrize(
+    "n_max, need",
+    [
+        (1 << 61, "9,223,372,036,854,775,810"),  # 2^63 + 2, the last count printed
+        (1 << 62, "at least 2^64"),
+        (10**5000, "at least 2^16,611"),  # a count past the int-to-str limit
+    ],
+    ids=["2^61", "2^62", "10^5000"],
+)
+def test_pool_counts_past_64_bits_are_reported_by_size(monkeypatch, n_max, need):
+    monkeypatch.setattr("germcalc.curves.curve", None)
+    with pytest.raises(LimitError) as err:
+        verify_finite_order_equivalence(1, 1, n_max)
+    assert str(err.value) == f"the curve pools need {need} curves, over the limit of 1,048,576"
+
+
 def test_verify_argument_validation():
     with pytest.raises(ValueError):
         verify_finite_order_equivalence(0, 2, 4)
@@ -383,7 +473,7 @@ def test_verify_argument_validation():
         verify_finite_order_equivalence(2, 3, 4, truncation=3)
 
 
-def test_negative_n_max_is_refused_before_any_curve(monkeypatch):
+def test_bad_inputs_are_refused_before_any_curve(monkeypatch):
     def no_work(*args):
         raise AssertionError("the construction was started")
 
@@ -394,6 +484,15 @@ def test_negative_n_max_is_refused_before_any_curve(monkeypatch):
             for n_max in (-1, -2, -5):
                 with pytest.raises(ValueError, match="^n_max must be at least 0$"):
                     verify_finite_order_equivalence(k, m_max, n_max)
+    for kwargs, error, message in [
+        ({"order": 0}, ValueError, "^equivalence order must be at least 1$"),
+        ({"order": -3}, ValueError, "^equivalence order must be at least 1$"),
+        ({"shift_level": 0}, ValueError, "^shift_level must be at least 1$"),
+        ({"shift_level": -1}, ValueError, "^shift_level must be at least 1$"),
+        ({"truncation": MAX_DEGREE + 1}, LimitError, f"^truncation {MAX_DEGREE + 1} exceeds"),
+    ]:
+        with pytest.raises(error, match=message):
+            verify_finite_order_equivalence(2, 4, 8, **kwargs)
     monkeypatch.undo()
     report = verify_finite_order_equivalence(2, 3, 0)
     assert [m.index for m in report.left + report.right] == [0] * 6

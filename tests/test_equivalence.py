@@ -122,6 +122,16 @@ def test_linear_mismatch_fails_at_order_two():
     assert verdict.failure == ("pullback", 0)
 
 
+def test_verdicts_compare_presented_ideals_not_set_germs():
+    # (w^2) and (w) cut out the same germ, yet w is not in (w^2) + m^2
+    z, w = zw()
+    ident = FormalMap.identity(2, K)
+    assert is_order_k_equivalence(ident, family(w * w), family(w), 1).ok
+    report = is_order_k_equivalence(ident, family(w * w), family(w), 2)
+    assert not report.ok
+    assert report.per_index[0].failure == ("pullback", 0)
+
+
 def test_exact_conjugated_pair():
     z, w = zw()
     g = w - 4 * z - z * z  # n = 2

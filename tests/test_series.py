@@ -752,7 +752,7 @@ _Y = FormalSeries.variable(2, 3, 1)
     (VectorField([_X, _Y]), "_trunc"),
     (JetSpace(2, 2, [_X]), "_corners"),
     (IdealPresentation(2, [_X]), "_gens"),
-    (ShiftSequence([1, 2]), "_values"),
+    (ShiftSequence(2), "levels"),
     (GaussianRational(1, 2), "real"),
 ], ids=lambda value: type(value).__name__ if not isinstance(value, str) else value)
 def test_assignment_says_the_class_is_immutable(obj, slot):
