@@ -88,8 +88,8 @@ def _divide(
         type(c) is Fraction for s in (jet, *divisors) for c in s._table.values()
     )
     if integer:
-        items, den = _scaled_terms(jet)
-        divisor_terms = [_scaled_terms(g)[0] for g in divisors]
+        items, den = _scaled_terms(jet._table)
+        divisor_terms = [_scaled_terms(g._table)[0] for g in divisors]
     else:
         items, den = jet._table.items(), 1
         divisor_terms = [sorted(g._table.items()) for g in divisors]

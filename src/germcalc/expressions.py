@@ -7,6 +7,11 @@ nonzero constant, which is exactly enough to write any rational or
 Gaussian-rational coefficient.  A parenthesized comma-separated list at
 top level denotes a map, one component per variable of the target.
 
+A parser value is a scalar (Fraction or GaussianRational) or a term
+table {packed key: nonzero coefficient} at the parser's truncation, as a
+FormalSeries keeps it; it becomes one only at the end.  A sum adds its
+right operand into the left table in place, so T terms cost O(T).
+
 Printing inverts parsing: ``parse_series(format_series(f, names),
 names, f.truncation)`` returns ``f`` again.  Terms are emitted in
 increasing monomial order and coefficients in lowest terms with positive
@@ -19,9 +24,10 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import GermcalcError, ParseError
-from .monomial import unpack
+from .monomial import FIELD_BITS, check_width, unpack
 from .scalars import GaussianRational, I
-from .series import FormalMap, FormalSeries
+from .series import FormalMap, FormalSeries, _bound, _mul_terms, _reduced, _scaled_terms
+from .series import _square_and_multiply
 
 Scalar = Union[Fraction, GaussianRational]
 
@@ -181,8 +187,8 @@ def _tokenize(text: str) -> list[_Token]:
 class _Parser:
     """Recursive descent over the token list.
 
-    Values are either scalars or series; the series operators take a
-    scalar operand as a constant series.  The truncation acts as a cap on
+    Values are scalars or term tables (see the module docstring), and no
+    table is shared between two values.  The truncation acts as a cap on
     literal exponents -- a power the truncation cannot carry is a typo or
     a missing --trunc, not a silent zero.
     """
@@ -198,6 +204,7 @@ class _Parser:
         self.names = list(names)
         self.index_of = {name: j for j, name in enumerate(names)}
         self.truncation = truncation
+        self.bound = _bound(len(names), truncation)
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
@@ -227,8 +234,7 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "op" and tok.text in "+-":
                 self.advance()
-                rhs = self.parse_term()
-                value = self._bounded(value - rhs if tok.text == "-" else value + rhs, tok)
+                value = self._add(value, self.parse_term(), tok)
             else:
                 return value
 
@@ -238,7 +244,7 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "op" and tok.text == "*":
                 self.advance()
-                value = self._bounded(value * self.parse_factor(), tok)
+                value = self._bounded(self._mul(value, self.parse_factor()), tok)
             elif tok.kind == "op" and tok.text == "/":
                 self.advance()
                 value = self._bounded(self._div(value, self.parse_factor(), tok), tok)
@@ -256,7 +262,7 @@ class _Parser:
             self.advance()
             value = self.parse_factor()
             if tok.text == "-":
-                value = -value
+                value = {k: -c for k, c in value.items()} if type(value) is dict else -value
         else:
             value = self.parse_power()
         self.depth -= 1
@@ -275,12 +281,12 @@ class _Parser:
                 )
             self.advance()
             exponent = self._integer(exp_tok)
-            if isinstance(base, FormalSeries) and exponent > self.truncation:
+            if type(base) is dict and exponent > self.truncation:
                 raise ParseError(
                     f"exponent {exponent} exceeds truncation {self.truncation}",
                     exp_tok.position,
                 )
-            if not isinstance(base, FormalSeries):
+            if type(base) is not dict:
                 bits = _power_bits(base, exponent)
                 if bits > _MAX_POWER_BITS:
                     raise ParseError(
@@ -288,7 +294,7 @@ class _Parser:
                         f"of {_MAX_POWER_BITS} bits",
                         exp_tok.position,
                     )
-            return self._bounded(base**exponent, exp_tok)
+            return self._bounded(self._power(base, exponent), exp_tok)
         return base
 
     def parse_atom(self):
@@ -301,7 +307,9 @@ class _Parser:
             j = self.index_of.get(tok.text)
             if j is None:
                 raise ParseError(f"unknown variable {tok.text!r}", tok.position)
-            return FormalSeries.variable(len(self.names), self.truncation, j)
+            check_width("truncation", self.truncation)  # as FormalSeries.variable
+            key = 1 << FIELD_BITS * len(self.names) | 1 << FIELD_BITS * j  # degree 1, x_j
+            return {key: Fraction(1)} if key < self.bound else {}
         if tok.kind == "op" and tok.text == "(":
             value = self.parse_expression()
             nxt = self.peek()
@@ -341,10 +349,12 @@ class _Parser:
         return int(tok.text)
 
     @staticmethod
-    def _bounded(value, tok: _Token):
-        """value, unless one of its coefficients passes _MAX_POWER_BITS."""
-        series = isinstance(value, FormalSeries)
-        bits = max(map(_bits, value._table.values() if series else [value]), default=0)
+    def _bounded(value, tok: _Token, changed=None):
+        """value, unless one of its coefficients, or of changed when given,
+        passes _MAX_POWER_BITS."""
+        if changed is None:
+            changed = value.values() if type(value) is dict else (value,)
+        bits = max(map(_bits, changed), default=0)
         if bits > _MAX_POWER_BITS:
             raise ParseError(
                 f"coefficient of {bits} bits exceeds the limit "
@@ -353,22 +363,69 @@ class _Parser:
             )
         return value
 
+    @staticmethod
+    def _table(value) -> dict:
+        return value if type(value) is dict else {0: value} if value else {}
+
+    def _add(self, a, b, tok: _Token):
+        """a + b, or a + (-b) at a '-' token, into a table operand in place.
+        Only the coefficients the sum changes are checked against the bit
+        bound: every other one came from a variable or passed the check."""
+        if tok.text == "-":
+            b = {k: -c for k, c in b.items()} if type(b) is dict else -b
+        if type(a) is not dict:
+            if type(b) is not dict:
+                return self._bounded(a + b, tok)
+            a, b = b, a
+        get, changed = a.get, []
+        for k, c in self._table(b).items():
+            s = get(k, 0) + c
+            if s:
+                a[k] = s
+                changed.append(s)
+            elif k in a:
+                del a[k]
+        return self._bounded(a, tok, changed)
+
+    def _mul(self, a, b):
+        """a * b; a product with a one-term table shifts the other's keys."""
+        if type(a) is not dict and type(b) is not dict:
+            return a * b
+        a, b = self._table(a), self._table(b)
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            ((kb, cb),) = b.items()
+            return {k + kb: c * cb for k, c in a.items() if k + kb < self.bound}
+        (left, da), (right, db) = _scaled_terms(a), _scaled_terms(b)
+        return _reduced(_mul_terms(left, right, self.bound), da * db)
+
+    def _power(self, base, exponent: int):
+        """base**exponent: a one-term table multiplies its key, any other
+        runs square-and-multiply; 1 for exponent 0."""
+        if type(base) is not dict:
+            return base**exponent
+        if len(base) == 1 and exponent:
+            ((k, c),) = base.items()
+            return {k * exponent: c**exponent} if k * exponent < self.bound else {}
+        return _square_and_multiply(base, exponent, self._mul, {0: Fraction(1)})
+
     def _promote(self, value) -> FormalSeries:
-        if isinstance(value, FormalSeries):
-            return value
+        if type(value) is dict:
+            return FormalSeries._from_table(len(self.names), self.truncation, value)
         return FormalSeries.constant(len(self.names), self.truncation, value)
 
     def _div(self, a, b, tok: _Token):
-        if isinstance(b, FormalSeries):
-            if any(b._table):  # a nonzero packed key has positive degree
+        if type(b) is dict:
+            if any(b):  # a nonzero packed key has positive degree
                 raise ParseError(
                     "division is only defined by a nonzero constant",
                     tok.position,
                 )
-            b = b.constant_term()
+            b = b.get(0, 0)
         if not b:
             raise ParseError("division by zero", tok.position)
-        return a * (Fraction(1) / b)
+        return self._mul(a, Fraction(1) / b)
 
 
 def parse_series(

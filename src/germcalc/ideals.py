@@ -167,18 +167,21 @@ class JetSpace(_Frozen):
 
 class IdealPresentation(_Frozen):
     """An ideal of the formal power series ring given by finitely many
-    generators.  Zero generators are dropped; no generators means the zero
+    generators.  Zero generators are dropped, but their truncation still
+    bounds what the presentation knows; no generators means the zero
     ideal.  Jet spaces are cached per degree."""
 
-    __slots__ = ("_n", "_gens", "_cache")
+    __slots__ = ("_n", "_gens", "_trunc", "_cache")
 
     def __init__(self, dimension: int, generators: Sequence[FormalSeries] = ()):
+        generators = tuple(generators)
         gens = tuple(g for g in generators if not g.is_zero)
         for g in gens:
             if g.dimension != dimension:
                 raise DimensionError("generator dimension differs from ideal dimension")
         object.__setattr__(self, "_n", dimension)
         object.__setattr__(self, "_gens", gens)
+        object.__setattr__(self, "_trunc", min((g.truncation for g in generators), default=None))
         object.__setattr__(self, "_cache", {})
 
     @property
@@ -191,11 +194,10 @@ class IdealPresentation(_Frozen):
 
     @property
     def generator_truncation(self) -> Optional[int]:
-        """Common knowledge horizon of the generators; None for the zero
-        ideal (which is known exactly at every degree)."""
-        if not self._gens:
-            return None
-        return min(g.truncation for g in self._gens)
+        """Common knowledge horizon of the presented generators, zero ones
+        included; None when none were given (the zero ideal is then known
+        exactly at every degree)."""
+        return self._trunc
 
     def _check_degree(self, degree: int):
         bound = self.generator_truncation

@@ -31,12 +31,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import lcm, prod
+from math import comb, lcm, prod
 from typing import Optional, Sequence
 
 from .errors import DimensionError, InversionError, PrecisionError, _Frozen
 from .monomial import _FIELD_MASK, FIELD_BITS, MultiIndex, check_width, pack, unpack
-from .scalars import GaussianRational, as_gaussian, coerce_scalar
+from .scalars import GaussianRational, coerce_scalar
 
 Scalar = Fraction | GaussianRational
 
@@ -47,11 +47,11 @@ def _bound(dimension: int, truncation: int) -> int:
     return truncation + 1 << FIELD_BITS * dimension
 
 
-def _scaled_terms(series: "FormalSeries") -> tuple[list, int]:
-    """The terms of a series as (packed key, numerator) pairs sorted by key,
-    and their common denominator: int numerators over the lcm of the
+def _scaled_terms(table: dict) -> tuple[list, int]:
+    """The terms of a term table as (packed key, numerator) pairs sorted by
+    key, and their common denominator: int numerators over the lcm of the
     denominators over Q, the coefficients as they are over 1 over Q(i)."""
-    items = sorted(series._table.items())
+    items = sorted(table.items())
     try:
         ratios = [c.as_integer_ratio() for _, c in items]
     except AttributeError:  # a GaussianRational has no integer ratio
@@ -82,6 +82,18 @@ def _nonzero_terms(table: dict) -> list[tuple[int, Scalar]]:
     return sorted((k, c) for k, c in table.items() if c)
 
 
+def _square_and_multiply(base, exponent: int, mul, one):
+    """base**exponent with mul as the product; one for exponent 0."""
+    result = None
+    while exponent:
+        if exponent & 1:
+            result = base if result is None else mul(result, base)
+        exponent >>= 1
+        if exponent:
+            base = mul(base, base)
+    return one if result is None else result
+
+
 _ONE = [(0, 1)]
 _ZERO = Fraction(0)
 
@@ -90,7 +102,7 @@ def _powers(components: Sequence["FormalSeries"], truncation: int) -> tuple:
     """The truncation, the denominator D_j of each component at it, and the
     powers of each component as term lists, power e over D_j^e, grown on
     demand by substitute from [1, component]."""
-    scaled = [_scaled_terms(c.truncate(truncation)) for c in components]
+    scaled = [_scaled_terms(c.truncate(truncation)._table) for c in components]
     return truncation, [den for _, den in scaled], [[_ONE, terms] for terms, _ in scaled]
 
 
@@ -268,7 +280,7 @@ class FormalSeries(_Frozen):
         if isinstance(other, FormalSeries):
             self._check_compatible(other)
             trunc = min(self._trunc, other._trunc)
-            (left, da), (right, db) = _scaled_terms(self), _scaled_terms(other)
+            (left, da), (right, db) = _scaled_terms(self._table), _scaled_terms(other._table)
             table = _mul_terms(left, right, _bound(self._n, trunc))
             return FormalSeries._from_table(self._n, trunc, _reduced(table, da * db))
         try:
@@ -288,14 +300,8 @@ class FormalSeries(_Frozen):
         """A natural power by square-and-multiply; 1 for exponent 0."""
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        result, base = None, self
-        while exponent:
-            if exponent & 1:
-                result = base if result is None else result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return FormalSeries.constant(self._n, self._trunc, 1) if result is None else result
+        one = FormalSeries.constant(self._n, self._trunc, 1)
+        return _square_and_multiply(self, exponent, FormalSeries.__mul__, one)
 
     def truncate(self, degree: int) -> "FormalSeries":
         """Discard terms of degree > degree; degree may not exceed the
@@ -553,23 +559,29 @@ def _invert_matrix(rows: list[list[Scalar]]) -> Optional[list[list[Scalar]]]:
 
 def realify(f: FormalSeries) -> tuple[FormalSeries, FormalSeries]:
     """Split a series over Q(i) in z_1..z_n into real and imaginary parts
-    over Q in the 2n real variables x_1, y_1, ..., x_n, y_n, substituting
-    z_j = x_j + i*y_j.  Exact: the substitution is linear, so no degree is
-    lost to truncation."""
-    n = f.dimension
-    m = 2 * n
-    trunc = f.truncation
-    i_unit = GaussianRational(0, 1)
-    components = []
-    for j in range(n):
-        x, y = (FormalSeries.variable(m, trunc, t) for t in (2 * j, 2 * j + 1))
-        components.append(x + i_unit * y)
-    expanded = f.substitute(components)
-    parts = [(k, as_gaussian(c)) for k, c in expanded._table.items()]
-    return (
-        FormalSeries._from_table(m, trunc, {k: g.real for k, g in parts if g.real}),
-        FormalSeries._from_table(m, trunc, {k: g.imag for k, g in parts if g.imag}),
-    )
+    over Q in the 2n real variables x_1, y_1, ..., x_n, y_n, where
+    z_j = x_j + i*y_j.  In closed form, c * z^e is the sum over a <= e of
+    c * i^|a| * prod_j C(e_j, a_j) * x_j^(e_j - a_j) * y_j^a_j, and for
+    c = p + q*i, c * i^s is p + q*i, -q + p*i, -p - q*i or q - p*i at
+    s = 0, 1, 2, 3 mod 4.  Exact: every term keeps its degree."""
+    n, m = f.dimension, 2 * f.dimension
+    items = [(k, (c.real, c.imag) if type(c) is GaussianRational else (c, _ZERO))
+             for k, c in f._table.items()]
+    den = lcm(*(x.denominator for _, pq in items for x in pq))
+    re, im = {}, {}
+    for key, (p, q) in items:
+        # (packed key, binomial product, power of i) of each image monomial
+        terms = [(key >> FIELD_BITS * n << FIELD_BITS * m, 1, 0)]
+        for j, e in enumerate(unpack(key, n)):
+            x = FIELD_BITS * 2 * j  # y_j's field is the next one
+            terms = [(k + ((e - a) << x | a << x + FIELD_BITS), c * comb(e, a), s + a)
+                     for k, c, s in terms for a in range(e + 1)]
+        p, q = p.numerator * (den // p.denominator), q.numerator * (den // q.denominator)
+        parts = (p, -q, -p, q)
+        for k, b, s in terms:
+            re[k] = re.get(k, 0) + b * parts[s % 4]
+            im[k] = im.get(k, 0) + b * parts[(s + 3) % 4]
+    return tuple(FormalSeries._from_table(m, f.truncation, _reduced(t, den)) for t in (re, im))
 
 
 def realify_map(phi: FormalMap) -> FormalMap:

@@ -8,16 +8,21 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from germcalc import (
     EquivalenceReport,
     FormalMap,
     FormalSeries,
+    I,
     IdealPresentation,
     JetSpace,
     Staircase,
+    as_gaussian,
     compose,
     monomials_up_to,
 )
+from germcalc import expressions
 from germcalc.equivalence import IndexVerdict, MatchVerdict
 
 
@@ -252,6 +257,56 @@ def substitute_oracle(f, components):
             term = product_oracle(term, cache[e])
         acc = acc + c * term
     return acc
+
+
+def realify_oracle(f):
+    """realify by substitution: z_j = x_j + i*y_j through
+    FormalSeries.substitute, on GaussianRational products, each
+    coefficient then split into its real and imaginary parts."""
+    n, trunc = f.dimension, f.truncation
+    m = 2 * n
+    components = [
+        FormalSeries.variable(m, trunc, 2 * j) + I * FormalSeries.variable(m, trunc, 2 * j + 1)
+        for j in range(n)
+    ]
+    parts = [(mi, as_gaussian(c)) for mi, c in f.substitute(components).terms.items()]
+    return (
+        FormalSeries(m, trunc, {mi: g.real for mi, g in parts}),
+        FormalSeries(m, trunc, {mi: g.imag for mi, g in parts}),
+    )
+
+
+class SeriesArithmeticParser(expressions._Parser):
+    """The expression parser on FormalSeries arithmetic: each sum, product
+    and power runs the series operators on whole series, and every
+    coefficient of a sum is checked against the bit bound, not only those
+    the sum changed.  Grammar, limits and messages are the parser's own."""
+
+    def _series(self, value):
+        if type(value) is dict:
+            return FormalSeries._from_table(len(self.names), self.truncation, dict(value))
+        return value
+
+    @staticmethod
+    def _value(result):
+        return dict(result._table) if isinstance(result, FormalSeries) else result
+
+    def _add(self, a, b, tok):
+        a, b = self._series(a), self._series(b)
+        return self._bounded(self._value(a - b if tok.text == "-" else a + b), tok)
+
+    def _mul(self, a, b):
+        return self._value(self._series(a) * self._series(b))
+
+    def _power(self, base, exponent):
+        return self._value(self._series(base) ** exponent)
+
+
+def parse_series_oracle(text, names, truncation):
+    """expressions.parse_series with SeriesArithmeticParser as its parser."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expressions, "_Parser", SeriesArithmeticParser)
+        return expressions.parse_series(text, names, truncation)
 
 
 def inverse_oracle(phi):

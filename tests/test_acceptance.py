@@ -246,6 +246,29 @@ def test_criterion_5_counterexample_at_every_order():
     assert all(passed for _, passed, _, _ in outcomes)
 
 
+def test_criterion_5_realified_counterexample_at_every_order():
+    """Criterion 5 in the paper's real setting: each curve is presented by
+    the real and imaginary parts of its equation in x1, y1, x2, y2, and the
+    shear is realified too.  On holomorphic input the realified verdicts are
+    the complex ones (see germcalc.curves), so each report must equal the
+    complex run's at every k = 1..8."""
+    start = time.perf_counter()
+    mismatched = []
+    for k in range(1, 9):
+        args = (k, 10, 32, k + 3)
+        real = verify_finite_order_equivalence(*args, shift_level=k + 1, realified=True)
+        if real != verify_finite_order_equivalence(*args, shift_level=k + 1):
+            mismatched.append(k)
+    elapsed = time.perf_counter() - start
+    ok = not mismatched and elapsed < 300.0
+    _verdict(
+        5, ok, f"realified reports equal the complex ones for k = 1..8, "
+        f"mismatched at {mismatched} ({elapsed:.1f}s)"
+    )
+    assert mismatched == []
+    assert elapsed < 300.0
+
+
 def test_criterion_6_obstruction_window():
     """Every tangent shift |t| <= 1000 leaves the nested sets by depth 13,
     and zero never enters them."""

@@ -567,6 +567,14 @@ def test_oversized_computed_coefficients_exit_2(capsys, fmt):
     )
 
 
+@pytest.mark.parametrize("generator", ["0", "z^2", "z - z"])
+def test_a_zero_generator_keeps_its_truncation(capsys, generator):
+    code, out, err = invoke(capsys, "diagram", "-g", generator, "--trunc", "2", "--degree", "5")
+    assert code == 3
+    assert not out
+    assert err == "error: jet degree 5 exceeds generator truncation 2\n"
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize(
     "command,name",
@@ -581,7 +589,12 @@ def test_map_truncated_at_0_exits_3(capsys, command, name, fmt):
     )
     assert code == 3
     assert not out
-    assert err == "error: the linear part of a map truncated at 0 is unknown\n"
+    # the curves parse to zero at truncation 0, and a zero generator still
+    # bounds its ideal's knowledge, so the ideals are refused before the map
+    assert err == {
+        "check-conjugacy": "error: the linear part of a map truncated at 0 is unknown\n",
+        "check-equivalence": "error: order-1 check needs generator truncations >= 1, have 0\n",
+    }[command]
 
 
 @pytest.mark.parametrize(

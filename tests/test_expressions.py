@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from germcalc import FormalMap, FormalSeries, GaussianRational, ParseError
+from germcalc import FormalMap, FormalSeries, GaussianRational, I, LimitError, ParseError
+from germcalc import expressions
 from germcalc.expressions import (
     _MAX_POWER_BITS,
     _power_bits,
@@ -18,7 +19,7 @@ from germcalc.expressions import (
     parse_series,
     real_variables,
 )
-from conftest import random_invertible_map, random_series
+from conftest import parse_series_oracle, random_invertible_map, random_series
 
 ZW = ["z", "w"]
 
@@ -324,12 +325,17 @@ def test_oversized_integer_literal_is_a_parse_error():
         ("1/3^2000 + 1/5^2000 + 1/7^1000", 10622, 21),
         ("z/2^4000/2^4000/2^4000", 12001, 16),
         ("(2^4000*z)^3", 12001, 12),
+        ("2^4095*2^4095*z + 2^4095*2^4095*z + 2^4095*2^4095*z + 2^4095*2^4095*z",
+         8193, 53),
+        ("2^4095*2^4095*z + w + w + 2^4095*2^4095*z + 2^4095*2^4095*z"
+         " + 2^4095*2^4095*z", 8193, 61),
     ],
-    ids=["scalar-product", "series-product", "sum", "quotient", "series-power"],
+    ids=["scalar-product", "series-product", "sum", "quotient", "series-power",
+         "sum-crossing", "sum-crossing-past-other-keys"],
 )
 def test_oversized_coefficient_is_a_parse_error(text, bits, position):
     with pytest.raises(ParseError, match=f"coefficient of {bits} bits") as err:
-        parse_series(text, ["z"], 4)
+        parse_series(text, ZW, 4)
     assert err.value.position == position
 
 
@@ -338,3 +344,154 @@ def test_coefficients_within_the_bound_still_parse():
     big = Fraction(2) ** 8000
     assert parse_series("2^4000*2^4000*z", ["z"], 4) == big * z
     assert parse_series("z/2^4000/2^4000", ["z"], 4) == z * (1 / big)
+
+
+# -- term tables against series arithmetic ----------------------------------
+
+
+def _random_tree(rng, n, K, depth):
+    """A random expression tree over Q and Q(i) in n variables whose powers
+    of series stay within truncation K."""
+    kinds = ("leaf", "sum", "sum", "product", "product", "power", "minus", "divide")
+    kind = rng.choice(kinds if depth else ("leaf",))
+    if kind == "leaf":
+        return rng.choice((("var", rng.randrange(n)),) * 3 + (("int", rng.randint(0, 9)), ("i",)))
+    if kind in ("sum", "product"):
+        children = [_random_tree(rng, n, K, depth - 1) for _ in range(rng.randint(2, 3))]
+        signs = [rng.choice("+-") for _ in children]
+        return (kind, children, signs)
+    if kind == "power":
+        base = ("sum", [_random_tree(rng, n, K, depth - 1) for _ in range(2)], "++")
+        return ("power", base, rng.randint(0, min(K, 3)))
+    if kind == "minus":
+        return ("minus", _random_tree(rng, n, K, depth - 1))
+    constant = rng.choice((("int", rng.randint(1, 9)), ("i",),
+                           ("sum", [("int", rng.randint(1, 5)),
+                                    ("product", [("int", rng.randint(1, 5)), ("i",)], "++")],
+                            "+-")))
+    return ("divide", _random_tree(rng, n, K, depth - 1), constant)
+
+
+def _tree_text(node, names):
+    """The text of a tree, parenthesized so that it parses to the same tree."""
+    kind = node[0]
+    if kind == "var":
+        return names[node[1]]
+    if kind == "int":
+        return str(node[1])
+    if kind == "i":
+        return "i"
+    if kind == "sum":
+        parts = [_tree_text(c, names) for c in node[1]]
+        body = parts[0] + "".join(f" {sign} {part}" for sign, part in zip(node[2][1:], parts[1:]))
+        return f"({body})"
+    if kind == "product":
+        return "*".join(_grouped(c, names) for c in node[1])
+    if kind == "power":
+        return f"{_grouped(node[1], names)}^{node[2]}"
+    if kind == "minus":
+        return f"-{_grouped(node[1], names)}"
+    return f"{_grouped(node[1], names)}/{_grouped(node[2], names)}"
+
+
+def _grouped(node, names):
+    text = _tree_text(node, names)
+    return text if node[0] in ("var", "int", "i", "sum") else f"({text})"
+
+
+def _evaluate(node, n, K):
+    """A tree evaluated with the FormalSeries operators, one operation for
+    each the parser performs."""
+    kind = node[0]
+    if kind == "var":
+        return FormalSeries.variable(n, K, node[1])
+    if kind == "int":
+        return Fraction(node[1])
+    if kind == "i":
+        return I
+    values = [_evaluate(c, n, K) for c in node[1]] if kind in ("sum", "product") else None
+    if kind == "sum":
+        value = values[0]
+        for sign, v in zip(node[2][1:], values[1:]):
+            value = value + v if sign == "+" else value - v
+        return value
+    if kind == "product":
+        value = values[0]
+        for v in values[1:]:
+            value = value * v
+        return value
+    if kind == "power":
+        return _evaluate(node[1], n, K) ** node[2]
+    if kind == "minus":
+        return -_evaluate(node[1], n, K)
+    return _evaluate(node[1], n, K) * (Fraction(1) / _evaluate(node[2], n, K))
+
+
+def _types(f):
+    return {k: type(c) for k, c in f._table.items()}
+
+
+def test_parsed_trees_equal_series_arithmetic():
+    rng = random.Random(61)
+    for case in range(300):
+        n, K = rng.choice((1, 2, 3)), rng.randint(0, 6)
+        names = default_variables(n)
+        tree = _random_tree(rng, n, K, rng.randint(2, 4))
+        text = _tree_text(tree, names)
+        want = _evaluate(tree, n, K)
+        if not isinstance(want, FormalSeries):
+            want = FormalSeries.constant(n, K, want)
+        got = parse_series(text, names, K)
+        assert got == want, (case, text)
+        assert _types(got) == _types(want), (case, text)
+
+
+def _hostile(rng):
+    """A text that the parser refuses, or that takes it near a limit."""
+    big = "2^4095*2^4095*z"
+    pieces = [big, "w", "z^2", "-" + big, "1" * rng.choice((5, 2500, 4300)), "i*" + big,
+              "(z + w)^3", "z/2^4000", "2^20000", "(" + big + ")", "1/3^2000"]
+    text = pieces[0] if rng.random() < 0.5 else rng.choice(pieces)
+    for _ in range(rng.randint(1, 6)):
+        text += f" {rng.choice('+-*')} {rng.choice(pieces)}"
+    if rng.random() < 0.3:
+        junk = rng.choice(("$", "^", "(", ")", ",", "/0", "/z", "^9", "q", "+", "*", "/(w - w)"))
+        at = rng.randint(0, len(text))
+        text = text[:at] + junk + text[at:]
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        f = parse(text, ZW, 4)
+    except (ParseError, LimitError) as err:
+        return type(err), str(err), err.position if isinstance(err, ParseError) else None
+    return f, _types(f)
+
+
+def test_hostile_texts_fail_as_under_series_arithmetic():
+    rng = random.Random(67)
+    refusals = bits = 0
+    for _ in range(400):
+        text = _hostile(rng)
+        got = _outcome(parse_series, text)
+        assert got == _outcome(parse_series_oracle, text), text
+        refusals += got[0] is ParseError
+        bits += got[0] is ParseError and got[1].startswith("coefficient of")
+    # both kinds of refusal are well represented
+    assert refusals >= 200 and bits >= 100
+
+
+@pytest.mark.parametrize("count", [10, 200, 2000])
+def test_a_sum_checks_each_term_once(monkeypatch, count):
+    rng = random.Random(count)
+    K = 62  # 2,016 monomials in two variables
+    monomials = [(a, d - a) for d in range(K + 1) for a in range(d + 1)]
+    f = FormalSeries(2, K, {m: Fraction(rng.randint(-99, 99) or 1, rng.randint(1, 9))
+                            for m in rng.sample(monomials, count)})
+    text = format_series(f, ZW)
+    calls = []
+    bits = expressions._bits
+    monkeypatch.setattr(expressions, "_bits", lambda value: calls.append(1) or bits(value))
+    assert parse_series(text, ZW, K) == f
+    assert len(calls) <= len(expressions._tokenize(text))

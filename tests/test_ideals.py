@@ -69,6 +69,21 @@ def test_zero_generators_are_dropped():
     assert len(I.generators) == 1
 
 
+def test_zero_generators_keep_their_truncation():
+    # a zero generator known only to degree 2 bounds what the ideal knows
+    t1, _ = t_vars(6)
+    zero = IdealPresentation(2, [FormalSeries.zero(2, 2)])
+    assert not zero.generators and zero.generator_truncation == 2
+    assert IdealPresentation(2, [t1, FormalSeries.zero(2, 2)]).generator_truncation == 2
+    assert zero.diagram(2).sorted_vertices() == []
+    for ideal in (zero, IdealPresentation(2, [t1 * t1, FormalSeries.zero(2, 2)])):
+        with pytest.raises(PrecisionError) as err:
+            ideal.diagram(5)
+        assert str(err.value) == "jet degree 5 exceeds generator truncation 2"
+        with pytest.raises(PrecisionError):
+            jet_membership(t1, ideal, 6)
+
+
 # -- jet spaces -------------------------------------------------------------
 
 

@@ -38,6 +38,7 @@ from conftest import (
     random_nonzero_series,
     random_scalar,
     random_series,
+    realify_oracle,
     substitute_oracle,
 )
 
@@ -702,6 +703,22 @@ def test_realify_is_additive_and_multiplicative():
         pr, pi = realify(f * g)
         assert pr == fr * gr - fi * gi
         assert pi == fr * gi + fi * gr
+
+
+def test_realify_matches_the_substitution_oracle():
+    # the closed form against z_j = x_j + i*y_j substituted term by term,
+    # coefficients over Q, over Q(i), and mixed in one series
+    rng = random.Random(37)
+    for case in range(300):
+        n, K = rng.choice((1, 2, 3)), rng.randint(0, 6 if case % 3 else 3)
+        f = random_series(rng, n, K, density=0.5)
+        if case % 4:
+            f = f + I * random_series(rng, n, K, density=0.3)
+        got, want = realify(f), realify_oracle(f)
+        assert got == want, (n, K, f)
+        for part in got:
+            assert part.dimension == 2 * n and part.truncation == K
+            assert {type(c) for c in part._table.values()} <= {Fraction}
 
 
 def test_realify_map_respects_composition():
