@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import DimensionError, PrecisionError
-from .series import FormalMap, FormalSeries, _ComponentTuple
+from .series import FormalMap, _ComponentTuple
 
 
 class VectorField(_ComponentTuple):
@@ -30,8 +30,16 @@ class VectorField(_ComponentTuple):
     _kind = "vector field"
 
 
+def _require(name: str, obj, kind: type, phi) -> None:
+    """Refuse a field where a map belongs, or a map where a field does."""
+    for what, got, want in ((name, obj, kind), ("Phi", phi, FormalMap)):
+        if not isinstance(got, want):
+            raise TypeError(f"{what} must be a {want._kind}, got {type(got).__name__}")
+
+
 def _phi_after(f: FormalMap, phi: FormalMap) -> FormalMap:
     """Phi o F, after the checks of conjugate."""
+    _require("F", f, FormalMap, phi)
     if f.dimension != phi.dimension:
         raise DimensionError("map dimensions differ")
     phi.linear_inverse()  # refuses a singular Phi
@@ -45,6 +53,7 @@ def conjugate(f: FormalMap, phi: FormalMap) -> FormalMap:
 
 def _dphi_times(xi: VectorField, phi: FormalMap) -> VectorField:
     """DPhi . xi, after the checks of pushforward_field."""
+    _require("xi", xi, VectorField, phi)
     if xi.dimension != phi.dimension:
         raise DimensionError("field and map dimensions differ")
     phi.linear_inverse()  # refuses a singular Phi
@@ -85,15 +94,16 @@ class DynamicsReport:
 
 
 def _difference_verdict(
-    label: str, moved: Sequence[FormalSeries], target, phi: FormalMap, k: int
+    label: str, moved: _ComponentTuple, target, phi: FormalMap, k: int
 ) -> ComponentVerdict:
+    _require(f"right object {label}", target, type(moved), phi)
     if target.dimension != phi.dimension:
         raise DimensionError(
             f"series dimensions differ: {target.dimension} vs {phi.dimension}"
         )
     worst: Optional[int] = None
     # one composition builds phi's powers once for every component
-    for a, b in zip(target.compose(phi).components, moved):
+    for a, b in zip(target.compose(phi).components, moved.components):
         diff = a - b
         if diff.truncation < k - 1:
             raise PrecisionError(
@@ -132,7 +142,7 @@ def _check_transported(
         raise ValueError("families differ in length")
     names = _labels(len(lefts), labels)
     verdicts = tuple(
-        _difference_verdict(label, move(f, phi).components, g, phi, k)
+        _difference_verdict(label, move(f, phi), g, phi, k)
         for label, f, g in zip(names, lefts, rights)
     )
     return DynamicsReport(

@@ -17,14 +17,16 @@ sees only ints: each operand is cleared to integer numerators over the
 lcm of its denominators, and each result coefficient is reduced once.
 Over Q(i) coefficients pass through as they are, over 1.  Substitution
 keeps the powers of each component as term lists, power e over the e-th
-power of the component's denominator, and sums the images of all terms
-into one table over the lcm of their denominators.
+power of the component's denominator.  Terms group by their exponents
+of x_2..x_n; each group's sum over powers of the first component is
+multiplied once by its powers of the others, into one table over the
+lcm of all the denominators.
 
 A FormalMap, like a VectorField (see dynamics), is n series in n
 variables with zero constant term, cut to their common truncation; the
 two share one base class.  Composition is exact through the carried
-truncation; the inverse is solved one degree at a time, each step at the
-truncation of its own degree (see FormalMap.inverse).
+truncation; the inverse solves X o Phi = id one degree at a time against
+powers of Phi built once (see FormalMap.inverse).
 """
 
 from __future__ import annotations
@@ -77,9 +79,9 @@ def _mul_terms(left, right, bound: int, table=None) -> dict:
 
 
 def _nonzero_terms(table: dict) -> list[tuple[int, Scalar]]:
-    """A product table as a term list sorted by key, cancelled terms
-    dropped."""
-    return sorted((k, c) for k, c in table.items() if c)
+    """A product table as a term list, cancelled terms dropped; only the
+    right operand of _mul_terms needs sorting."""
+    return [(k, c) for k, c in table.items() if c]
 
 
 def _square_and_multiply(base, exponent: int, mul, one):
@@ -320,6 +322,8 @@ class FormalSeries(_Frozen):
         )
 
     def homogeneous_part(self, degree: int) -> "FormalSeries":
+        if degree < 0:
+            raise ValueError("degree must be a natural number")
         shift = FIELD_BITS * self._n
         table = {k: c for k, c in self._table.items() if k >> shift == degree}
         return FormalSeries._from_table(self._n, self._trunc, table)
@@ -344,7 +348,9 @@ class FormalSeries(_Frozen):
         """Substitute one series per variable; components must have zero
         constant term and live in a common dimension.  powers, from
         _powers, shares the powers of the components between the
-        substitutions of a composition."""
+        substitutions of a composition.  Terms group by their exponents of
+        x_2..x_n: a group adds up its scaled powers of the first component,
+        then takes one chain of products by its powers of the others."""
         if len(components) != self._n:
             raise DimensionError(
                 f"need {self._n} substitution components, got {len(components)}"
@@ -362,6 +368,13 @@ class FormalSeries(_Frozen):
             powers = _powers(components, trunc)
         _, dens, cache = powers
         bound = _bound(m, trunc)
+
+        def power(j, e):  # component j's power e, grown on demand
+            p = cache[j]
+            while len(p) <= e:
+                p.append(sorted(_nonzero_terms(_mul_terms(p[-1], p[1], bound))))
+            return p[e]
+
         # the image of c * x^e is a numerator over den(c) * prod_j D_j^e_j
         images = []
         for key, c in self.truncate(trunc)._table.items():
@@ -369,21 +382,25 @@ class FormalSeries(_Frozen):
             exponents = unpack(key, self._n)
             images.append((exponents, num, den * prod(d**e for d, e in zip(dens, exponents))))
         common = lcm(*(den for _, _, den in images))
+        # per exponent of x_2..x_n, the sum of the scaled numerators times
+        # the powers of the first component; the group of x_1's powers
+        # alone sums straight into acc
         acc: dict[int, Scalar] = {}
+        groups = {(0,) * (self._n - 1): acc}
         for exponents, num, den in images:
-            factors = []
-            for j, e in enumerate(exponents):
-                if e:
-                    power = cache[j]
-                    while len(power) <= e:
-                        power.append(_nonzero_terms(_mul_terms(power[-1], power[1], bound)))
-                    factors.append(power[e])
-            # the scaled numerator times the powers its exponent names; the
-            # last product is added straight into acc
-            term = [(0, num * (common // den))]
-            for factor in factors[:-1]:
-                term = _nonzero_terms(_mul_terms(term, factor, bound))
-            _mul_terms(term, factors[-1] if factors else _ONE, bound, acc)
+            total = groups.setdefault(exponents[1:], {})
+            scale = num * (common // den)
+            for k, v in power(0, exponents[0]):
+                total[k] = total.get(k, 0) + scale * v
+        # each other group's sum times its powers of the other components,
+        # the last product added straight into acc
+        for rest, total in groups.items():
+            if total is not acc:
+                factors = [power(j, e) for j, e in enumerate(rest, 1) if e]
+                term = total.items()
+                for factor in factors[:-1]:
+                    term = _nonzero_terms(_mul_terms(term, factor, bound))
+                _mul_terms(term, factors[-1], bound, acc)
         return FormalSeries._from_table(m, trunc, _reduced(acc, common))
 
     # -- comparisons --------------------------------------------------------
@@ -501,32 +518,30 @@ class FormalMap(_ComponentTuple):
     def inverse(self) -> "FormalMap":
         """Compositional inverse through the carried truncation.
 
-        Solved degree by degree: the linear part is inverted exactly, then
-        for d = 2..K the partial inverse psi, exact through degree d - 1,
-        is corrected by the degree-d part of self after psi, taken through
-        the inverse linear part.  That part depends only on the terms of
-        self and psi of degree <= d: psi has no constant term, so a term of
-        higher degree in either one only reaches degrees above d.  Step d
-        therefore composes self and psi truncated at d, and only the last
-        step works at K.
+        Solves X o self = id one degree at a time, against powers of self
+        and of the inverse linear forms L^-1, each table built once at K.
+        X_1 is L^-1.  Since every X_d is homogeneous of degree d, the
+        degree-d part of X_d o self is X_d o L, so for d >= 2 X_d is
+        -[X_<d o self]_d o L^-1.  A running sum holds X_<d o self, and each
+        new X_d o self is added into it, so no product is formed twice.
         """
-        n = self.dimension
-        inv_linear = self.linear_inverse()
+        n, K = self.dimension, self._trunc
         units = [tuple(1 if t == j else 0 for t in range(n)) for j in range(n)]
-        psi = [FormalSeries(n, 1, zip(units, row)) for row in inv_linear]
-        for degree in range(2, self._trunc + 1):
-            # psi is exact through degree - 1; its degree-d part is next
-            psi = [FormalSeries._from_table(n, degree, p._table) for p in psi]
-            powers = _powers(psi, degree)
-            error = [
-                c.truncate(degree).substitute(psi, powers).homogeneous_part(degree)
-                for c in self._comps
-            ]
-            for i, row in enumerate(inv_linear):
-                for coeff, e in zip(row, error):
-                    if coeff and not e.is_zero:
-                        psi[i] = psi[i] - coeff * e
-        return FormalMap(psi)
+        linear = [FormalSeries(n, K, zip(units, row)) for row in self.linear_inverse()]
+        phi_powers, linear_powers = _powers(self._comps, K), _powers(linear, K)
+        shift = FIELD_BITS * n
+        x = [dict(c._table) for c in linear]  # X through the last degree solved
+        moved, last = [{} for _ in range(n)], linear  # X_<d o self, and X_(d-1)
+        for degree in range(2, K + 1):
+            for table, c in zip(moved, last):
+                for k, v in c.substitute(self._comps, phi_powers)._table.items():
+                    table[k] = table.get(k, 0) + v
+            error = [{k: -v for k, v in t.items() if k >> shift == degree and v} for t in moved]
+            last = [FormalSeries._from_table(n, K, e).substitute(linear, linear_powers)
+                    for e in error]
+            for table, c in zip(x, last):
+                table.update(c._table)  # X_d holds the terms of degree d
+        return FormalMap([FormalSeries._from_table(n, K, t) for t in x])
 
 
 def _invert_matrix(rows: list[list[Scalar]]) -> Optional[list[list[Scalar]]]:

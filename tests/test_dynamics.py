@@ -523,6 +523,34 @@ def test_dynamics_dimension_error_texts():
         is_order_k_field_equivalence(phi, [xi], [VectorField([z])], 2)
 
 
+def test_transports_refuse_the_wrong_kind():
+    x, y = plane()
+    phi = FormalMap([x + y, y])
+    f, xi = FormalMap([x + y * y, y]), VectorField([x * y, y])
+    as_field = VectorField(phi.components)
+    cases = [
+        (lambda: conjugate(xi, phi), "^F must be a formal map, got VectorField$"),
+        (lambda: conjugate(f, as_field), "^Phi must be a formal map, got VectorField$"),
+        (lambda: pushforward_field(f, phi), "^xi must be a vector field, got FormalMap$"),
+        (lambda: pushforward_field(xi, as_field), "^Phi must be a formal map, got VectorField$"),
+        (lambda: is_order_k_conjugacy(phi, [xi], [f], 2), "^F must be a formal map"),
+        (lambda: is_order_k_conjugacy(phi, [f], [xi], 2),
+         "^right object 0 must be a formal map, got VectorField$"),
+        (lambda: is_order_k_conjugacy(as_field, [f], [f], 2), "^Phi must be a formal map"),
+        (lambda: is_order_k_field_equivalence(phi, [f], [xi], 2), "^xi must be a vector field"),
+        (lambda: is_order_k_field_equivalence(phi, [xi], [f], 2, labels=["a"]),
+         "^right object a must be a vector field, got FormalMap$"),
+        (lambda: is_order_k_field_equivalence(as_field, [xi], [xi], 2),
+         "^Phi must be a formal map"),
+    ]
+    for call, message in cases:
+        with pytest.raises(TypeError, match=message):
+            call()
+    # the right kinds still go through
+    assert conjugate(f, phi).dimension == 2
+    assert pushforward_field(xi, phi).dimension == 2
+
+
 # -- verdicts against the transport oracle -----------------------------------
 
 IMAG = GaussianRational(0, 1)

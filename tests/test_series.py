@@ -264,6 +264,9 @@ def test_homogeneous_part():
     f = s2({(1, 0): 1, (2, 0): 2, (1, 1): 3})
     assert f.homogeneous_part(2) == s2({(2, 0): 2, (1, 1): 3})
     assert f.homogeneous_part(5).is_zero
+    assert f.homogeneous_part(0).is_zero
+    with pytest.raises(ValueError, match="^degree must be a natural number$"):
+        f.homogeneous_part(-1)
 
 
 def test_truncate():
@@ -483,6 +486,34 @@ def test_substitution_that_cancels_to_zero():
     assert (x - y).substitute([t, t]).is_zero
 
 
+@pytest.mark.parametrize("field", FIELDS)
+def test_grouped_substitution_in_four_variables(field):
+    # four variables, as a realified pair of complex ones; the terms group
+    # by their exponents of x_2..x_4
+    rng = random.Random(f"substitute-4:{field}")
+    for _ in range(10):
+        f = in_field(rng, field, random_series(rng, 4, rng.randint(0, 5), rng.random()))
+        comps = substitution_components(rng, field, 4, rng.randint(1, 4), rng.randint(0, 5))
+        assert_same_series(f.substitute(comps), substitute_oracle(f, comps))
+
+
+@pytest.mark.parametrize("c", [Fraction(3), GaussianRational(1, 2)])
+def test_a_groups_sum_over_the_first_component_that_cancels(c):
+    x = [FormalSeries.variable(4, 5, j) for j in range(4)]
+    t, zero = FormalSeries.variable(1, 5, 0), FormalSeries.zero(1, 5)
+    # x_1*x_2 and x_1^2*x_2 form the group of x_2; with x_1 -> t + t^2 its
+    # sum c*(t + t^2) - c*(t + t^2)^2 has no t^2 term
+    f = c * x[0] * x[1] - c * x[0] * x[0] * x[1] + x[2] * x[3]
+    comps = [t + t * t, t, t, zero]
+    got = f.substitute(comps)
+    assert_same_series(got, substitute_oracle(f, comps))
+    assert got == FormalSeries(1, 5, {(2,): c, (4,): -2 * c, (5,): -c})
+    # a zero first component empties every group sum with a power of x_1
+    g = x[0] * x[1] + c * x[0] * x[0] * x[2] + x[3]
+    assert_same_series(g.substitute([zero, t, t, t]), substitute_oracle(g, [zero, t, t, t]))
+    assert g.substitute([zero, t, t, t]) == t
+
+
 # -- the truncated inverse ----------------------------------------------------
 
 
@@ -516,23 +547,30 @@ def test_inverse_round_trips_and_matches_the_oracle(field):
         assert inv.truncation == K
 
 
-def test_inverse_composes_each_degree_at_its_own_truncation(monkeypatch):
-    calls = []
-    original = FormalSeries.substitute
+@pytest.mark.parametrize("n, K", [(1, 1), (1, 6), (2, 8), (3, 5)])
+def test_inverse_builds_two_power_tables_and_substitutes_at_K(n, K, monkeypatch):
+    tables, calls = [], []
+    powers, substitute = series_module._powers, FormalSeries.substitute
+
+    def counting_powers(components, truncation):
+        tables.append(truncation)
+        return powers(components, truncation)
 
     def recording(self, components, *shared):
         calls.append((self.truncation, [c.truncation for c in components]))
-        return original(self, components, *shared)
+        return substitute(self, components, *shared)
 
+    phi = random_invertible_map(random.Random(41 + n), n, K)
+    monkeypatch.setattr(series_module, "_powers", counting_powers)
     monkeypatch.setattr(FormalSeries, "substitute", recording)
-    K, n = 8, 2
-    phi = random_invertible_map(random.Random(41), n, K)
-    phi.inverse()
-    assert len(calls) == n * (K - 1)
-    for index, (trunc, comps) in enumerate(calls):
-        degree = 2 + index // n
-        assert trunc == degree and comps == [degree] * n
-    assert all(trunc < K for trunc, _ in calls[:-n])
+    inv = phi.inverse()
+    monkeypatch.undo()
+    assert inv == inverse_oracle(phi)
+    # Phi's powers and those of the inverse linear forms, each once at K,
+    # shared by every substitution
+    assert tables == [K, K]
+    assert all(c == (K, [K] * n) for c in calls)
+    assert len(calls) <= n + 2 * n * (K - 1)
 
 
 def test_shared_powers_apply_only_at_their_own_truncation():
