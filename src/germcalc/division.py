@@ -22,7 +22,7 @@ Whole remainders, with or without quotients, stay on Fraction, and so
 does a first-term division asked to (ints=False, as JetSpace.contains
 asks): on ints they sped the ideal-queries benchmark up so far that its
 per-op bookkeeping pushed the run's peak memory past that metric's 10%
-bound (ROADMAP item 6).
+bound (ROADMAP item 3).
 
 reduce_mod_ideal computes the canonical normal form against the degree-K
 jet of an ideal: the staircase used is the ideal's diagram of initial

@@ -7,12 +7,22 @@ codes without matching on message strings.
 
 
 class _Frozen:
-    """Refuses attribute assignment; constructors use object.__setattr__."""
+    """Refuses attribute assignment and deletion; constructors use
+    object.__setattr__, and so does the restore step of copy and pickle."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __setstate__(self, state):
+        """state is (None, slots), what copy and pickle save of a class
+        with __slots__ and no __dict__."""
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 class GermcalcError(Exception):

@@ -25,9 +25,8 @@ from typing import Optional, Sequence, Union
 
 from .errors import GermcalcError, ParseError
 from .monomial import FIELD_BITS, check_width, unpack
-from .scalars import GaussianRational, I
+from .scalars import GaussianRational, I, _square_and_multiply
 from .series import FormalMap, FormalSeries, _bound, _mul_terms, _reduced, _scaled_terms
-from .series import _square_and_multiply
 
 Scalar = Union[Fraction, GaussianRational]
 

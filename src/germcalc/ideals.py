@@ -59,7 +59,7 @@ class JetSpace(_Frozen):
     degree <= d in the diagram, is built on first read and kept.
     """
 
-    __slots__ = ("_n", "_degree", "_corners", "_pivots", "_rows")
+    __slots__ = ("dimension", "degree", "_corners", "_pivots", "_rows")
 
     def __init__(self, dimension: int, degree: int, spanning: Iterable[FormalSeries] = ()):
         if degree < 0:
@@ -93,19 +93,11 @@ class JetSpace(_Frozen):
         for v in Staircase(dimension, (g.initial_exponent() for g in gens)).sorted_vertices():
             x_v = FormalSeries.monomial(dimension, degree, v)
             corners[v] = x_v - _remainder(x_v, gens, degree)
-        object.__setattr__(self, "_n", dimension)
-        object.__setattr__(self, "_degree", degree)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "_corners", corners)
         object.__setattr__(self, "_pivots", None)
         object.__setattr__(self, "_rows", None)
-
-    @property
-    def dimension(self) -> int:
-        return self._n
-
-    @property
-    def degree(self) -> int:
-        return self._degree
 
     @property
     def rank(self) -> int:
@@ -115,24 +107,26 @@ class JetSpace(_Frozen):
     def pivot_exponents(self) -> list[MultiIndex]:
         if self._pivots is None:
             inside = self.staircase().contains
-            pivots = [m for m in monomials_up_to(self._n, self._degree) if inside(m)]
+            monomials = monomials_up_to(self.dimension, self.degree)
+            pivots = [m for m in monomials if inside(m)]
             object.__setattr__(self, "_pivots", pivots)
         return list(self._pivots)
 
     @property
     def basis(self) -> list[FormalSeries]:
         if self._rows is None:
-            xs = [FormalSeries.monomial(self._n, self._degree, m) for m in self.pivot_exponents]
+            xs = [FormalSeries.monomial(self.dimension, self.degree, m)
+                  for m in self.pivot_exponents]
             object.__setattr__(self, "_rows", [x - self.reduce(x) for x in xs])
         return list(self._rows)
 
     def _jet(self, f: FormalSeries) -> FormalSeries:
-        if f.dimension != self._n:
+        if f.dimension != self.dimension:
             raise DimensionError("cannot reduce a series of wrong dimension")
-        r = f.truncate(self._degree) if f.truncation > self._degree else f
-        if r.truncation < self._degree:
+        r = f.truncate(self.degree) if f.truncation > self.degree else f
+        if r.truncation < self.degree:
             raise PrecisionError(
-                f"series truncated at {r.truncation}, need degree {self._degree}"
+                f"series truncated at {r.truncation}, need degree {self.degree}"
             )
         return r
 
@@ -142,36 +136,40 @@ class JetSpace(_Frozen):
         r = self._jet(f)
         if not self._corners:
             return r
-        return _remainder(r, list(self._corners.values()), self._degree)
+        return _remainder(r, list(self._corners.values()), self.degree)
 
     def contains(self, f: FormalSeries) -> bool:
         """Whether the normal form is zero, read off its first term."""
         r, corners = self._jet(f), list(self._corners.values())
-        return not _divide(r, corners, self._degree, ints=False) if corners else r.is_zero
+        return not _divide(r, corners, self.degree, ints=False) if corners else r.is_zero
 
     def staircase(self) -> Staircase:
-        return Staircase(self._n, self._corners)
+        return Staircase(self.dimension, self._corners)
 
     def __eq__(self, other):
         if isinstance(other, JetSpace):
             return (
-                self._n == other._n
-                and self._degree == other._degree
+                self.dimension == other.dimension
+                and self.degree == other.degree
                 and self._corners == other._corners
             )
         return NotImplemented
 
     def __repr__(self):
-        return f"JetSpace(n={self._n}, d={self._degree}, rank={self.rank})"
+        return f"JetSpace(n={self.dimension}, d={self.degree}, rank={self.rank})"
 
 
 class IdealPresentation(_Frozen):
     """An ideal of the formal power series ring given by finitely many
     generators.  Zero generators are dropped, but their truncation still
     bounds what the presentation knows; no generators means the zero
-    ideal.  Jet spaces are cached per degree."""
+    ideal.  Jet spaces are cached per degree.
 
-    __slots__ = ("_n", "_gens", "_trunc", "_cache")
+    generator_truncation is the common knowledge horizon of the presented
+    generators, zero ones included; None when none were given (the zero
+    ideal is then known exactly at every degree)."""
+
+    __slots__ = ("dimension", "generators", "generator_truncation", "_cache")
 
     def __init__(self, dimension: int, generators: Sequence[FormalSeries] = ()):
         generators = tuple(generators)
@@ -179,25 +177,11 @@ class IdealPresentation(_Frozen):
         for g in gens:
             if g.dimension != dimension:
                 raise DimensionError("generator dimension differs from ideal dimension")
-        object.__setattr__(self, "_n", dimension)
-        object.__setattr__(self, "_gens", gens)
-        object.__setattr__(self, "_trunc", min((g.truncation for g in generators), default=None))
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "generator_truncation",
+                           min((g.truncation for g in generators), default=None))
         object.__setattr__(self, "_cache", {})
-
-    @property
-    def dimension(self) -> int:
-        return self._n
-
-    @property
-    def generators(self) -> tuple[FormalSeries, ...]:
-        return self._gens
-
-    @property
-    def generator_truncation(self) -> Optional[int]:
-        """Common knowledge horizon of the presented generators, zero ones
-        included; None when none were given (the zero ideal is then known
-        exactly at every degree)."""
-        return self._trunc
 
     def _check_degree(self, degree: int):
         bound = self.generator_truncation
@@ -210,14 +194,14 @@ class IdealPresentation(_Frozen):
         cached = self._cache.get(degree)
         if cached is None:
             self._check_degree(degree)
-            cached = self._cache[degree] = JetSpace(self._n, degree, self._gens)
+            cached = self._cache[degree] = JetSpace(self.dimension, degree, self.generators)
         return cached
 
     def diagram(self, degree: int) -> Staircase:
         return self.jet_space(degree).staircase()
 
     def __repr__(self):
-        return f"IdealPresentation(n={self._n}, generators={len(self._gens)})"
+        return f"IdealPresentation(n={self.dimension}, generators={len(self.generators)})"
 
 
 def jet_membership(f: FormalSeries, ideal: IdealPresentation, k: int) -> bool:

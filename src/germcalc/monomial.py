@@ -56,59 +56,52 @@ def guard_bits(dimension: int) -> int:
 
 @total_ordering
 class MultiIndex(_Frozen):
-    """An exponent vector in N^n, ordered degree-first then right-to-left."""
+    """An exponent vector in N^n, ordered degree-first then right-to-left.
 
-    __slots__ = ("_exp", "_key")
+    sort_key is (|a|, a_n, ..., a_1); lexicographic comparison of these
+    keys realizes the order."""
+
+    __slots__ = ("exponents", "sort_key")
 
     def __init__(self, exponents: Iterable[int]):
         exp = tuple(exponents)
         for e in exp:
             if not isinstance(e, int) or e < 0:
                 raise ValueError(f"multi-index entries must be naturals, got {exp!r}")
-        object.__setattr__(self, "_exp", exp)
-        object.__setattr__(self, "_key", (sum(exp),) + exp[::-1])
-
-    @property
-    def exponents(self) -> tuple[int, ...]:
-        return self._exp
+        object.__setattr__(self, "exponents", exp)
+        object.__setattr__(self, "sort_key", (sum(exp),) + exp[::-1])
 
     @property
     def dimension(self) -> int:
-        return len(self._exp)
+        return len(self.exponents)
 
     @property
     def degree(self) -> int:
-        return self._key[0]
-
-    @property
-    def sort_key(self) -> tuple[int, ...]:
-        """(|a|, a_n, ..., a_1); lexicographic comparison of these keys
-        realizes the order."""
-        return self._key
+        return self.sort_key[0]
 
     def __len__(self):
-        return len(self._exp)
+        return len(self.exponents)
 
     def __getitem__(self, i: int) -> int:
-        return self._exp[i]
+        return self.exponents[i]
 
     def __iter__(self):
-        return iter(self._exp)
+        return iter(self.exponents)
 
     def _check_dim(self, other: "MultiIndex"):
-        if len(self._exp) != len(other._exp):
+        if len(self.exponents) != len(other.exponents):
             raise DimensionError(
-                f"multi-index dimensions differ: {len(self._exp)} vs {len(other._exp)}"
+                f"multi-index dimensions differ: {self.dimension} vs {other.dimension}"
             )
 
     def __add__(self, other: "MultiIndex") -> "MultiIndex":
         self._check_dim(other)
-        return MultiIndex(a + b for a, b in zip(self._exp, other._exp))
+        return MultiIndex(a + b for a, b in zip(self.exponents, other.exponents))
 
     def __sub__(self, other: "MultiIndex") -> "MultiIndex":
         """Componentwise difference; only defined when other divides self."""
         self._check_dim(other)
-        diff = tuple(a - b for a, b in zip(self._exp, other._exp))
+        diff = tuple(a - b for a, b in zip(self.exponents, other.exponents))
         if any(d < 0 for d in diff):
             raise ValueError(f"{other} does not divide {self}")
         return MultiIndex(diff)
@@ -116,27 +109,27 @@ class MultiIndex(_Frozen):
     def dominates(self, other: "MultiIndex") -> bool:
         """True iff self >= other componentwise (self lies in other + N^n)."""
         self._check_dim(other)
-        return all(a >= b for a, b in zip(self._exp, other._exp))
+        return all(a >= b for a, b in zip(self.exponents, other.exponents))
 
     # Rich comparisons implement the monomial order, not the product order;
     # total_ordering derives the other three from this one and __eq__.
     def __lt__(self, other):
         self._check_dim(other)
-        return self._key < other._key
+        return self.sort_key < other.sort_key
 
     def __eq__(self, other):
         if isinstance(other, MultiIndex):
-            return self._exp == other._exp
+            return self.exponents == other.exponents
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._exp)
+        return hash(self.exponents)
 
     def __repr__(self):
-        return f"MultiIndex({self._exp!r})"
+        return f"MultiIndex({self.exponents!r})"
 
     def __str__(self):
-        return "(" + ",".join(str(e) for e in self._exp) + ")"
+        return "(" + ",".join(str(e) for e in self.exponents) + ")"
 
 
 def compare(a: MultiIndex, b: MultiIndex) -> int:
@@ -157,7 +150,7 @@ class Staircase(_Frozen):
     vertex set describes the empty region (the staircase of the zero ideal).
     """
 
-    __slots__ = ("_dim", "_vertices")
+    __slots__ = ("dimension", "vertices")
 
     def __init__(self, dimension: int, points: Iterable = ()):
         if dimension < 1:
@@ -171,38 +164,30 @@ class Staircase(_Frozen):
         minimal = frozenset(
             p for p in pts if not any(q != p and p.dominates(q) for q in pts)
         )
-        object.__setattr__(self, "_dim", dimension)
-        object.__setattr__(self, "_vertices", minimal)
-
-    @property
-    def dimension(self) -> int:
-        return self._dim
-
-    @property
-    def vertices(self) -> frozenset[MultiIndex]:
-        return self._vertices
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "vertices", minimal)
 
     def sorted_vertices(self) -> list[MultiIndex]:
-        return sorted(self._vertices, key=lambda v: v.sort_key)
+        return sorted(self.vertices, key=lambda v: v.sort_key)
 
     def contains(self, point) -> bool:
         p = _as_multi_index(point)
-        if p.dimension != self._dim:
+        if p.dimension != self.dimension:
             raise DimensionError(
-                f"point {p} does not live in dimension {self._dim}"
+                f"point {p} does not live in dimension {self.dimension}"
             )
-        return any(p.dominates(v) for v in self._vertices)
+        return any(p.dominates(v) for v in self.vertices)
 
     def __eq__(self, other):
         if isinstance(other, Staircase):
-            return self._dim == other._dim and self._vertices == other._vertices
+            return self.dimension == other.dimension and self.vertices == other.vertices
         return NotImplemented
 
     def __hash__(self):
-        return hash((self._dim, self._vertices))
+        return hash((self.dimension, self.vertices))
 
     def __repr__(self):
-        return f"Staircase({self._dim}, {self.sorted_vertices()!r})"
+        return f"Staircase({self.dimension}, {self.sorted_vertices()!r})"
 
     def __str__(self):
         return "[" + ",".join(str(v) for v in self.sorted_vertices()) + "]"

@@ -15,6 +15,18 @@ from .errors import _Frozen
 _REAL = (int, Fraction)
 
 
+def _square_and_multiply(base, exponent: int, mul, one):
+    """base**exponent with mul as the product; one for exponent 0."""
+    result = None
+    while exponent:
+        if exponent & 1:
+            result = base if result is None else mul(result, base)
+        exponent >>= 1
+        if exponent:
+            base = mul(base, base)
+    return one if result is None else result
+
+
 class GaussianRational(_Frozen):
     """a + b*i with exact rational parts and field arithmetic."""
 
@@ -101,15 +113,8 @@ class GaussianRational(_Frozen):
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        result = GaussianRational(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        one = GaussianRational(1)
+        return _square_and_multiply(self, exponent, GaussianRational.__mul__, one)
 
     # -- comparisons --------------------------------------------------------
 

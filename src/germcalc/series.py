@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 from .errors import DimensionError, InversionError, PrecisionError, _Frozen
 from .monomial import _FIELD_MASK, FIELD_BITS, MultiIndex, check_width, pack, unpack
-from .scalars import GaussianRational, coerce_scalar
+from .scalars import GaussianRational, _square_and_multiply, coerce_scalar
 
 Scalar = Fraction | GaussianRational
 
@@ -84,18 +84,6 @@ def _nonzero_terms(table: dict) -> list[tuple[int, Scalar]]:
     return [(k, c) for k, c in table.items() if c]
 
 
-def _square_and_multiply(base, exponent: int, mul, one):
-    """base**exponent with mul as the product; one for exponent 0."""
-    result = None
-    while exponent:
-        if exponent & 1:
-            result = base if result is None else mul(result, base)
-        exponent >>= 1
-        if exponent:
-            base = mul(base, base)
-    return one if result is None else result
-
-
 _ONE = [(0, 1)]
 _ZERO = Fraction(0)
 
@@ -119,7 +107,7 @@ def _reduced(table: dict, den: int) -> dict[int, Scalar]:
 class FormalSeries(_Frozen):
     """A formal power series known exactly up to its truncation degree."""
 
-    __slots__ = ("_n", "_trunc", "_table", "_view")
+    __slots__ = ("dimension", "truncation", "_table", "_view")
 
     def __init__(self, dimension: int, truncation: int, terms=None):
         if dimension < 1:
@@ -127,8 +115,8 @@ class FormalSeries(_Frozen):
         if truncation < 0:
             raise ValueError("truncation degree must be a natural number")
         check_width("truncation", truncation)
-        object.__setattr__(self, "_n", dimension)
-        object.__setattr__(self, "_trunc", truncation)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "truncation", truncation)
         object.__setattr__(self, "_view", None)
         table: dict[int, Scalar] = {}
         for key, value in terms.items() if hasattr(terms, "items") else terms or ():
@@ -142,13 +130,13 @@ class FormalSeries(_Frozen):
         """The packed key of a tuple or MultiIndex exponent of this
         dimension, None past the truncation.  A plain tuple of naturals packs
         directly; any other key, and every error, goes through MultiIndex."""
-        if (type(key) is tuple and len(key) == self._n
+        if (type(key) is tuple and len(key) == self.dimension
                 and all(type(e) is int and e >= 0 for e in key)):
-            return pack(key) if sum(key) <= self._trunc else None
+            return pack(key) if sum(key) <= self.truncation else None
         mi = key if isinstance(key, MultiIndex) else MultiIndex(key)
-        if mi.dimension != self._n:
-            raise DimensionError(f"exponent {mi} does not live in dimension {self._n}")
-        return pack(mi.exponents) if mi.degree <= self._trunc else None
+        if mi.dimension != self.dimension:
+            raise DimensionError(f"exponent {mi} does not live in dimension {self.dimension}")
+        return pack(mi.exponents) if mi.degree <= self.truncation else None
 
     # -- constructors -------------------------------------------------------
 
@@ -157,8 +145,8 @@ class FormalSeries(_Frozen):
         """A series over a ready table, taken without a copy or the constructor's
         checks: packed keys of this dimension and degree <= truncation, nonzero values."""
         out = object.__new__(cls)
-        object.__setattr__(out, "_n", dimension)
-        object.__setattr__(out, "_trunc", truncation)
+        object.__setattr__(out, "dimension", dimension)
+        object.__setattr__(out, "truncation", truncation)
         object.__setattr__(out, "_table", table)
         object.__setattr__(out, "_view", None)
         return out
@@ -185,19 +173,12 @@ class FormalSeries(_Frozen):
     # -- inspection ---------------------------------------------------------
 
     @property
-    def dimension(self) -> int:
-        return self._n
-
-    @property
-    def truncation(self) -> int:
-        return self._trunc
-
-    @property
     def terms(self) -> dict[MultiIndex, Scalar]:
         """The term table keyed by MultiIndex, in increasing monomial order;
         treat as read-only."""
         if self._view is None:
-            view = {MultiIndex(unpack(k, self._n)): c for k, c in sorted(self._table.items())}
+            n = self.dimension
+            view = {MultiIndex(unpack(k, n)): c for k, c in sorted(self._table.items())}
             object.__setattr__(self, "_view", view)
         return self._view
 
@@ -218,20 +199,20 @@ class FormalSeries(_Frozen):
         """Exponent of the order-smallest term, None for the zero series."""
         if not self._table:
             return None
-        return MultiIndex(unpack(min(self._table), self._n))
+        return MultiIndex(unpack(min(self._table), self.dimension))
 
     def order(self) -> Optional[int]:
         """Degree of the lowest term, None for the zero series."""
         if not self._table:
             return None
-        return min(self._table) >> FIELD_BITS * self._n
+        return min(self._table) >> FIELD_BITS * self.dimension
 
     # -- ring operations ----------------------------------------------------
 
     def _check_compatible(self, other: "FormalSeries"):
-        if self._n != other._n:
+        if self.dimension != other.dimension:
             raise DimensionError(
-                f"series dimensions differ: {self._n} vs {other._n}"
+                f"series dimensions differ: {self.dimension} vs {other.dimension}"
             )
 
     def __add__(self, other):
@@ -240,7 +221,7 @@ class FormalSeries(_Frozen):
             if other is None:
                 return NotImplemented
         self._check_compatible(other)
-        trunc = min(self._trunc, other._trunc)
+        trunc = min(self.truncation, other.truncation)
         table = dict(self.truncate(trunc)._table)
         for k, c in other.truncate(trunc)._table.items():
             s = table.get(k, 0) + c
@@ -248,21 +229,21 @@ class FormalSeries(_Frozen):
                 table[k] = s
             elif k in table:
                 del table[k]
-        return FormalSeries._from_table(self._n, trunc, table)
+        return FormalSeries._from_table(self.dimension, trunc, table)
 
     def _promote(self, value) -> Optional["FormalSeries"]:
         try:
             c = coerce_scalar(value)
         except TypeError:
             return None
-        return FormalSeries.constant(self._n, self._trunc, c)
+        return FormalSeries.constant(self.dimension, self.truncation, c)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
         return FormalSeries._from_table(
-            self._n, self._trunc, {k: -c for k, c in self._table.items()}
+            self.dimension, self.truncation, {k: -c for k, c in self._table.items()}
         )
 
     def __sub__(self, other):
@@ -281,18 +262,18 @@ class FormalSeries(_Frozen):
     def __mul__(self, other):
         if isinstance(other, FormalSeries):
             self._check_compatible(other)
-            trunc = min(self._trunc, other._trunc)
+            trunc = min(self.truncation, other.truncation)
             (left, da), (right, db) = _scaled_terms(self._table), _scaled_terms(other._table)
-            table = _mul_terms(left, right, _bound(self._n, trunc))
-            return FormalSeries._from_table(self._n, trunc, _reduced(table, da * db))
+            table = _mul_terms(left, right, _bound(self.dimension, trunc))
+            return FormalSeries._from_table(self.dimension, trunc, _reduced(table, da * db))
         try:
             c = coerce_scalar(other)
         except TypeError:
             return NotImplemented
         if not c:
-            return FormalSeries(self._n, self._trunc)
+            return FormalSeries(self.dimension, self.truncation)
         return FormalSeries._from_table(
-            self._n, self._trunc, {k: v * c for k, v in self._table.items()}
+            self.dimension, self.truncation, {k: v * c for k, v in self._table.items()}
         )
 
     def __rmul__(self, other):
@@ -302,7 +283,7 @@ class FormalSeries(_Frozen):
         """A natural power by square-and-multiply; 1 for exponent 0."""
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        one = FormalSeries.constant(self._n, self._trunc, 1)
+        one = FormalSeries.constant(self.dimension, self.truncation, 1)
         return _square_and_multiply(self, exponent, FormalSeries.__mul__, one)
 
     def truncate(self, degree: int) -> "FormalSeries":
@@ -310,39 +291,32 @@ class FormalSeries(_Frozen):
         carried truncation (that would claim precision we do not have)."""
         if degree < 0:
             raise ValueError("truncation degree must be a natural number")
-        if degree > self._trunc:
+        if degree > self.truncation:
             raise PrecisionError(
-                f"cannot truncate at {degree}: series only known up to {self._trunc}"
+                f"cannot truncate at {degree}: series only known up to {self.truncation}"
             )
-        if degree == self._trunc:
+        if degree == self.truncation:
             return self
-        bound = _bound(self._n, degree)
+        bound = _bound(self.dimension, degree)
         return FormalSeries._from_table(
-            self._n, degree, {k: c for k, c in self._table.items() if k < bound}
+            self.dimension, degree, {k: c for k, c in self._table.items() if k < bound}
         )
-
-    def homogeneous_part(self, degree: int) -> "FormalSeries":
-        if degree < 0:
-            raise ValueError("degree must be a natural number")
-        shift = FIELD_BITS * self._n
-        table = {k: c for k, c in self._table.items() if k >> shift == degree}
-        return FormalSeries._from_table(self._n, self._trunc, table)
 
     def derivative(self, index: int) -> "FormalSeries":
         """Partial derivative; the result is exact one degree lower."""
-        if not 0 <= index < self._n:
+        if not 0 <= index < self.dimension:
             raise ValueError(f"variable index {index} out of range")
-        if self._trunc == 0:
+        if self.truncation == 0:
             raise PrecisionError("cannot differentiate a series truncated at 0")
         # x_index^-1 lowers that field and the degree field by one each
         low = FIELD_BITS * index
-        step = (1 << low) + (1 << FIELD_BITS * self._n)
+        step = (1 << low) + (1 << FIELD_BITS * self.dimension)
         table: dict[int, Scalar] = {}
         for k, c in self._table.items():
             e = k >> low & _FIELD_MASK
             if e:
                 table[k - step] = c * e
-        return FormalSeries._from_table(self._n, self._trunc - 1, table)
+        return FormalSeries._from_table(self.dimension, self.truncation - 1, table)
 
     def substitute(self, components: Sequence["FormalSeries"], powers=None) -> "FormalSeries":
         """Substitute one series per variable; components must have zero
@@ -351,14 +325,14 @@ class FormalSeries(_Frozen):
         substitutions of a composition.  Terms group by their exponents of
         x_2..x_n: a group adds up its scaled powers of the first component,
         then takes one chain of products by its powers of the others."""
-        if len(components) != self._n:
+        if len(components) != self.dimension:
             raise DimensionError(
-                f"need {self._n} substitution components, got {len(components)}"
+                f"need {self.dimension} substitution components, got {len(components)}"
             )
         if not components:
             raise ValueError("no components")
         m = components[0].dimension
-        trunc = min([self._trunc] + [c.truncation for c in components])
+        trunc = min([self.truncation] + [c.truncation for c in components])
         for comp in components:
             if comp.dimension != m:
                 raise DimensionError("substitution components have mixed dimensions")
@@ -379,14 +353,14 @@ class FormalSeries(_Frozen):
         images = []
         for key, c in self.truncate(trunc)._table.items():
             num, den = c.as_integer_ratio() if type(c) is Fraction else (c, 1)
-            exponents = unpack(key, self._n)
+            exponents = unpack(key, self.dimension)
             images.append((exponents, num, den * prod(d**e for d, e in zip(dens, exponents))))
         common = lcm(*(den for _, _, den in images))
         # per exponent of x_2..x_n, the sum of the scaled numerators times
         # the powers of the first component; the group of x_1's powers
         # alone sums straight into acc
         acc: dict[int, Scalar] = {}
-        groups = {(0,) * (self._n - 1): acc}
+        groups = {(0,) * (self.dimension - 1): acc}
         for exponents, num, den in images:
             total = groups.setdefault(exponents[1:], {})
             scale = num * (common // den)
@@ -408,15 +382,15 @@ class FormalSeries(_Frozen):
     def __eq__(self, other):
         if isinstance(other, FormalSeries):
             return (
-                self._n == other._n
-                and self._trunc == other._trunc
+                self.dimension == other.dimension
+                and self.truncation == other.truncation
                 and self._table == other._table
             )
         return NotImplemented
 
     def __repr__(self):
         items = ", ".join(f"{m}: {c}" for m, c in self.sorted_terms())
-        return f"FormalSeries(n={self._n}, K={self._trunc}, {{{items}}})"
+        return f"FormalSeries(n={self.dimension}, K={self.truncation}, {{{items}}})"
 
 
 def compose(f: FormalSeries, phi: "FormalMap") -> FormalSeries:
@@ -434,7 +408,7 @@ class _ComponentTuple(_Frozen):
     common truncation: a formal map or a vector field, named by ``_kind``
     in errors.  Equal only to the same class with equal components."""
 
-    __slots__ = ("_comps", "_trunc")
+    __slots__ = ("components", "truncation")
 
     def __init__(self, components: Sequence[FormalSeries]):
         comps = tuple(components)
@@ -450,39 +424,31 @@ class _ComponentTuple(_Frozen):
             if c.constant_term():
                 raise ValueError(f"{self._kind} components must vanish at 0")
         trunc = min(c.truncation for c in comps)
-        object.__setattr__(self, "_comps", tuple(c.truncate(trunc) for c in comps))
-        object.__setattr__(self, "_trunc", trunc)
+        object.__setattr__(self, "components", tuple(c.truncate(trunc) for c in comps))
+        object.__setattr__(self, "truncation", trunc)
 
     @property
     def dimension(self) -> int:
-        return len(self._comps)
-
-    @property
-    def truncation(self) -> int:
-        return self._trunc
-
-    @property
-    def components(self) -> tuple[FormalSeries, ...]:
-        return self._comps
+        return len(self.components)
 
     def truncate(self, degree: int):
-        return type(self)([c.truncate(degree) for c in self._comps])
+        return type(self)([c.truncate(degree) for c in self.components])
 
     def compose(self, other: "FormalMap"):
         """self after the map other, in the class of self."""
         if other.dimension != self.dimension:
             raise DimensionError("cannot compose maps of different dimensions")
         comps = other.components
-        powers = _powers(comps, min(self._trunc, other.truncation))
-        return type(self)([c.substitute(comps, powers) for c in self._comps])
+        powers = _powers(comps, min(self.truncation, other.truncation))
+        return type(self)([c.substitute(comps, powers) for c in self.components])
 
     def __eq__(self, other):
         if isinstance(other, _ComponentTuple):
-            return type(other) is type(self) and self._comps == other._comps
+            return type(other) is type(self) and self.components == other.components
         return NotImplemented
 
     def __repr__(self):
-        return f"{type(self).__name__}({list(self._comps)!r})"
+        return f"{type(self).__name__}({list(self.components)!r})"
 
 
 class FormalMap(_ComponentTuple):
@@ -500,7 +466,7 @@ class FormalMap(_ComponentTuple):
     def linear_matrix(self) -> list[list[Scalar]]:
         n = self.dimension
         units = [tuple(1 if t == j else 0 for t in range(n)) for j in range(n)]
-        return [[comp.coefficient(e) for e in units] for comp in self._comps]
+        return [[comp.coefficient(e) for e in units] for comp in self.components]
 
     @property
     def is_invertible(self) -> bool:
@@ -508,7 +474,7 @@ class FormalMap(_ComponentTuple):
 
     def linear_inverse(self) -> list[list[Scalar]]:
         """Inverse of the linear part; refuses a singular or unknown one."""
-        if self._trunc < 1:
+        if self.truncation < 1:
             raise PrecisionError("the linear part of a map truncated at 0 is unknown")
         inv = _invert_matrix(self.linear_matrix())
         if inv is None:
@@ -525,16 +491,16 @@ class FormalMap(_ComponentTuple):
         -[X_<d o self]_d o L^-1.  A running sum holds X_<d o self, and each
         new X_d o self is added into it, so no product is formed twice.
         """
-        n, K = self.dimension, self._trunc
+        n, K = self.dimension, self.truncation
         units = [tuple(1 if t == j else 0 for t in range(n)) for j in range(n)]
         linear = [FormalSeries(n, K, zip(units, row)) for row in self.linear_inverse()]
-        phi_powers, linear_powers = _powers(self._comps, K), _powers(linear, K)
+        phi_powers, linear_powers = _powers(self.components, K), _powers(linear, K)
         shift = FIELD_BITS * n
         x = [dict(c._table) for c in linear]  # X through the last degree solved
         moved, last = [{} for _ in range(n)], linear  # X_<d o self, and X_(d-1)
         for degree in range(2, K + 1):
             for table, c in zip(moved, last):
-                for k, v in c.substitute(self._comps, phi_powers)._table.items():
+                for k, v in c.substitute(self.components, phi_powers)._table.items():
                     table[k] = table.get(k, 0) + v
             error = [{k: -v for k, v in t.items() if k >> shift == degree and v} for t in moved]
             last = [FormalSeries._from_table(n, K, e).substitute(linear, linear_powers)

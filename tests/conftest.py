@@ -309,6 +309,12 @@ def parse_series_oracle(text, names, truncation):
         return expressions.parse_series(text, names, truncation)
 
 
+def _degree_part(f, degree):
+    """The terms of f of total degree degree, at f's truncation."""
+    terms = {m: c for m, c in f.terms.items() if m.degree == degree}
+    return FormalSeries(f.dimension, f.truncation, terms)
+
+
 def inverse_oracle(phi):
     """The compositional inverse solved degree by degree, each step
     composing at the full truncation and subtracting the identity."""
@@ -322,7 +328,7 @@ def inverse_oracle(phi):
     identity = FormalMap.identity(n, trunc)
     for degree in range(2, trunc + 1):
         error = [
-            (substitute_oracle(c, psi) - x).homogeneous_part(degree)
+            _degree_part(substitute_oracle(c, psi) - x, degree)
             for c, x in zip(phi.components, identity.components)
         ]
         for i in range(n):

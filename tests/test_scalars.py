@@ -27,6 +27,22 @@ def test_i_squares_to_minus_one():
     assert I**4 == 1
 
 
+@given(gaussians, st.integers(min_value=0, max_value=12))
+def test_power_is_repeated_product(z, e):
+    expected = GaussianRational(1)
+    for _ in range(e):
+        expected = expected * z
+    assert z**e == expected
+    assert z**0 == 1
+
+
+@pytest.mark.parametrize("exponent", [-1, Fraction(1, 2), 1.0])
+def test_power_refuses_other_exponents(exponent):
+    assert GaussianRational(1, 2).__pow__(exponent) is NotImplemented
+    with pytest.raises(TypeError):
+        GaussianRational(1, 2) ** exponent
+
+
 def test_division():
     a = GaussianRational(5, 5)
     b = GaussianRational(3, -1)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -29,6 +31,7 @@ from germcalc import (
     realify_map,
 )
 from germcalc import series as series_module
+from germcalc.errors import _Frozen
 from germcalc.monomial import MAX_DEGREE
 from conftest import (
     exponent_tuples,
@@ -258,15 +261,6 @@ def test_sorted_terms_follow_the_monomial_order():
         MultiIndex((1, 1)),
         MultiIndex((0, 2)),
     ]
-
-
-def test_homogeneous_part():
-    f = s2({(1, 0): 1, (2, 0): 2, (1, 1): 3})
-    assert f.homogeneous_part(2) == s2({(2, 0): 2, (1, 1): 3})
-    assert f.homogeneous_part(5).is_zero
-    assert f.homogeneous_part(0).is_zero
-    with pytest.raises(ValueError, match="^degree must be a natural number$"):
-        f.homogeneous_part(-1)
 
 
 def test_truncate():
@@ -799,21 +793,65 @@ _X = FormalSeries.variable(2, 3, 0)
 _Y = FormalSeries.variable(2, 3, 1)
 
 
-@pytest.mark.parametrize("obj,slot", [
-    (MultiIndex((1, 0)), "_exp"),
-    (Staircase(2, [(1, 0)]), "_vertices"),
-    (_X, "_table"),
-    (FormalMap([_X, _Y]), "_comps"),
-    (VectorField([_X, _Y]), "_trunc"),
-    (JetSpace(2, 2, [_X]), "_corners"),
-    (IdealPresentation(2, [_X]), "_gens"),
-    (ShiftSequence(2), "levels"),
-    (GaussianRational(1, 2), "real"),
-], ids=lambda value: type(value).__name__ if not isinstance(value, str) else value)
-def test_assignment_says_the_class_is_immutable(obj, slot):
-    before = getattr(obj, slot)
-    for name in (slot, "extra"):
-        with pytest.raises(AttributeError) as err:
-            setattr(obj, name, None)
-        assert str(err.value) == f"{type(obj).__name__} is immutable"
-    assert getattr(obj, slot) is before
+def _frozen_types():
+    """Every subclass of errors._Frozen, at any depth."""
+    found, todo = [], [_Frozen]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        found += subclasses
+        todo += subclasses
+    return found
+
+
+def _slots(obj):
+    """The slot names of obj's class and of its bases."""
+    return [name for cls in type(obj).__mro__ for name in vars(cls).get("__slots__", ())]
+
+
+def _pickled(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+_FROZEN_SAMPLES = [
+    MultiIndex((1, 0)),
+    Staircase(2, [(1, 0)]),
+    _X,
+    FormalMap([_X, _Y]),
+    VectorField([_X, _Y]),
+    JetSpace(2, 2, [_X]),
+    IdealPresentation(2, [_X]),
+    ShiftSequence(2),
+    GaussianRational(1, 2),
+]
+_PROBES = [_X, _Y, _X * _Y, _X + _Y * _Y, _Y**3]
+
+
+def test_the_samples_cover_every_frozen_type():
+    for cls in _frozen_types():
+        assert any(isinstance(obj, cls) for obj in _FROZEN_SAMPLES), cls.__name__
+
+
+@pytest.mark.parametrize("obj", _FROZEN_SAMPLES, ids=lambda obj: type(obj).__name__)
+def test_frozen_types_refuse_changes_and_copy_to_equal_values(obj):
+    message = f"{type(obj).__name__} is immutable"
+    slots = _slots(obj)
+    assert slots
+    for slot in slots + ["extra"]:
+        before = getattr(obj, slot, None)
+        for change in (lambda: setattr(obj, slot, None), lambda: delattr(obj, slot)):
+            with pytest.raises(AttributeError) as err:
+                change()
+            assert str(err.value) == message
+        assert getattr(obj, slot, None) is before
+    # IdealPresentation and ShiftSequence define no __eq__
+    same = repr if isinstance(obj, (IdealPresentation, ShiftSequence)) else (lambda x: x)
+    copies = [copy.copy(obj), copy.deepcopy(obj), _pickled(obj)]
+    for copied in copies:
+        assert type(copied) is type(obj) and same(copied) == same(obj)
+        assert all(getattr(copied, slot) == getattr(obj, slot) for slot in slots)
+    if isinstance(obj, IdealPresentation):
+        for copied in copies:
+            assert copied.jet_space(2) == obj.jet_space(2)
+            for f in _PROBES:
+                for k in range(1, 5):
+                    assert jet_membership(f, copied, k) == jet_membership(f, obj, k)
