@@ -118,6 +118,14 @@ class ShiftSequence(_Frozen):
         """a_m, the largest negative element of S_m."""
         return self.min_positive(m) - (1 << m)
 
+    def __eq__(self, other):
+        if isinstance(other, ShiftSequence):
+            return self.levels == other.levels
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.levels)
+
     def __repr__(self):
         return f"ShiftSequence({self.levels})"
 

@@ -10,14 +10,16 @@ larger terms, so the process sweeps the finitely many monomials of degree
 at most K once.  So the first term that lands in the remainder stays
 there, and a membership test stops at it, building no quotient.
 
-A membership test runs on ints over Q: the dividend's jet and each
-divisor are cleared to integer numerators over the lcm of their
-denominators, and when a term's coefficient c is no multiple of the lead
-coefficient L, the whole work table is scaled by |L| / gcd(c, L), the
-fraction-free pseudo-reduction of Bareiss (Math. Comp. 1968).  A divisor
-and any nonzero multiple of it leave the same remainder, and the first
-remainder term c is exact as c over the dividend's denominator times the
-running scale.  Over Q(i) the coefficients pass through as they are.
+A membership test runs on ints over Q, against one divisor or several
+(the generators of a presentation that is already a standard basis, see
+ideals): the dividend's jet and each divisor are cleared to integer
+numerators over the lcm of their denominators, and when a term's
+coefficient c is no multiple of the lead coefficient L, the whole work
+table is scaled by |L| / gcd(c, L), the fraction-free pseudo-reduction
+of Bareiss (Math. Comp. 1968).  A divisor and any nonzero multiple of
+it leave the same remainder, and the first remainder term c is exact as
+c over the dividend's denominator times the running scale.  Over Q(i)
+the coefficients pass through as they are.
 Whole remainders, with or without quotients, stay on Fraction, and so
 does a first-term division asked to (ints=False, as JetSpace.contains
 asks): on ints they sped the ideal-queries benchmark up so far that its

@@ -10,35 +10,51 @@ every term above degree d is zero (the highest-corner argument of Greuel
 of the diagram, depends only on the jet ideal; the diagram within degree
 d is the set of initial exponents of the jet ideal's nonzero elements.
 
-Membership in a principal ideal needs no jet space.  One generator g is
-already a standard basis: the monomial order adds initial exponents, so
-the initial exponent of any nonzero u*g mod m^k is init(u) + init(g),
-which lies in the staircase of g.  The remainder of truncated division by
-g has no term in that staircase, so it is zero exactly when f lies in
-(g) + m^k.  jet_membership decides one-generator ideals that way and
-every other ideal against its jet space.
+Many presentations need no jet space.  JetSpace reduces an S-pair only
+when the two initial exponents share a variable and their lcm has degree
+<= d.  Below the least such lcm degree over all pairs of generators, no
+pair is reduced, so the generators' jets are already a standard basis:
+every nonzero member of I + m^(d+1) has its initial exponent in the
+staircase of theirs, which the remainder of truncated division avoids.
+There jet_membership divides by the generators and diagram reads their
+initial exponents.  One generator is always such a basis, and so is the
+realified pair (Re g, Im g) of a curve g = w - a z - z^(m+1), whose
+initial exponents are an x- and a y-variable.  At and above that degree,
+a presentation is decided against its jet space.
 
 Every division here takes the remainder alone from division._divide and
 builds no quotient and no Staircase.  S-pairs, corners and normal forms
 wrap its whole remainder table; membership reads only its first term,
-on ints over Q for a principal ideal and on Fraction against a jet
+on ints over Q against the generators and on Fraction against a jet
 space (see division for why).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Iterable, Optional, Sequence
 
 from .division import _divide
 from .errors import DimensionError, PrecisionError, _Frozen
-from .monomial import MultiIndex, Staircase, monomials_up_to
+from .monomial import MultiIndex, Staircase, monomials_up_to, unpack
 from .series import FormalSeries
 
 
 def _remainder(f: FormalSeries, divisors: list, degree: int) -> FormalSeries:
     """The remainder of f on division by the divisors at the degree."""
     return FormalSeries._from_table(f.dimension, degree, _divide(f, divisors, degree, whole=True))
+
+
+def _pair_lcm(a: Sequence[int], b: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """The lcm of two initial exponents, or None when they are coprime.
+
+    This is the one rule that spares an S-pair its reduction, at degree d
+    when the lcm is None or of degree above d (see JetSpace); it also fixes
+    IdealPresentation's bound on the degrees that need no jet space."""
+    lcm = tuple(map(max, a, b))
+    # the lcm has degree |a| + |b| exactly when a and b are coprime
+    return None if sum(lcm) == sum(a) + sum(b) else lcm
 
 
 class JetSpace(_Frozen):
@@ -79,10 +95,10 @@ class JetSpace(_Frozen):
         while pairs:
             g, h = (gens[i] for i in pairs.pop())
             a, b = g.initial_exponent(), h.initial_exponent()
-            lcm = MultiIndex(max(x, y) for x, y in zip(a, b))
-            # the lcm has degree |a| + |b| exactly when a and b are coprime
-            if lcm.degree > degree or lcm.degree == a.degree + b.degree:
+            lcm = _pair_lcm(a, b)
+            if lcm is None or sum(lcm) > degree:
                 continue
+            lcm = MultiIndex(lcm)
             spoly = (FormalSeries.monomial(dimension, degree, lcm - a, h.coefficient(b)) * g
                      - FormalSeries.monomial(dimension, degree, lcm - b, g.coefficient(a)) * h)
             r = _remainder(spoly, gens, degree)
@@ -167,9 +183,11 @@ class IdealPresentation(_Frozen):
 
     generator_truncation is the common knowledge horizon of the presented
     generators, zero ones included; None when none were given (the zero
-    ideal is then known exactly at every degree)."""
+    ideal is then known exactly at every degree).  Below _standard_below,
+    the least lcm degree of two initial exponents that share a variable,
+    the generators are a standard basis (see the module docstring)."""
 
-    __slots__ = ("dimension", "generators", "generator_truncation", "_cache")
+    __slots__ = ("dimension", "generators", "generator_truncation", "_standard_below", "_cache")
 
     def __init__(self, dimension: int, generators: Sequence[FormalSeries] = ()):
         generators = tuple(generators)
@@ -177,13 +195,21 @@ class IdealPresentation(_Frozen):
         for g in gens:
             if g.dimension != dimension:
                 raise DimensionError("generator dimension differs from ideal dimension")
+        below = inf
+        if len(gens) > 1:
+            inits = [unpack(min(g._table), dimension) for g in gens]
+            lcms = (_pair_lcm(a, b) for j, b in enumerate(inits) for a in inits[:j])
+            below = min((sum(lcm) for lcm in lcms if lcm is not None), default=inf)
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "generator_truncation",
                            min((g.truncation for g in generators), default=None))
+        object.__setattr__(self, "_standard_below", below)
         object.__setattr__(self, "_cache", {})
 
     def _check_degree(self, degree: int):
+        if degree < 0:
+            raise ValueError("jet degree must be a natural number")
         bound = self.generator_truncation
         if bound is not None and degree > bound:
             raise PrecisionError(
@@ -198,22 +224,30 @@ class IdealPresentation(_Frozen):
         return cached
 
     def diagram(self, degree: int) -> Staircase:
+        if degree < self._standard_below:
+            self._check_degree(degree)
+            inits = (g.initial_exponent() for g in self.generators)
+            return Staircase(self.dimension, (a for a in inits if a.degree <= degree))
         return self.jet_space(degree).staircase()
 
+    def __eq__(self, other):
+        if isinstance(other, IdealPresentation):
+            return (
+                self.dimension == other.dimension
+                and self.generators == other.generators
+                and self.generator_truncation == other.generator_truncation
+            )
+        return NotImplemented
+
     def __repr__(self):
-        return f"IdealPresentation(n={self.dimension}, generators={len(self.generators)})"
+        return f"IdealPresentation(n={self.dimension}, generators={list(self.generators)!r})"
 
 
 def jet_membership(f: FormalSeries, ideal: IdealPresentation, k: int) -> bool:
-    """Whether f lies in I + m^k, decided on jets of degree k - 1.
-
-    An ideal with one generator g is decided by truncated division: f is
-    in (g) + m^k exactly when the remainder of the degree-(k-1) jet of f
-    on division by g is zero, since a nonzero r = u*g mod m^k has its
-    initial exponent in the staircase of g, which the remainder avoids.
-    The zero ideal and ideals with several generators, which are no
-    standard basis in general, are decided against their jet space.
-    """
+    """Whether f lies in I + m^k, decided on jets of degree k - 1: by a
+    zero remainder on division by the generators while they are a standard
+    basis of I + m^k (the zero ideal holds only zero), else against the
+    jet space."""
     if k < 1:
         raise ValueError("membership order k must be at least 1")
     if f.dimension != ideal.dimension:
@@ -223,9 +257,9 @@ def jet_membership(f: FormalSeries, ideal: IdealPresentation, k: int) -> bool:
             f"series truncated at {f.truncation}, need degree {k - 1}"
         )
     jet = f.truncate(k - 1)
-    if len(ideal.generators) == 1:
+    if k - 1 < ideal._standard_below:
         ideal._check_degree(k - 1)
-        return not _divide(jet, ideal.generators, k - 1)
+        return not _divide(jet, ideal.generators, k - 1) if ideal.generators else jet.is_zero
     return ideal.jet_space(k - 1).contains(jet)
 
 

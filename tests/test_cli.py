@@ -575,6 +575,15 @@ def test_a_zero_generator_keeps_its_truncation(capsys, generator):
     assert err == "error: jet degree 5 exceeds generator truncation 2\n"
 
 
+def test_a_standard_presentation_keeps_the_diagram_exit_codes(capsys):
+    # (z^2, w) is a standard basis as presented, so no jet space decides it
+    base = ("diagram", "-g", "z^2", "-g", "w", "--trunc", "2")
+    code, out, err = invoke(capsys, *base, "--degree", "5")
+    assert (code, out, err) == (3, "", "error: jet degree 5 exceeds generator truncation 2\n")
+    code, out, err = invoke(capsys, *base, "--degree", "-1")
+    assert (code, out, err) == (2, "", "error: jet degree must be a natural number\n")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize(
     "command,name",

@@ -5,6 +5,7 @@ import pytest
 
 import germcalc.curves
 import germcalc.equivalence
+import germcalc.ideals
 from germcalc import (
     FormalMap,
     FormalSeries,
@@ -52,6 +53,12 @@ def test_sequence_accessors():
         seq.c(0)
     with pytest.raises(ValueError):
         seq.c(6)
+
+
+def test_sequences_compare_by_levels():
+    assert build_shift_sequence(5) == ShiftSequence(5) != ShiftSequence(6)
+    assert ShiftSequence(5) != 5
+    assert len({ShiftSequence(5), ShiftSequence(5), ShiftSequence(6)}) == 2
 
 
 def test_sequence_needs_a_level():
@@ -341,6 +348,20 @@ def test_realified_matching_agrees():
                     unmatched[k, shift_level, order] = len(plain.unmatched)
     # the level-k shear at order k + 2 for k >= 2, the known gap
     assert unmatched == {(2, 2, 4): 10, (3, 3, 5): 10}
+
+
+def test_realified_matching_builds_no_jet_space(monkeypatch):
+    # Re g and Im g start in an x- and a y-variable, so their initial
+    # exponents are coprime and the pair is a standard basis as it stands
+    def refuse(*args, **kwargs):
+        raise AssertionError("a jet space was built")
+
+    args = [(1, 2, 1), (2, 2, 1), (2, 3, 1), (3, 4, 2)]
+    plain = [verify_finite_order_equivalence(*a) for a in args]
+    monkeypatch.setattr(germcalc.ideals, "JetSpace", refuse)
+    real = [verify_finite_order_equivalence(*a, realified=True) for a in args]
+    assert real == plain
+    assert [r.ok for r in real] == [True, True, False, False]
 
 
 def test_report_carries_the_window_bookkeeping():

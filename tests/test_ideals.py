@@ -405,8 +405,138 @@ def test_principal_membership_builds_no_jet_space(monkeypatch):
     principal = parabola_ideal()
     assert jet_membership(t2 * (t1 - t2 * t2), principal, 6)
     assert not jet_membership(t1, principal, 3)
+    # coprime initial exponents: (t1, t2^2) is a standard basis as it stands
+    assert not jet_membership(t2, IdealPresentation(2, [t1, t2 * t2]), 3)
+    # t1 and t1 + t2^2 share t1, so their S-pair at degree 2 needs reducing
     with pytest.raises(AssertionError, match="jet space was built"):
-        jet_membership(t1, IdealPresentation(2, [t1, t2 * t2]), 3)
+        jet_membership(t1, IdealPresentation(2, [t1, t1 + t2 * t2]), 3)
+
+
+# -- presentations that are already standard bases -------------------------
+
+
+def _led_by(rng, field, n, trunc, exponent):
+    """A series whose initial exponent is the given one; later terms of
+    its degree keep S-polynomials at the lcm degree from vanishing."""
+    lead = MultiIndex(exponent)
+    tail = _series_over(rng, field, n, trunc, min_order=lead.degree, density=0.3)
+    terms = {m: c for m, c in tail.terms.items() if m > lead}
+    terms[lead] = rng.choice([1, -2, Fraction(1, 3)])
+    return FormalSeries(n, trunc, terms)
+
+
+def _standard_case(rng, kind, field, n, count, trunc):
+    """A presentation of `count` generators over the field.  Their initial
+    exponents are pairwise coprime ("coprime": each variable goes to at
+    most one generator, so one with none is a unit) or all divisible by
+    the first variable ("shared"); or the first generator is a unit
+    ("unit"), one starts at an order from 2 to trunc ("high-order"), or a
+    zero generator is presented among them ("zero"), the rest random."""
+    if kind == "coprime":
+        owner = [rng.randrange(count + 1) for _ in range(n)]
+        return IdealPresentation(n, [
+            _led_by(rng, field, n, trunc,
+                    [rng.randint(1, 2) if owner[v] == j else 0 for v in range(n)])
+            for j in range(count)])
+    if kind == "shared":
+        return IdealPresentation(n, [
+            _led_by(rng, field, n, trunc, [rng.randint(1, 2)] + [rng.randint(0, 1)
+                                                                  for _ in range(n - 1)])
+            for _ in range(count)])
+    gens = [random_nonzero_series(rng, n, trunc, min_order=1, density=0.3)
+            for _ in range(count)]
+    if kind == "unit":
+        gens[0] = gens[0] + rng.choice([1, -2, Fraction(1, 3)])
+    elif kind == "high-order":
+        gens[0] = random_nonzero_series(rng, n, trunc, min_order=rng.randint(2, trunc))
+    else:
+        gens.insert(rng.randint(0, count), FormalSeries.zero(n, trunc))
+    return IdealPresentation(n, gens)
+
+
+def test_standard_presentations_match_the_jet_space_and_elimination():
+    kinds = ("coprime", "shared", "unit", "high-order", "zero")
+    combos = list(itertools.product(kinds, ("Q", "Q(i)"), (1, 2, 3), (1, 2, 3)))
+    rng = random.Random(43)
+    below, verdicts = [], []
+    for kind, field, n, count in combos:
+        trunc = 3 if n == 3 else 4
+        ideal = _standard_case(rng, kind, field, n, count, trunc)
+        if kind == "zero":
+            assert len(ideal.generators) == count
+        for d in range(trunc + 1):
+            case = (kind, field, n, count, d)
+            below.append(d < ideal._standard_below)
+            probes = [_series_over(rng, field, n, trunc, density=0.3)]
+            for g in ideal.generators:
+                probes.append(probes[-1] + _series_over(rng, field, n, trunc, density=0.3) * g)
+            # asked before the jet space is cached, then against it and elimination
+            diagram = ideal.diagram(d)
+            members = [jet_membership(f, ideal, d + 1) for f in probes]
+            js, oracle = ideal.jet_space(d), EliminationJetSpace(ideal, d)
+            assert diagram == js.staircase() == oracle.staircase(), case
+            for f, member in zip(probes, members):
+                assert member == js.contains(f) == oracle.reduce(f).is_zero, case
+            verdicts += members
+    assert below.count(True) >= 250 and below.count(False) >= 60
+    assert verdicts.count(True) >= 500 and verdicts.count(False) >= 400
+
+
+def test_coprime_initial_exponents_build_no_jet_space(monkeypatch):
+    t1, t2 = t_vars(6)
+    standard = IdealPresentation(2, [t1 + t2 * t2, t2 * t2 * t2])
+    # (1,0) and (1,1) share t1: at degree 2 and above the jet space decides
+    shared = IdealPresentation(2, [t1 + t2 * t2, t1 * t2])
+    assert standard._standard_below == float("inf") and shared._standard_below == 2
+    assert IdealPresentation(2, [t1])._standard_below == float("inf")
+    assert IdealPresentation(2, [])._standard_below == float("inf")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a jet space was built")
+
+    monkeypatch.setattr(germcalc.ideals, "JetSpace", refuse)
+    assert standard.diagram(6) == Staircase(2, [(1, 0), (0, 3)])
+    assert jet_membership(t2 * t2 * t2 * t1, standard, 7)
+    assert not jet_membership(t2 * t2, standard, 3)
+    assert shared.diagram(1) == Staircase(2, [(1, 0)])
+    assert jet_membership(t1 * t1, shared, 2)
+    with pytest.raises(AssertionError, match="jet space was built"):
+        shared.diagram(2)
+
+
+def test_the_shortcut_keeps_the_jet_space_errors():
+    t1, t2 = t_vars(2)
+    x1 = FormalSeries.variable(2, 4, 0)
+    standard = IdealPresentation(2, [t1 * t1, t2])  # coprime: no jet space at any degree
+    shared = IdealPresentation(2, [t1, t1 + t2 * t2])  # a jet space from degree 1 on
+    for ideal in (standard, shared):
+        for ask in (lambda: ideal.diagram(-1), lambda: ideal.jet_space(-1)):
+            with pytest.raises(ValueError, match="^jet degree must be a natural number$"):
+                ask()
+        for ask in (lambda: ideal.diagram(3), lambda: jet_membership(x1, ideal, 4)):
+            with pytest.raises(PrecisionError,
+                               match="^jet degree 3 exceeds generator truncation 2$"):
+                ask()
+        with pytest.raises(DimensionError):
+            jet_membership(FormalSeries.variable(3, 2, 0), ideal, 2)
+    with pytest.raises(DimensionError):
+        IdealPresentation(2, [t1, FormalSeries.variable(3, 2, 2)])
+
+
+def test_presentations_compare_by_generators():
+    t1, t2 = t_vars(4)
+    I = IdealPresentation(2, [t1, t2 * t2])
+    assert I == IdealPresentation(2, [t1, FormalSeries.zero(2, 4), t2 * t2])
+    assert I != IdealPresentation(2, [t2 * t2, t1])
+    assert I != IdealPresentation(2, [t1, t2 * t2.truncate(3)])
+    assert I != IdealPresentation(2, [t1, t2 * t2, FormalSeries.zero(2, 3)])
+    assert IdealPresentation(2, []) != IdealPresentation(2, [FormalSeries.zero(2, 2)])
+    assert IdealPresentation(2, []) != IdealPresentation(3, [])
+    assert I != I.generators
+    x, y = FormalSeries.variable(2, 3, 0), FormalSeries.variable(2, 3, 1)
+    assert repr(IdealPresentation(2, [x])) != repr(IdealPresentation(2, [y]))
+    assert repr(x) in repr(IdealPresentation(2, [x]))
+    with pytest.raises(TypeError):
+        hash(I)
 
 
 def test_principal_membership_keeps_the_precision_error():
