@@ -97,7 +97,8 @@ def _resolve_trunc(args, manifest: Optional[Manifest]) -> int:
 
 def _series_task_inputs(args, need_series: bool, need_ideal: bool):
     """Common intake for divide/diagram/jet/reduce: a dividend series
-    and/or ideal generators, from flags or a manifest [left] section."""
+    and/or ideal generators, from flags or a manifest [left] section.
+    Only the inputs the command reads are parsed."""
     manifest = load_manifest(args.manifest) if args.manifest else None
     trunc = _resolve_trunc(args, manifest)
     names = _explicit_vars(args)
@@ -120,8 +121,8 @@ def _series_task_inputs(args, need_series: bool, need_ideal: bool):
         raise ParseError("no input series: pass -f or a manifest 'series' key")
     if need_ideal and not gen_texts:
         raise ParseError("no generators: pass -g or a manifest [left] section")
-    f = parse_series(f_text, names, trunc) if f_text else None
-    gens = [parse_series(text, names, trunc) for text in gen_texts]
+    f = parse_series(f_text, names, trunc) if need_series else None
+    gens = [parse_series(text, names, trunc) for text in gen_texts] if need_ideal else []
     return names, trunc, f, gens
 
 

@@ -7,10 +7,12 @@ nonzero constant, which is exactly enough to write any rational or
 Gaussian-rational coefficient.  A parenthesized comma-separated list at
 top level denotes a map, one component per variable of the target.
 
-A parser value is a scalar (Fraction or GaussianRational) or a term
+A parser value is a scalar (int, Fraction or GaussianRational) or a term
 table {packed key: nonzero coefficient} at the parser's truncation, as a
-FormalSeries keeps it; it becomes one only at the end.  A sum adds its
-right operand into the left table in place, so T terms cost O(T).
+FormalSeries keeps it; it becomes one only at the end, which makes each
+int coefficient a Fraction.  Ints stay ints through ``+ - * ^``, so
+integer coefficients cost no Fraction arithmetic.  A sum adds its right
+operand into the left table in place, so T terms cost O(T).
 
 Printing inverts parsing: ``parse_series(format_series(f, names),
 names, f.truncation)`` returns ``f`` again.  Terms are emitted in
@@ -53,8 +55,10 @@ _MAX_LITERAL_DIGITS = 4300
 _MAX_INFERRED_VARIABLES = 100
 
 
-def _bits(value: Scalar) -> int:
+def _bits(value: Union[int, Scalar]) -> int:
     """Bit length of the widest numerator or denominator in a scalar."""
+    if type(value) is int:
+        return abs(value).bit_length()
     gaussian = isinstance(value, GaussianRational)
     parts = (value.real, value.imag) if gaussian else (value,)
     return max(
@@ -186,10 +190,12 @@ def _tokenize(text: str) -> list[_Token]:
 class _Parser:
     """Recursive descent over the token list.
 
-    Values are scalars or term tables (see the module docstring), and no
-    table is shared between two values.  The truncation acts as a cap on
-    literal exponents -- a power the truncation cannot carry is a typo or
-    a missing --trunc, not a silent zero.
+    Values are int, Fraction or GaussianRational scalars, or term tables
+    of them (see the module docstring), and no table is shared between two
+    values; _promote makes one Fraction per int term that is left.  The
+    truncation acts as a cap on literal exponents -- a power the
+    truncation cannot carry is a typo or a missing --trunc, not a silent
+    zero.
     """
 
     def __init__(self, text: str, names: Sequence[str], truncation: int):
@@ -299,7 +305,7 @@ class _Parser:
     def parse_atom(self):
         tok = self.advance()
         if tok.kind == "number":
-            return Fraction(self._integer(tok))
+            return self._integer(tok)
         if tok.kind == "name":
             if tok.text == "i":
                 return I
@@ -308,7 +314,7 @@ class _Parser:
                 raise ParseError(f"unknown variable {tok.text!r}", tok.position)
             check_width("truncation", self.truncation)  # as FormalSeries.variable
             key = 1 << FIELD_BITS * len(self.names) | 1 << FIELD_BITS * j  # degree 1, x_j
-            return {key: Fraction(1)} if key < self.bound else {}
+            return {key: 1} if key < self.bound else {}
         if tok.kind == "op" and tok.text == "(":
             value = self.parse_expression()
             nxt = self.peek()
@@ -397,7 +403,8 @@ class _Parser:
             ((kb, cb),) = b.items()
             return {k + kb: c * cb for k, c in a.items() if k + kb < self.bound}
         (left, da), (right, db) = _scaled_terms(a), _scaled_terms(b)
-        return _reduced(_mul_terms(left, right, self.bound), da * db)
+        table = _mul_terms(left, right, self.bound)
+        return _reduced(table, da * db) if da * db > 1 else {k: c for k, c in table.items() if c}
 
     def _power(self, base, exponent: int):
         """base**exponent: a one-term table multiplies its key, any other
@@ -407,11 +414,11 @@ class _Parser:
         if len(base) == 1 and exponent:
             ((k, c),) = base.items()
             return {k * exponent: c**exponent} if k * exponent < self.bound else {}
-        return _square_and_multiply(base, exponent, self._mul, {0: Fraction(1)})
+        return _square_and_multiply(base, exponent, self._mul, {0: 1})
 
     def _promote(self, value) -> FormalSeries:
         if type(value) is dict:
-            return FormalSeries._from_table(len(self.names), self.truncation, value)
+            return FormalSeries._from_table(len(self.names), self.truncation, _reduced(value, 1))
         return FormalSeries.constant(len(self.names), self.truncation, value)
 
     def _div(self, a, b, tok: _Token):

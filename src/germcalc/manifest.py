@@ -27,9 +27,9 @@ character is ``{`` are read as JSON with the same keys (``left`` and
 
 Expression payloads are kept as raw text here; the ``resolve_*``
 helpers parse the section payloads at a chosen truncation so one
-manifest can serve several precision levels.  The ``map`` and
-``series`` texts are parsed by the command line, whose flags override
-them.
+manifest can serve several precision levels.  The command line parses
+only what a command reads, its flags overriding ``map`` and ``series``:
+``diagram`` never parses ``series``, nor ``jet`` the ``[left]`` texts.
 """
 
 from __future__ import annotations

@@ -639,6 +639,60 @@ def test_unbounded_inferred_variables_exit_2(capsys, series_text, message):
         assert invoke(capsys, "jet", "-f", series_text, "--order", "2", "--vars", names)[0] == 0
 
 
+@pytest.mark.parametrize(
+    "series_text,message",
+    [
+        # z^2 takes (2^4096)^2: a product of two int-only tables
+        ("(2^4096*z + w)*(2^4096*z + w)", "coefficient of 8193 bits exceeds the limit "
+         "of 8192 bits (at position 15)"),
+        # z^3 takes (2^2731)^3: a power of a multi-term int table
+        ("(2^2731*z + w)^3", "coefficient of 8194 bits exceeds the limit "
+         "of 8192 bits (at position 16)"),
+    ],
+    ids=["table-product", "table-power"],
+)
+def test_oversized_integer_coefficients_exit_2(capsys, series_text, message):
+    code, out, err = invoke(
+        capsys, "divide", "-f", series_text, "-g", "w", "--vars", "z,w", "--trunc", "3"
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "series_line,message",
+    [
+        ("series: t1*t3 - t2^2 +", "unexpected 'end of input' (at position 15)"),
+        ("series: t1*t3 - t2^7", "exponent 7 exceeds truncation 6 (at position 12)"),
+    ],
+    ids=["malformed", "over-truncation"],
+)
+def test_diagram_does_not_parse_the_manifest_series(capsys, tmp_path, series_line, message):
+    lines = (DATA / "three-vars.man").read_text().splitlines()
+    with_line, without = tmp_path / "with.man", tmp_path / "without.man"
+    with_line.write_text("\n".join(series_line if ln.startswith("series:") else ln for ln in lines))
+    without.write_text("\n".join(ln for ln in lines if not ln.startswith("series:")))
+    for fmt in ("text", "json"):
+        want = invoke(capsys, "diagram", "--manifest", str(without), "--format", fmt)
+        assert want[0] == 0
+        assert invoke(capsys, "diagram", "--manifest", str(with_line), "--format", fmt) == want
+    # the commands that read the series still refuse it
+    for command in ("divide", "reduce"):
+        code, out, err = invoke(capsys, command, "--manifest", str(with_line))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_jet_does_not_parse_the_manifest_generators(capsys, tmp_path):
+    manifest = tmp_path / "jet-left.man"
+    manifest.write_text((DATA / "jet-sample.man").read_text() + "\n[left]\nbad: z + * z\n")
+    argv = ("--order", "3", "--format", "json")
+    want = invoke(capsys, "jet", "--manifest", str(DATA / "jet-sample.man"), *argv)
+    assert want[0] == 0
+    assert invoke(capsys, "jet", "--manifest", str(manifest), *argv) == want
+    for command in ("divide", "reduce"):
+        code, out, err = invoke(capsys, command, "--manifest", str(manifest))
+        assert (code, out, err) == (2, "", "error: unexpected '*' (at position 5)\n")
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     argv = ["counterexample", "sequence", "--levels", "5", "--format", "json"]
     assert main(argv) == 0

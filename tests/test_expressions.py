@@ -495,3 +495,53 @@ def test_a_sum_checks_each_term_once(monkeypatch, count):
     monkeypatch.setattr(expressions, "_bits", lambda value: calls.append(1) or bits(value))
     assert parse_series(text, ZW, K) == f
     assert len(calls) <= len(expressions._tokenize(text))
+
+
+# -- integer literals: field coefficients once parsed -----------------------
+
+
+def _field_types(series):
+    return {type(c) for f in series for c in f._table.values()}
+
+
+def _as_series(value, n, K):
+    return value if isinstance(value, FormalSeries) else FormalSeries.constant(n, K, value)
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["Q", "Q(i)"])
+def test_integer_literals_parse_to_field_coefficients(gaussian):
+    # every value is built from int literals; the parser keeps them ints until
+    # it hands a series out, and the series arithmetic works on Fractions
+    rng = random.Random(71 + gaussian)
+    tuples = gaussians = 0
+    for case in range(240):
+        n, K = (case % 3) + 1, rng.randint(1, 5)
+        names = default_variables(n)
+        trees = []
+        while len(trees) < n:
+            tree = _random_tree(rng, n, K, rng.randint(1, 3))
+            if gaussian or "i" not in _tree_text(tree, names):
+                trees.append(tree)
+        texts = [_tree_text(tree, names) for tree in trees]
+        want = [_as_series(_evaluate(tree, n, K), n, K) for tree in trees]
+        if not gaussian:
+            assert _field_types(want) <= {Fraction}
+        wrapped = f"({texts[0]})" if case % 4 == 0 else texts[0]
+        got = parse_series(f"-({wrapped})" if case % 5 == 0 else wrapped, names, K)
+        assert got == (-want[0] if case % 5 == 0 else want[0]), (case, texts[0])
+        assert _field_types([got]) <= {Fraction, GaussianRational}, (case, texts[0])
+        gaussians += GaussianRational in _field_types([got])
+        if rng.random() < 0.5:
+            continue
+        tuples += 1
+        tuple_text = "(" + ", ".join(texts) + ")"
+        components = parse_components(tuple_text, names, K)
+        assert components == want, (case, tuple_text)
+        # a variable factor makes every component vanish at the origin
+        map_text = "(" + ", ".join(f"{name}*({t})" for name, t in zip(names, texts)) + ")"
+        phi = parse_map(map_text, names, K)
+        variables = [FormalSeries.variable(n, K, j) for j in range(n)]
+        assert phi == FormalMap([x * f for x, f in zip(variables, want)]), (case, map_text)
+        parsed = [*components, *phi.components]
+        assert _field_types(parsed) <= {Fraction, GaussianRational}, (case, tuple_text)
+    assert tuples >= 80 and (gaussians >= 40 if gaussian else not gaussians)
