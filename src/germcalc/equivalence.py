@@ -4,8 +4,13 @@ A map Phi is an equivalence of order k between ideals I and J when every
 generator of J pulled back through Phi lies in I + m^k and every generator
 of I pulled back through Phi's inverse lies in J + m^k.  The second half
 needs no inverse: Phi* (composition with Phi) is an automorphism fixing
-m^k, so g o Phi^-1 lies in J + m^k exactly when g lies in Phi*J + m^k,
-and both halves read Phi*J, built once per right member a check touches.
+m^k, so g o Phi^-1 lies in J + m^k exactly when g lies in Phi*J + m^k.
+Once the first half puts Phi*J + m^k inside I + m^k, the second holds
+exactly when the two have one dimension modulo m^k, and for an invertible
+Phi that of Phi*J is J's.  So the second half runs only when Phi is
+singular or the jet dimensions of I and J differ or cannot be read off
+(ideals._jet_dimension).  Phi*J's generators are built once per right
+member a check touches.
 Families are checked index by index; sets are checked by existence of
 partners in both directions, with pairwise verdicts memoized.
 
@@ -24,7 +29,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
 from .errors import DimensionError, PrecisionError
-from .ideals import HorizonReport, IdealPresentation, jet_membership
+from .ideals import HorizonReport, IdealPresentation, _jet_dimension, jet_membership
 from .series import FormalMap, _powers
 
 MODES = ("family", "set")
@@ -82,9 +87,9 @@ class GermFamily:
 
 def _pulled(ideal: IdealPresentation, phi: FormalMap, powers: dict) -> tuple:
     """The generators composed with phi, zeros kept so that positions index
-    ideal.generators, and the ideal they generate (which drops zeros).
-    powers maps a working truncation to phi's powers at it (series._powers),
-    filled on demand and shared by the calls that pass the same dict."""
+    ideal.generators.  powers maps a working truncation to phi's powers at
+    it (series._powers), filled on demand and shared by the calls that pass
+    the same dict."""
     if phi.dimension != ideal.dimension:
         raise DimensionError("map dimension differs from ideal dimension")
     comps, gens = phi.components, []
@@ -93,12 +98,12 @@ def _pulled(ideal: IdealPresentation, phi: FormalMap, powers: dict) -> tuple:
         if trunc not in powers:
             powers[trunc] = _powers(comps, trunc)
         gens.append(g.substitute(comps, powers[trunc]))
-    return tuple(gens), IdealPresentation(ideal.dimension, gens)
+    return tuple(gens)
 
 
 def pullback(ideal: IdealPresentation, phi: FormalMap) -> IdealPresentation:
     """The ideal generated by the compositions g(Phi) of the generators."""
-    return _pulled(ideal, phi, {})[1]
+    return IdealPresentation(ideal.dimension, _pulled(ideal, phi, {}))
 
 
 @dataclass(frozen=True)
@@ -156,12 +161,16 @@ def _common_mode(left: GermFamily, right: GermFamily) -> str:
 
 
 def _pair_order_k(
-    left: IdealPresentation, pulled: tuple, k: int
+    left: IdealPresentation, gens: tuple, k: int, one_way: bool = False
 ) -> tuple[bool, Optional[tuple[str, int]]]:
-    gens, pulled_ideal = pulled
+    """(ok, failure) of one pair, given the right generators pulled back;
+    one_way (an invertible phi, equal jet dimensions) skips the second half."""
     for pos, g in enumerate(gens):
         if not jet_membership(g, left, k):
             return False, ("pullback", pos)
+    if one_way:
+        return True, None
+    pulled_ideal = IdealPresentation(left.dimension, gens)
     for pos, g in enumerate(left.generators):
         if not jet_membership(g, pulled_ideal, k):
             return False, ("inverse", pos)
@@ -176,6 +185,7 @@ def _match(
     left_pool: GermFamily,
     right_pool: GermFamily,
     candidates: Optional[CandidateHook] = None,
+    invertible: bool = False,
 ) -> EquivalenceReport:
     """Compare two families of one mode, pair by pair with _pair_order_k.
 
@@ -186,14 +196,32 @@ def _match(
     Each right member is pulled back at most once, when a pair first
     needs it, so members the hook never proposes cost nothing, and every
     pullback reads one table of phi's powers per working truncation.
+    For an invertible phi each member's jet dimension is read once too,
+    and a pair whose dimensions agree runs only its pullback half.
     """
     powers: dict = {}
+    pulled: dict[int, tuple] = {}
+    left_dims: dict[int, Optional[int]] = {}
+    right_dims: dict[int, Optional[int]] = {}
+
+    def pair(i: int, ileft: IdealPresentation, j: int, iright: IdealPresentation) -> tuple:
+        if j not in pulled:
+            pulled[j] = _pulled(iright, phi, powers)
+        one_way = False
+        if invertible:
+            if i not in left_dims:
+                left_dims[i] = _jet_dimension(ileft, k)
+            if j not in right_dims:
+                right_dims[j] = _jet_dimension(iright, k)
+            one_way = left_dims[i] is not None and left_dims[i] == right_dims[j]
+        return _pair_order_k(ileft, pulled[j], k, one_way)
+
     if left.mode == "family":
         if left.labels != right.labels:
             raise ValueError("family mode requires identical label sequences")
         verdicts = []
-        for label, ileft, iright in zip(left.labels, left.ideals, right.ideals):
-            good, failure = _pair_order_k(ileft, _pulled(iright, phi, powers), k)
+        for i, (label, ileft, iright) in enumerate(zip(left.labels, left.ideals, right.ideals)):
+            good, failure = pair(i, ileft, i, iright)
             verdicts.append(IndexVerdict(label=label, ok=good, failure=failure))
         return EquivalenceReport(
             ok=all(v.ok for v in verdicts),
@@ -203,16 +231,12 @@ def _match(
         )
 
     memo: dict[tuple[int, int], bool] = {}
-    pulled: dict[int, tuple] = {}
 
     def hit(i: int, j: int) -> bool:
         key = (i, j)
         known = memo.get(key)
         if known is None:
-            if j not in pulled:
-                pulled[j] = _pulled(right_pool.ideals[j], phi, powers)
-            known, _ = _pair_order_k(left_pool.ideals[i], pulled[j], k)
-            memo[key] = known
+            known = memo[key] = pair(i, left_pool.ideals[i], j, right_pool.ideals[j])[0]
         return known
 
     def search(side: str, index: int, pool: GermFamily) -> MatchVerdict:
@@ -271,7 +295,7 @@ def is_order_k_equivalence(
             if pool.labels[: len(fam.labels)] != fam.labels:
                 raise ValueError("a candidate pool must extend its family as a prefix")
         _check_shapes(phi, left_pool, right_pool, k, precision)
-    return _match(phi, left, right, k, left_pool, right_pool, candidates)
+    return _match(phi, left, right, k, left_pool, right_pool, candidates, invertible=True)
 
 
 def jet_coset_membership(
@@ -290,7 +314,8 @@ def jet_coset_membership(
         lam, left, right, k, f"jet comparison at degree {k} needs truncations >= {k}"
     )
     _common_mode(left, right)
-    return replace(_match(lam, left, right, k + 1, left, right), order=k)
+    report = _match(lam, left, right, k + 1, left, right, invertible=lam.is_invertible)
+    return replace(report, order=k)
 
 
 def equivalence_horizon(

@@ -16,11 +16,12 @@ when the two initial exponents share a variable and their lcm has degree
 pair is reduced, so the generators' jets are already a standard basis:
 every nonzero member of I + m^(d+1) has its initial exponent in the
 staircase of theirs, which the remainder of truncated division avoids.
-There jet_membership divides by the generators and diagram reads their
-initial exponents.  One generator is always such a basis, and so is the
-realified pair (Re g, Im g) of a curve g = w - a z - z^(m+1), whose
-initial exponents are an x- and a y-variable.  At and above that degree,
-a presentation is decided against its jet space.
+There jet_membership divides by the generators, and diagram and
+_jet_dimension read their initial exponents.  One generator is always
+such a basis, and so is the realified pair (Re g, Im g) of a curve
+g = w - a z - z^(m+1), whose initial exponents are an x- and a
+y-variable.  At and above that degree, a presentation is decided against
+its jet space.
 
 Every division here takes the remainder alone from division._divide and
 builds no quotient and no Staircase.  S-pairs, corners and normal forms
@@ -32,13 +33,18 @@ space (see division for why).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
+from math import comb, inf
 from typing import Iterable, Optional, Sequence
 
 from .division import _divide
 from .errors import DimensionError, PrecisionError, _Frozen
-from .monomial import MultiIndex, Staircase, monomials_up_to, unpack
+from .monomial import FIELD_BITS, MultiIndex, Staircase, monomials_up_to, unpack
 from .series import FormalSeries
+
+
+# Inclusion-exclusion over more sets than this is not worth a dimension:
+# k pairwise coprime initial exponents of degree 1 make 2^k of them.
+_DIMENSION_SETS = 64
 
 
 def _remainder(f: FormalSeries, divisors: list, degree: int) -> FormalSeries:
@@ -261,6 +267,30 @@ def jet_membership(f: FormalSeries, ideal: IdealPresentation, k: int) -> bool:
         ideal._check_degree(k - 1)
         return not _divide(jet, ideal.generators, k - 1) if ideal.generators else jet.is_zero
     return ideal.jet_space(k - 1).contains(jet)
+
+
+def _jet_dimension(ideal: IdealPresentation, k: int) -> Optional[int]:
+    """dim (I + m^k)/m^k, or None when the generators are no standard
+    basis of I + m^k or the count takes more than _DIMENSION_SETS sets.
+    It counts the monomials of degree < k that some initial exponent
+    divides, by inclusion-exclusion: all of a set divide the
+    C(n + k - 1 - e, n) such monomials that their lcm, of degree e,
+    divides.  Here two exponents that share a variable have an lcm of
+    degree >= k, so a set counts only when its degrees sum below k, and
+    that sum is then e."""
+    d, n = k - 1, ideal.dimension
+    if d >= ideal._standard_below:
+        return None
+    total, sets = 0, [(0, -1)]  # (degree of the lcm, -sign) per set so far
+    for g in ideal.generators:
+        a = min(g._table) >> FIELD_BITS * n
+        for degree, sign in sets[:]:
+            if degree + a <= d:
+                total -= sign * comb(n + d - degree - a, n)
+                sets.append((degree + a, -sign))
+        if len(sets) > _DIMENSION_SETS:
+            return None
+    return total
 
 
 @dataclass(frozen=True)

@@ -631,16 +631,20 @@ def _oracle_search(table, members, pool_labels, flip):
     return out
 
 
-def test_pair_verdicts_match_the_inverse_oracle():
-    rng = random.Random(61)
-    combos = list(itertools.product((1, 2, 3), ("Q", "Q(i)"), (1, 2)))
-    verdicts = []
-    for n, field, count in combos * 2:
+COMBOS = list(itertools.product((1, 2, 3), ("Q", "Q(i)"), (1, 2)))
+
+
+def _reports_match_the_inverse_oracle(rng, combos, make_right):
+    """For three left ideals and the three right ones make_right builds from
+    them, at every order, check the family- and set-mode reports against
+    inverse_pair_oracle; return the oracle's table of each order."""
+    tables = []
+    for n, field, count in combos:
         trunc = 4 if n == 1 else 3
         phi = _oracle_map(rng, field, n, trunc)
         phi_inv = phi.inverse()
         lefts = [_oracle_ideal(rng, field, n, trunc, count) for _ in range(3)]
-        rights = [_partner_ideal(rng, field, I, phi_inv, trunc) for I in lefts]
+        rights = [make_right(rng, field, I, phi_inv, trunc) for I in lefts]
         rng.shuffle(rights)
         for k in range(1, trunc + 1):
             table = {
@@ -654,7 +658,6 @@ def test_pair_verdicts_match_the_inverse_oracle():
             expected = [table[(i, i)] for i in range(3)]
             assert [(v.ok, v.failure) for v in report.per_index] == expected
             assert report.ok == all(ok for ok, _ in expected)
-            verdicts.extend(ok for ok, _ in expected)
             # set mode: every partner and candidate count as the oracle gives it
             left = GermFamily.of("set", zip("abc", lefts))
             right = GermFamily.of("set", zip("xyz", rights))
@@ -663,6 +666,13 @@ def test_pair_verdicts_match_the_inverse_oracle():
             backward = _oracle_search(table, 3, "abc", True)
             assert [(m.partner, m.tried) for m in report.left_matching] == forward
             assert [(m.partner, m.tried) for m in report.right_matching] == backward
+            tables.append(table)
+    return tables
+
+
+def test_pair_verdicts_match_the_inverse_oracle():
+    tables = _reports_match_the_inverse_oracle(random.Random(61), COMBOS * 2, _partner_ideal)
+    verdicts = [table[i, i][0] for table in tables for i in range(3)]
     assert verdicts.count(True) >= 100 and verdicts.count(False) >= 60
 
 
@@ -714,8 +724,7 @@ def test_horizons_match_each_order_and_never_rise_again():
 
 
 def _pulled_by_compose(ideal, phi, powers):
-    gens = tuple(compose(g, phi) for g in ideal.generators)
-    return gens, IdealPresentation(ideal.dimension, gens)
+    return tuple(compose(g, phi) for g in ideal.generators)
 
 
 def test_pullbacks_share_one_power_table_per_working_truncation(monkeypatch):
@@ -734,7 +743,7 @@ def test_pullbacks_share_one_power_table_per_working_truncation(monkeypatch):
         ]))
     shared: dict = {}
     for ideal in rights:
-        gens, _ = equivalence._pulled(ideal, phi, shared)
+        gens = equivalence._pulled(ideal, phi, shared)
         assert gens == tuple(compose(g, phi) for g in ideal.generators)
     assert sorted(shared) == [3, 4, 5]
 
@@ -766,3 +775,71 @@ def test_pullbacks_share_one_power_table_per_working_truncation(monkeypatch):
         for k in (1, 2, 3) for left, right in families
     ]
     assert reports == expected
+
+
+# -- one direction per pair: the inverse half is a dimension count -------------
+
+
+def _smaller_ideal(rng, field, ideal, phi_inv, trunc):
+    """An ideal inside the given one, pushed forward through phi: all its
+    generators but one, or each times a variable plus higher terms.  Its
+    pullback lies in the given ideal, and its jet dimension is often lower."""
+    n = ideal.dimension
+    gens = list(ideal.generators)
+    if len(gens) > 1 and rng.random() < 0.5:
+        gens.pop(rng.randrange(len(gens)))
+    else:
+        gens = [g * (FormalSeries.variable(n, trunc, rng.randrange(n))
+                     + _over(rng, field, n, trunc, min_order=2, density=0.3)) for g in gens]
+    return IdealPresentation(n, [compose(g, phi_inv) for g in gens])
+
+
+def _partner_or_smaller(rng, *args):
+    return (_smaller_ideal if rng.random() < 0.5 else _partner_ideal)(rng, *args)
+
+
+def test_one_direction_verdicts_match_the_inverse_oracle():
+    # right ideals pushed forward whole, perturbed, or shrunk: a pair whose
+    # pullback half passes with unequal jet dimensions still fails, at the
+    # left generator the two-sided oracle names
+    tables = _reports_match_the_inverse_oracle(random.Random(89), COMBOS, _partner_or_smaller)
+    outcomes = [failure[0] if failure else "ok" for t in tables for _, failure in t.values()]
+    # the planted inverse failures, next to passing and pullback-failing pairs
+    assert min(outcomes.count(kind) for kind in ("ok", "pullback", "inverse")) >= 60
+
+
+def _counting_memberships(monkeypatch):
+    """Every membership the pair checks make, as (series, ideal) pairs."""
+    calls = []
+    original = equivalence.jet_membership
+
+    def counting(f, ideal, k):
+        calls.append((f, ideal))
+        return original(f, ideal, k)
+
+    monkeypatch.setattr(equivalence, "jet_membership", counting)
+    return calls
+
+
+def test_passing_pairs_make_only_pullback_memberships(monkeypatch):
+    z, w = zw()
+    shear = FormalMap([z, w + 3 * z + z * z])
+    left = family(w - z * z, z * w, w + z * z * z)
+    right = pushforward_family(left, shear)
+    calls = _counting_memberships(monkeypatch)
+    for mode in ("family", "set"):
+        del calls[:]
+        # set mode proposes each member's partner alone, so every pair passes
+        report = is_order_k_equivalence(shear, left.with_mode(mode), right.with_mode(mode), 4,
+                                        candidates=lambda side, index: [index])
+        assert report.ok
+        # one pullback membership per pair, made in its left ideal
+        assert [ideal for _, ideal in calls] == list(left.ideals)
+    # a singular lambda keeps both halves: the left generator is tested
+    # against the pulled right ideal too
+    lam = FormalMap([z, FormalSeries.zero(2, 2)])
+    fam = family(z)
+    del calls[:]
+    assert jet_coset_membership(lam, fam, fam).ok
+    assert len(calls) == 2 and calls[0][1] is fam.ideals[0]
+    assert calls[1] == (z, IdealPresentation(2, [z.truncate(2)]))

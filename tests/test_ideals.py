@@ -644,3 +644,42 @@ def test_jet_space_divides_without_quotients(monkeypatch):
     assert reduced == FormalSeries(2, 5, {(0, 2): Fraction(2, 5)})
     assert [x - formal_division(x, corners, 5).remainder for x in
             (FormalSeries.monomial(2, 5, m) for m in space.pivot_exponents)] == rows
+
+
+# -- jet dimensions read off the generators -----------------------------------
+
+
+def test_jet_dimension_matches_the_jet_space_rank():
+    # below the presentation's threshold the dimension of (I + m^k)/m^k is
+    # counted from the initial exponents alone; above it there is none
+    rng = random.Random(83)
+    counted = multi = unread = 0
+    for _ in range(300):
+        n, trunc = rng.randint(1, 3), rng.randint(1, 5)
+        gens = []
+        for _ in range(rng.randint(0, 4)):
+            # a chosen leading monomial (units included) over a random tail,
+            # so that initial exponents often share no variable
+            lead = tuple(rng.choice((0, 0, 1, 2)) for _ in range(n))
+            if rng.random() < 0.1 or sum(lead) > trunc:
+                gens.append(FormalSeries.zero(n, trunc))
+                continue
+            coeff = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            if rng.random() < 0.5:
+                coeff = coeff * IMAG + rng.randint(-2, 2)
+            tail = random_series(rng, n, trunc, min_order=sum(lead) + 1, density=0.3)
+            gens.append(FormalSeries.monomial(n, trunc, lead, coeff) + tail)
+        ideal = IdealPresentation(n, gens)
+        for k in range(1, trunc + 2):
+            dim = germcalc.ideals._jet_dimension(ideal, k)
+            if dim is None:
+                unread += 1
+                continue
+            assert dim == JetSpace(n, k - 1, ideal.generators).rank, (gens, k)
+            counted += 1
+            multi += len(ideal.generators) > 1
+    assert counted > 600 and multi > 250 and unread > 50
+    # many coprime exponents would make 2^generators sets: none is read
+    xs = [FormalSeries.variable(30, 5, i) for i in range(30)]
+    assert germcalc.ideals._jet_dimension(IdealPresentation(30, xs[:5]), 6) == 182_126
+    assert germcalc.ideals._jet_dimension(IdealPresentation(30, xs), 6) is None
