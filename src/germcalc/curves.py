@@ -45,9 +45,7 @@ verify_finite_order_equivalence runs the matching through the general
 set-mode equivalence checker, phi curves on the left and psi curves on
 the right.  Each side's pool is its nominal window followed by every
 index a partner of a nominal curve can need, and the nominal family is a
-prefix of the pool over the same ideals.  A member's curve and ideal are
-built when a pair check or the cross-check first reads it, so a run
-builds only the curves it reads.  An arithmetic candidate
+prefix of the pool over the same ideals.  An arithmetic candidate
 proposal narrows the partner search (the linear coefficients force the
 only possible partners), and because the proposal could in principle be
 wrong in the pruning direction, excluded pool positions {0, len // 2,
@@ -64,11 +62,8 @@ holomorphic map is the Re/Im pair of the complex pullback.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Optional
 
 from .equivalence import GermFamily, _pair_order_k, _pulled, is_order_k_equivalence
@@ -246,90 +241,6 @@ class CurveSetReport:
         return [m for m in self.left + self.right if m.partner is None]
 
 
-class _Pool:
-    """One side's curves by pool position: the nominal window (levels
-    1..m_max, indices -n_max..n_max), then each level's indices past it,
-    negative ones first.  labels and ideals keep the members made so far,
-    and where maps each label made to its (tag, level, index)."""
-
-    def __init__(self, tag, windows, n_max, truncation, seq, realified):
-        self.tag, self.windows, self.n_max, self.width = tag, windows, n_max, 2 * n_max + 1
-        self.truncation, self.seq, self.realified = truncation, seq, realified
-        extras = (2 * (bound - n_max) for bound in windows.values())
-        self.starts = list(accumulate(extras, initial=len(windows) * self.width))
-        self.labels, self.ideals, self.where = {}, {}, {}
-
-    def __len__(self):
-        return self.starts[-1]
-
-    def key(self, p: int) -> tuple[int, int]:
-        """The (level, index) at position p."""
-        if p < self.starts[0]:
-            m, r = divmod(p, self.width)
-            return m + 1, r - self.n_max
-        m = bisect_right(self.starts, p)
-        r, bound = p - self.starts[m - 1], self.windows[m]
-        return m, (r - bound if r < bound - self.n_max else r - bound + self.width)
-
-    def position(self, m: int, n: int) -> Optional[int]:
-        """The position of (level, index), None outside the pool."""
-        bound = self.windows[m]
-        if abs(n) <= self.n_max:
-            return (m - 1) * self.width + n + self.n_max
-        if abs(n) > bound:
-            return None
-        return self.starts[m - 1] + (n + bound if n < 0 else n + bound - self.width)
-
-    def label(self, p: int) -> str:
-        m, n = self.key(p)
-        label = f"{self.tag}({m},{n})"
-        self.where[label] = (self.tag, m, n)
-        return label
-
-    def ideal(self, p: int) -> IdealPresentation:
-        return curve_ideal(curve(self.tag, *self.key(p), self.truncation, self.seq), self.realified)
-
-
-class _Members(Sequence):
-    """Pool members at a range of positions, each made by make(position)
-    on first read and kept in made, which slices share."""
-
-    def __init__(self, make, positions: range, made: dict):
-        self.make, self.positions, self.made = make, positions, made
-
-    def __len__(self):
-        return len(self.positions)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return _Members(self.make, self.positions[i], self.made)
-        p = self.positions[i]
-        member = self.made.get(p)
-        if member is None:
-            member = self.made[p] = self.make(p)
-        return member
-
-    def __eq__(self, other):
-        if isinstance(other, _Members):
-            return self.made is other.made and self.positions == other.positions
-        return NotImplemented
-
-
-class _PoolFamily(GermFamily):
-    """The set-mode family of a pool's first length positions.  Its
-    dimension and truncation come from the pool, so checking them builds
-    no member."""
-
-    def __init__(self, pool: _Pool, length: int):
-        object.__setattr__(self, "pool", pool)
-        object.__setattr__(self, "labels", _Members(pool.label, range(length), pool.labels))
-        object.__setattr__(self, "ideals", _Members(pool.ideal, range(length), pool.ideals))
-        object.__setattr__(self, "mode", "set")
-
-    dimension = property(lambda self: 4 if self.pool.realified else 2)
-    generator_truncation = property(lambda self: self.pool.truncation)
-
-
 def _propose_partners(
     source_tag: str,
     m: int,
@@ -442,33 +353,47 @@ def verify_finite_order_equivalence(
     phi = shift_map(shift_value, truncation, realified=realified)
     nominal = m_max * (2 * n_max + 1)
     other = {"phi": "psi", "psi": "phi"}
-    pools = {tag: _Pool(tag, windows[tag], n_max, truncation, seq, realified) for tag in other}
+
+    specs, pools, index_of = {}, {}, {}
+    for tag in ("phi", "psi"):
+        specs[tag] = curve_specs(tag, m_max, n_max, truncation, seq) + [
+            curve(tag, m, n, truncation, seq)
+            for m in range(1, m_max + 1)
+            for n in range(-windows[tag][m], windows[tag][m] + 1)
+            if abs(n) > n_max
+        ]
+        pools[tag] = GermFamily.of(
+            "set", [(s.label, curve_ideal(s, realified)) for s in specs[tag]]
+        )
+        index_of[tag] = {(s.level, s.index): i for i, s in enumerate(specs[tag])}
+    left, right = (
+        GermFamily.of("set", zip(pools[tag].labels[:nominal], pools[tag].ideals[:nominal]))
+        for tag in ("phi", "psi")
+    )
 
     def proposed(tag: str, index: int) -> list[int]:
         # phi curves go forward through the shear, psi curves backward
+        spec = specs[tag][index]
         shift = shift_value if tag == "phi" else -shift_value
-        target, found = pools[other[tag]], []
-        for m, n in _propose_partners(tag, *pools[tag].key(index), shift, order, m_max, seq):
-            if (p := target.position(m, n)) is not None:
-                found.append(p)
-        return found
+        partners = _propose_partners(tag, spec.level, spec.index, shift, order, m_max, seq)
+        target = index_of[other[tag]]
+        return [target[p] for p in partners if p in target]
 
-    whole = {tag: _PoolFamily(pool, len(pool)) for tag, pool in pools.items()}
     report = is_order_k_equivalence(
         phi,
-        _PoolFamily(pools["phi"], nominal),
-        _PoolFamily(pools["psi"], nominal),
+        left,
+        right,
         order,
-        left_pool=whole["phi"],
-        right_pool=whole["psi"],
+        left_pool=pools["phi"],
+        right_pool=pools["psi"],
         candidates=lambda side, index: proposed("phi" if side == "left" else "psi", index),
     )
 
     def summarize(tag: str, matches) -> tuple[CurveMatch, ...]:
-        where = pools[other[tag]].where
-        keys = ((m, n) for m in range(1, m_max + 1) for n in range(-n_max, n_max + 1))
+        key = {s.label: (s.tag, s.level, s.index) for s in specs[other[tag]]}
         return tuple(
-            CurveMatch(tag, m, n, where.get(match.partner)) for (m, n), match in zip(keys, matches)
+            CurveMatch(spec.tag, spec.level, spec.index, key.get(match.partner))
+            for spec, match in zip(specs[tag], matches)
         )
 
     left_summary = summarize("phi", report.left_matching)
@@ -479,7 +404,7 @@ def verify_finite_order_equivalence(
     # candidates the proposal never suggested.
     cross_checked, powers = 0, {}
     for tag, summary in (("phi", left_summary), ("psi", right_summary)):
-        source, target = whole[tag], whole[other[tag]]
+        source, target = pools[tag], pools[other[tag]]
         failures = [i for i, m in enumerate(summary) if m.partner is None]
         for i in failures[:_CROSS_CHECK_SAMPLES]:
             samples = {0, len(target) // 2, len(target) - 1} - set(proposed(tag, i))
@@ -490,7 +415,7 @@ def verify_finite_order_equivalence(
                 if _pair_order_k(left_ideal, _pulled(right_ideal, phi, powers), order)[0]:
                     raise CrossCheckError(
                         "candidate proposal missed a genuine partner; "
-                        f"{source.labels[i]} matches pool position {j}"
+                        f"{specs[tag][i].label} matches pool position {j}"
                     )
 
     return CurveSetReport(

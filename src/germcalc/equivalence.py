@@ -185,7 +185,6 @@ def _match(
     left_pool: GermFamily,
     right_pool: GermFamily,
     candidates: Optional[CandidateHook] = None,
-    invertible: bool = False,
 ) -> EquivalenceReport:
     """Compare two families of one mode, pair by pair with _pair_order_k.
 
@@ -200,6 +199,7 @@ def _match(
     and a pair whose dimensions agree runs only its pullback half.
     """
     powers: dict = {}
+    invertible = phi.is_invertible
     pulled: dict[int, tuple] = {}
     left_dims: dict[int, Optional[int]] = {}
     right_dims: dict[int, Optional[int]] = {}
@@ -295,7 +295,7 @@ def is_order_k_equivalence(
             if pool.labels[: len(fam.labels)] != fam.labels:
                 raise ValueError("a candidate pool must extend its family as a prefix")
         _check_shapes(phi, left_pool, right_pool, k, precision)
-    return _match(phi, left, right, k, left_pool, right_pool, candidates, invertible=True)
+    return _match(phi, left, right, k, left_pool, right_pool, candidates)
 
 
 def jet_coset_membership(
@@ -314,8 +314,7 @@ def jet_coset_membership(
         lam, left, right, k, f"jet comparison at degree {k} needs truncations >= {k}"
     )
     _common_mode(left, right)
-    report = _match(lam, left, right, k + 1, left, right, invertible=lam.is_invertible)
-    return replace(report, order=k)
+    return replace(_match(lam, left, right, k + 1, left, right), order=k)
 
 
 def equivalence_horizon(

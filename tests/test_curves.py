@@ -23,7 +23,7 @@ from germcalc import (
     verify_finite_order_equivalence,
     verify_tangent_obstruction,
 )
-from germcalc.curves import MAX_POOL, _Pool, _pool_windows
+from germcalc.curves import MAX_POOL, _pool_windows
 from germcalc.monomial import MAX_DEGREE
 
 from conftest import membership_horizon_oracle, pool_windows_oracle, shift_values_oracle
@@ -421,52 +421,6 @@ def test_cross_check_reuses_the_matchers_refusal_and_one_table_of_powers(monkeyp
     report = verify_finite_order_equivalence(3, 4, 3)
     assert report.cross_checked == 42
     assert counts == {"inverse": 1, "powers": 2}
-
-
-FULL_SCALE_K1_WINDOWS = (
-    (1, 32), (2, 8277), (3, 4139), (4, 2070), (5, 1035),
-    (6, 518), (7, 259), (8, 130), (9, 65), (10, 33),
-)
-
-
-@pytest.mark.parametrize("realified", [False, True], ids=["complex", "realified"])
-def test_full_scale_pools_build_only_the_curves_the_matcher_reads(monkeypatch, realified):
-    # k = 1 at full scale: the pools hold 65,920 curves, and the matcher
-    # and the cross-check read fewer than 2,000 of them
-    built = []
-
-    def counting(*args):
-        built.append(args[:3])
-        return curve(*args)
-
-    monkeypatch.setattr(germcalc.curves, "curve", counting)
-    report = verify_finite_order_equivalence(1, 10, 32, 4, shift_level=2, realified=realified)
-    got = (report.ok, len(report.unmatched), report.pool_windows)
-    assert got == (True, 0, FULL_SCALE_K1_WINDOWS)
-    assert len(built) <= 2500
-    assert len(set(built)) == len(built)  # each member built once
-
-
-def test_pool_positions_follow_the_window_offsets():
-    # the nominal window in curve_specs order, then each level's indices
-    # past n_max, negative ones first; position inverts key
-    rng = random.Random(22)
-    seq = build_shift_sequence(12)
-    for _ in range(60):
-        m_max, n_max = rng.randint(1, 6), rng.randint(0, 5)
-        order, level = rng.randint(1, m_max + 3), rng.randint(1, 12)
-        windows = _pool_windows(seq.c(level), order, m_max, n_max, seq)
-        for tag in ("phi", "psi"):
-            bounds = windows[tag]
-            expected = [(s.level, s.index) for s in curve_specs(tag, m_max, n_max, 3, seq)]
-            expected += [(m, n) for m in range(1, m_max + 1)
-                         for n in range(-bounds[m], bounds[m] + 1) if abs(n) > n_max]
-            pool = _Pool(tag, bounds, n_max, 3, seq, False)
-            assert pool.starts[-1] == len(expected)
-            assert [pool.key(p) for p in range(len(expected))] == expected
-            assert [pool.position(m, n) for m, n in expected] == list(range(len(expected)))
-            m = rng.randint(1, m_max)
-            assert pool.position(m, bounds[m] + 1) is pool.position(m, -bounds[m] - 1) is None
 
 
 def _pool_size(k, m_max, n_max, order, shift_level):
