@@ -17,6 +17,7 @@ import sys
 from typing import Optional, Sequence
 
 from .curves import (
+    _curve_label,
     build_shift_sequence,
     membership_horizon,
     verify_finite_order_equivalence,
@@ -95,34 +96,28 @@ def _resolve_trunc(args, manifest: Optional[Manifest]) -> int:
     return trunc
 
 
-def _series_task_inputs(args, need_series: bool, need_ideal: bool):
-    """Common intake for divide/diagram/jet/reduce: a dividend series
-    and/or ideal generators, from flags or a manifest [left] section.
-    Only the inputs the command reads are parsed."""
+def _series_task_inputs(args):
+    """Common intake for divide/diagram/jet/reduce.  The parser gives a
+    command -f and -g only if it reads them, and only those are parsed.
+    Each input comes from its flag, else from the manifest, else there is
+    none; the variables from --vars, else the manifest, else inference."""
     manifest = load_manifest(args.manifest) if args.manifest else None
     trunc = _resolve_trunc(args, manifest)
     names = _explicit_vars(args)
-    if manifest is not None:
-        if names is None:
-            names = list(manifest.variables)
-        f_text = args.series if getattr(args, "series", None) else manifest.series_text
-        gen_texts: list[str] = []
-        for _, payload in manifest.left:
-            gen_texts.extend(payload)
-        if getattr(args, "generators", None):
-            gen_texts = list(args.generators)
-    else:
-        f_text = getattr(args, "series", None)
-        gen_texts = list(getattr(args, "generators", None) or [])
-        if names is None:
-            pool = ([f_text] if f_text else []) + gen_texts
-            names = infer_variables(pool)
-    if need_series and not f_text:
+    f_text = getattr(args, "series", None) or (manifest.series_text if manifest else None)
+    left = [text for _, payload in manifest.left for text in payload] if manifest else []
+    gen_texts = getattr(args, "generators", None) or left
+    if names is None and manifest:
+        names = list(manifest.variables)
+    elif names is None:
+        names = infer_variables(([f_text] if f_text else []) + gen_texts)
+    reads_series, reads_ideal = hasattr(args, "series"), hasattr(args, "generators")
+    if reads_series and not f_text:
         raise ParseError("no input series: pass -f or a manifest 'series' key")
-    if need_ideal and not gen_texts:
+    if reads_ideal and not gen_texts:
         raise ParseError("no generators: pass -g or a manifest [left] section")
-    f = parse_series(f_text, names, trunc) if need_series else None
-    gens = [parse_series(text, names, trunc) for text in gen_texts] if need_ideal else []
+    f = parse_series(f_text, names, trunc) if reads_series else None
+    gens = [parse_series(text, names, trunc) for text in gen_texts] if reads_ideal else []
     return names, trunc, f, gens
 
 
@@ -134,10 +129,9 @@ def _staircase_json(staircase) -> list[list[int]]:
 
 
 def _cmd_divide(args) -> tuple[int, dict]:
-    names, trunc, f, gens = _series_task_inputs(args, True, True)
+    names, trunc, f, gens = _series_task_inputs(args)
     result = formal_division(f, gens, trunc)
     report = {
-        "command": "divide",
         "trunc": trunc,
         "vars": names,
         "dividend": format_series(f, names),
@@ -150,11 +144,10 @@ def _cmd_divide(args) -> tuple[int, dict]:
 
 
 def _cmd_diagram(args) -> tuple[int, dict]:
-    names, trunc, _, gens = _series_task_inputs(args, False, True)
+    names, trunc, _, gens = _series_task_inputs(args)
     degree = args.degree if args.degree is not None else trunc
     ideal = IdealPresentation(len(names), gens)
     report = {
-        "command": "diagram",
         "trunc": trunc,
         "vars": names,
         "degree": degree,
@@ -164,10 +157,9 @@ def _cmd_diagram(args) -> tuple[int, dict]:
 
 
 def _cmd_jet(args) -> tuple[int, dict]:
-    names, trunc, f, _ = _series_task_inputs(args, True, False)
+    names, trunc, f, _ = _series_task_inputs(args)
     jet = f.truncate(args.order)
     report = {
-        "command": "jet",
         "trunc": trunc,
         "vars": names,
         "order": args.order,
@@ -177,11 +169,10 @@ def _cmd_jet(args) -> tuple[int, dict]:
 
 
 def _cmd_reduce(args) -> tuple[int, dict]:
-    names, trunc, f, gens = _series_task_inputs(args, True, True)
+    names, trunc, f, gens = _series_task_inputs(args)
     ideal = IdealPresentation(len(names), gens)
     normal_form = reduce_mod_ideal(f, ideal, trunc)
     report = {
-        "command": "reduce",
         "trunc": trunc,
         "vars": names,
         "normal_form": format_series(normal_form, names),
@@ -230,7 +221,6 @@ def _cmd_check_equivalence(args) -> tuple[int, dict]:
     if args.horizon is not None:
         scan = equivalence_horizon(left, right, phi, args.horizon)
         report = {
-            "command": "check-equivalence",
             "trunc": trunc,
             "mode": mode,
             "ok": scan.first_failure is None,
@@ -243,7 +233,6 @@ def _cmd_check_equivalence(args) -> tuple[int, dict]:
     order = _resolve_order(args, manifest)
     verdict = is_order_k_equivalence(phi, left, right, order)
     report = {
-        "command": "check-equivalence",
         "trunc": trunc,
         "mode": mode,
         "ok": verdict.ok,
@@ -291,7 +280,6 @@ def _cmd_check_dynamics(args) -> tuple[int, dict]:
     labels = _paired_labels(left_labels, right_labels)
     verdict = check(phi, lefts, rights, order, labels=labels)
     report = {
-        "command": args.command,
         "trunc": trunc,
         "ok": verdict.ok,
         "order": verdict.order,
@@ -323,7 +311,6 @@ def _cmd_counterexample_sequence(args) -> tuple[int, dict]:
     _check_printed_levels(args.levels)
     seq = build_shift_sequence(args.levels)
     report = {
-        "command": "counterexample sequence",
         "levels": args.levels,
         "c": list(seq.values),
         "b": [seq.min_positive(m) for m in range(1, args.levels + 1)],
@@ -346,19 +333,14 @@ def _cmd_counterexample_verify(args) -> tuple[int, dict]:
     def table(matches) -> list[dict]:
         return [
             {
-                "curve": f"{m.tag}({m.level},{m.index})",
-                "partner": (
-                    f"{m.partner[0]}({m.partner[1]},{m.partner[2]})"
-                    if m.partner
-                    else None
-                ),
+                "curve": _curve_label(m.tag, m.level, m.index),
+                "partner": _curve_label(*m.partner) if m.partner else None,
                 "class": m.classification,
             }
             for m in matches
         ]
 
     report = {
-        "command": "counterexample verify",
         "ok": result.ok,
         "order": result.order,
         "shift_level": result.shift_level,
@@ -398,7 +380,6 @@ def _cmd_counterexample_horizon(args) -> tuple[int, dict]:
     finite = [h for _, h in horizons if h is not None]
     all_finite = len(finite) == len(horizons)
     report = {
-        "command": "counterexample horizon",
         "levels": args.levels,
         "t_range": [lo, hi],
         "ok": all_finite,
@@ -515,12 +496,9 @@ _HANDLERS = {
     "check-equivalence": _cmd_check_equivalence,
     "check-conjugacy": _cmd_check_dynamics,
     "check-field-equivalence": _cmd_check_dynamics,
-}
-
-_COUNTEREXAMPLE_HANDLERS = {
-    "sequence": _cmd_counterexample_sequence,
-    "verify": _cmd_counterexample_verify,
-    "horizon": _cmd_counterexample_horizon,
+    "counterexample sequence": _cmd_counterexample_sequence,
+    "counterexample verify": _cmd_counterexample_verify,
+    "counterexample horizon": _cmd_counterexample_horizon,
 }
 
 
@@ -530,23 +508,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    command = args.command
+    if hasattr(args, "subcommand"):
+        command = f"{command} {args.subcommand}"
     try:
-        if args.command == "counterexample":
-            code, report = _COUNTEREXAMPLE_HANDLERS[args.subcommand](args)
-        else:
-            code, report = _HANDLERS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PrecisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CrossCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        code, report = _HANDLERS[command](args)
     except (GermcalcError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, PrecisionError):
+            return 3
+        return 4 if isinstance(exc, CrossCheckError) else 2
+    report["command"] = command
     if args.seed is not None:
         report["seed"] = args.seed
     _emit(report, args.format)

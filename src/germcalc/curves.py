@@ -152,7 +152,11 @@ class CurveSpec:
 
     @property
     def label(self) -> str:
-        return f"{self.tag}({self.level},{self.index})"
+        return _curve_label(self.tag, self.level, self.index)
+
+
+def _curve_label(tag: str, level: int, index: int) -> str:
+    return f"{tag}({level},{index})"
 
 
 def tangent_coefficient(tag: str, m: int, n: int, seq: ShiftSequence) -> int:

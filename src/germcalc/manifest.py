@@ -78,11 +78,8 @@ class Manifest:
     def resolve_family(self, side: str, truncation: int) -> GermFamily:
         if self.kind != "ideals":
             raise ParseError(f"manifest kind is {self.kind}, not ideals")
-        entries = self._side(side)
-        if not entries:
-            raise ParseError(f"manifest has no [{side}] section")
         items = []
-        for label, payload in entries:
+        for label, payload in self._side(side):
             gens = [
                 parse_series(text, self.variables, truncation) for text in payload
             ]
@@ -109,11 +106,12 @@ class Manifest:
         return [label for label, _ in entries], [build(text) for _, text in entries]
 
     def _side(self, side: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
-        if side == "left":
-            return self.left
-        if side == "right":
-            return self.right
-        raise ValueError("side must be 'left' or 'right'")
+        if side not in ("left", "right"):
+            raise ValueError("side must be 'left' or 'right'")
+        entries = self.left if side == "left" else self.right
+        if not entries:
+            raise ParseError(f"manifest has no [{side}] section")
+        return entries
 
     def _side_single(self, side: str) -> list[tuple[str, str]]:
         out = []

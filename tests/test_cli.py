@@ -1,3 +1,4 @@
+import argparse
 import importlib.metadata
 import importlib.util
 import json
@@ -14,7 +15,15 @@ from packaging.version import Version
 from germcalc import cli, curves
 from germcalc.cli import _MAX_PRINTED_LEVELS, _check_printed_levels, main
 from germcalc.curves import build_shift_sequence
-from germcalc.errors import ParseError
+from germcalc.errors import (
+    CrossCheckError,
+    DimensionError,
+    GermcalcError,
+    InversionError,
+    LimitError,
+    ParseError,
+    PrecisionError,
+)
 from germcalc.expressions import _MAX_LITERAL_DIGITS
 
 DATA = Path(__file__).parent / "data" / "manifests"
@@ -64,6 +73,37 @@ CORPUS_RUNS = [
         0,
     ),
 ]
+
+# one run per leaf subcommand, each ending in a report
+SUBCOMMAND_RUNS = {
+    "divide": ("divide", "--manifest", str(DATA / "divide-parabola.man")),
+    "diagram": ("diagram", "--manifest", str(DATA / "three-vars.man")),
+    "jet": ("jet", "--order", "3", "--manifest", str(DATA / "jet-sample.man")),
+    "reduce": ("reduce", "--manifest", str(DATA / "three-vars.man")),
+    "check-equivalence": ("check-equivalence", "--manifest", str(DATA / "curves-shear.man")),
+    "check-conjugacy": ("check-conjugacy", "--manifest", str(DATA / "conj-true.man")),
+    "check-field-equivalence": (
+        "check-field-equivalence",
+        "--manifest",
+        str(DATA / "field-false.man"),
+    ),
+    "counterexample sequence": ("counterexample", "sequence", "--levels", "3"),
+    "counterexample verify": ("counterexample", "verify", "--k", "1", "--m-max", "1"),
+    "counterexample horizon": ("counterexample", "horizon", "--t-range", "0:3"),
+}
+
+
+def leaf_paths(parser, prefix=""):
+    """The subcommand paths of a parser's leaves, 'divide' through
+    'counterexample horizon'."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return [
+                path
+                for name, sub in action.choices.items()
+                for path in leaf_paths(sub, f"{prefix} {name}".lstrip())
+            ]
+    return [prefix]
 
 
 def invoke(capsys, *argv):
@@ -346,6 +386,22 @@ def test_seed_is_recorded_in_text_reports(capsys):
     assert "seed: 11" in out.splitlines()
 
 
+def test_the_handler_table_holds_every_leaf_subcommand():
+    paths = leaf_paths(cli.build_parser())
+    assert len(paths) == len(set(paths)) == 10
+    assert set(cli._HANDLERS) == set(paths) == set(SUBCOMMAND_RUNS)
+
+
+@pytest.mark.parametrize("path", SUBCOMMAND_RUNS)
+def test_each_report_names_its_subcommand_path(capsys, path):
+    code, report = invoke_json(capsys, *SUBCOMMAND_RUNS[path])
+    assert code in (0, 1)
+    assert report["command"] == path
+    code, out, err = invoke(capsys, *SUBCOMMAND_RUNS[path])
+    assert code in (0, 1) and not err
+    assert f"command: {path}" in out.splitlines()
+
+
 # -- usage errors -----------------------------------------------------------
 
 
@@ -367,6 +423,76 @@ def test_manifest_without_a_map(capsys, tmp_path):
     assert code == 2 and not out
     assert err == "error: no map: pass --map or a manifest 'map' key\n"
     assert invoke(capsys, "check-equivalence", "--manifest", str(bare), "--map", "(z, w)")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "error, expected",
+    [
+        (ParseError, 2),
+        (LimitError, 2),
+        (DimensionError, 2),
+        (InversionError, 2),
+        (GermcalcError, 2),
+        (ValueError, 2),
+        (PrecisionError, 3),
+        (CrossCheckError, 4),
+    ],
+)
+def test_each_error_class_exits_with_its_code(capsys, monkeypatch, error, expected):
+    def fail(args):
+        raise error("planted failure")
+
+    monkeypatch.setitem(cli._HANDLERS, "counterexample sequence", fail)
+    for fmt in ("text", "json"):
+        assert invoke(capsys, "counterexample", "sequence", "--format", fmt) == (
+            expected,
+            "",
+            "error: planted failure\n",
+        )
+
+
+def _without_a_side(text, shape):
+    """A manifest with the same header and one or both sides missing or empty."""
+    header, _, sections = text.partition("[left]")
+    left, _, right = sections.partition("[right]")
+    return header + {
+        "no sections": "",
+        "empty sections": "[left]\n[right]\n",
+        "left only": "[left]" + left,
+        "right only": "[right]" + right,
+        "empty left": "[left]\n[right]" + right,
+        "empty right": "[left]" + left + "[right]\n",
+    }[shape]
+
+
+@pytest.mark.parametrize(
+    "shape, missing",
+    [
+        ("no sections", "left"),
+        ("empty sections", "left"),
+        ("left only", "right"),
+        ("right only", "left"),
+        ("empty left", "left"),
+        ("empty right", "right"),
+    ],
+)
+@pytest.mark.parametrize(
+    "command, name",
+    [("check-conjugacy", "conj-true.man"), ("check-field-equivalence", "field-true.man")],
+)
+def test_dynamics_manifests_refuse_a_missing_or_empty_side(
+    capsys, tmp_path, command, name, shape, missing
+):
+    # before, a maps or fields manifest with no entries on either side
+    # printed ok: true over zero pairs and exited 0
+    manifest = tmp_path / name
+    manifest.write_text(_without_a_side((DATA / name).read_text(), shape))
+    for fmt in ("text", "json"):
+        assert invoke(capsys, command, "--manifest", str(manifest), "--format", fmt) == (
+            2,
+            "",
+            f"error: manifest has no [{missing}] section\n",
+        )
 
 
 def test_bad_flag_values(capsys):

@@ -216,6 +216,32 @@ def test_resolving_what_is_not_there():
         man.resolve_family("middle", 3)
 
 
+@pytest.mark.parametrize(
+    "kind, resolve",
+    [("ideals", "resolve_family"), ("maps", "resolve_maps"), ("fields", "resolve_fields")],
+)
+@pytest.mark.parametrize(
+    "sections, missing",
+    [
+        ("", "left"),
+        ("[left]\n[right]\n", "left"),
+        ("[left]\na: (z)\n", "right"),
+        ("[right]\na: (z)\n", "left"),
+        ("[left]\na: (z)\n[right]\n", "right"),
+    ],
+)
+def test_every_kind_refuses_a_missing_or_empty_side(kind, resolve, sections, missing):
+    text = parse_manifest(f"vars: z\nkind: {kind}\n{sections}")
+    as_json = parse_manifest(
+        json.dumps({"vars": ["z"], "kind": kind, "left": {}, "right": {"a": "(z)"}})
+    )
+    with pytest.raises(ParseError, match=rf"^manifest has no \[{missing}\] section$"):
+        for side in ("left", "right"):
+            getattr(text, resolve)(side, 3)
+    with pytest.raises(ParseError, match=r"^manifest has no \[left\] section$"):
+        getattr(as_json, resolve)("left", 3)
+
+
 def test_kind_mismatch_on_resolution():
     man = parse_manifest("vars: z\nkind: maps\n[left]\nf: (z)\n")
     with pytest.raises(ParseError):

@@ -1,6 +1,7 @@
 """The README's documented entry points run as written: its Python API
 example with the verdicts its comments state, and each ``germcalc``
-command line of its shell blocks through the CLI."""
+command line of its shell blocks through the CLI.  Its subcommand table
+lists exactly the parser's subcommands."""
 
 import re
 import shlex
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from germcalc.cli import main
+from germcalc.cli import build_parser, main
+from test_cli import leaf_paths
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -50,3 +52,9 @@ def test_readme_cli_line_exits_with_a_verdict(argv, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     assert main(argv) in (0, 1)
     assert capsys.readouterr().out
+
+
+def test_readme_subcommand_table_lists_each_leaf_subcommand():
+    section = README.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `([^`]+)` \|", section, re.M)
+    assert sorted(listed) == sorted(leaf_paths(build_parser()))
