@@ -100,7 +100,11 @@ def _series_task_inputs(args):
     """Common intake for divide/diagram/jet/reduce.  The parser gives a
     command -f and -g only if it reads them, and only those are parsed.
     Each input comes from its flag, else from the manifest, else there is
-    none; the variables from --vars, else the manifest, else inference."""
+    none; the variables from --vars, else the manifest, else inference.
+    A negative --order (jet) or --degree (diagram) is refused first."""
+    for flag in ("order", "degree"):
+        if (getattr(args, flag, None) or 0) < 0:
+            raise ParseError(f"--{flag} must be a natural number")
     manifest = load_manifest(args.manifest) if args.manifest else None
     trunc = _resolve_trunc(args, manifest)
     names = _explicit_vars(args)
@@ -392,127 +396,135 @@ def _cmd_counterexample_horizon(args) -> tuple[int, dict]:
 # -- argument parsing -------------------------------------------------------
 
 
+def _common(p, trunc_help="working truncation degree (default 10)"):
+    p.add_argument("--trunc", type=int, help=trunc_help)
+    p.add_argument("--format", choices=("text", "json"), default="text", help="report format")
+    p.add_argument("--seed", type=int, help="recorded in the report")
+
+
+def _series_args(p, series=True, generators=True):
+    _common(p)
+    p.add_argument("--vars", help="comma-separated variable names")
+    p.add_argument("--manifest", help="manifest file")
+    if series:
+        p.add_argument("-f", dest="series", help="input series")
+    if generators:
+        p.add_argument(
+            "-g", dest="generators", action="append", help="ideal generator (repeatable)"
+        )
+
+
+def _diagram_args(p):
+    _series_args(p, series=False)
+    p.add_argument("--degree", type=int, help="diagram degree (default: trunc)")
+
+
+def _jet_args(p):
+    _series_args(p, generators=False)
+    p.add_argument("--order", type=int, required=True, help="jet order")
+
+
+def _check_args(p):
+    _common(p)
+    p.add_argument("--manifest", required=True, help="manifest file")
+    p.add_argument("--map", help="map expression override")
+    p.add_argument("--order", type=int, help="comparison order k")
+
+
+def _equivalence_args(p):
+    _check_args(p)
+    p.add_argument("--mode", choices=("family", "set"))
+    p.add_argument("--horizon", type=int, help="scan orders 1..K instead of a single order")
+
+
+def _sequence_args(p):
+    _common(p)
+    p.add_argument("--levels", type=int, default=13, help="levels to compute")
+
+
+def _verify_args(p):
+    _common(p, trunc_help="working truncation degree (default k+3)")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--m-max", type=int, default=10)
+    p.add_argument("--n-max", type=int, default=32)
+    p.add_argument("--order", type=int, help="claimed order (default k+2)")
+    p.add_argument("--shift-level", type=int, help="use the level-m shift value (default k)")
+    p.add_argument("--realified", action="store_true", help="run over real coordinates x+iy")
+
+
+def _horizon_args(p):
+    _common(p)
+    p.add_argument("--t-range", required=True, help="LO:HI inclusive")
+    p.add_argument("--levels", type=int, default=13, help="levels to compute")
+
+
+# Every leaf subcommand by its path: help line, handler and the function that
+# adds its arguments to a parser, in the order the help lists them.
+_COMMANDS = {
+    "divide": ("divide a series by a divisor tuple", _cmd_divide, _series_args),
+    "diagram": ("staircase of initial exponents of an ideal", _cmd_diagram, _diagram_args),
+    "jet": ("truncate a series to a jet", _cmd_jet, _jet_args),
+    "reduce": ("normal form of a series modulo an ideal", _cmd_reduce, _series_args),
+    "check-equivalence": ("order-k equivalence of two ideal families",
+                          _cmd_check_equivalence, _equivalence_args),
+    "check-conjugacy": ("order-k conjugacy of self-map families",
+                        _cmd_check_dynamics, _check_args),
+    "check-field-equivalence": ("order-k pushforward equivalence of vector fields",
+                                _cmd_check_dynamics, _check_args),
+    "counterexample sequence": ("shift sequence table",
+                                _cmd_counterexample_sequence, _sequence_args),
+    "counterexample verify": ("finite-order matching of the two curve sets",
+                              _cmd_counterexample_verify, _verify_args),
+    "counterexample horizon": ("exclusion levels over an integer range",
+                               _cmd_counterexample_horizon, _horizon_args),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="germcalc",
         description="Exact computations with germs of formal power series.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, trunc_help="working truncation degree (default 10)"):
-        p.add_argument("--trunc", type=int, default=None, help=trunc_help)
-        p.add_argument(
-            "--format",
-            choices=("text", "json"),
-            default="text",
-            help="report format",
-        )
-        p.add_argument("--seed", type=int, default=None, help="recorded in the report")
-
-    def series_task(name, help_text, need_series, need_ideal):
-        p = sub.add_parser(name, help=help_text)
-        common(p)
-        p.add_argument("--vars", default=None, help="comma-separated variable names")
-        p.add_argument("--manifest", default=None, help="manifest file")
-        if need_series:
-            p.add_argument("-f", dest="series", default=None, help="input series")
-        if need_ideal:
-            p.add_argument(
-                "-g",
-                dest="generators",
-                action="append",
-                default=None,
-                help="ideal generator (repeatable)",
-            )
-        return p
-
-    series_task("divide", "divide a series by a divisor tuple", True, True)
-    p = series_task("diagram", "staircase of initial exponents of an ideal", False, True)
-    p.add_argument("--degree", type=int, default=None, help="diagram degree (default: trunc)")
-    p = series_task("jet", "truncate a series to a jet", True, False)
-    p.add_argument("--order", type=int, required=True, help="jet order")
-    series_task("reduce", "normal form of a series modulo an ideal", True, True)
-
-    def check_task(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        common(p)
-        p.add_argument("--manifest", required=True, help="manifest file")
-        p.add_argument("--map", default=None, help="map expression override")
-        p.add_argument("--order", type=int, default=None, help="comparison order k")
-        return p
-
-    p = check_task("check-equivalence", "order-k equivalence of two ideal families")
-    p.add_argument("--mode", choices=("family", "set"), default=None)
-    p.add_argument(
-        "--horizon",
-        type=int,
-        default=None,
-        help="scan orders 1..K instead of a single order",
-    )
-    check_task("check-conjugacy", "order-k conjugacy of self-map families")
-    check_task(
-        "check-field-equivalence", "order-k pushforward equivalence of vector fields"
-    )
-
-    cx = sub.add_parser("counterexample", help="the two-curve-set construction")
-    cx_sub = cx.add_subparsers(dest="subcommand", required=True)
-
-    p = cx_sub.add_parser("sequence", help="shift sequence table")
-    common(p)
-    p.add_argument("--levels", type=int, default=13, help="levels to compute")
-
-    p = cx_sub.add_parser("verify", help="finite-order matching of the two curve sets")
-    common(p, trunc_help="working truncation degree (default k+3)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m-max", type=int, default=10, dest="m_max")
-    p.add_argument("--n-max", type=int, default=32, dest="n_max")
-    p.add_argument("--order", type=int, default=None, help="claimed order (default k+2)")
-    p.add_argument(
-        "--shift-level",
-        type=int,
-        default=None,
-        dest="shift_level",
-        help="use the level-m shift value (default k)",
-    )
-    p.add_argument(
-        "--realified",
-        action="store_true",
-        help="run over real coordinates x+iy",
-    )
-
-    p = cx_sub.add_parser("horizon", help="exclusion levels over an integer range")
-    common(p)
-    p.add_argument("--t-range", required=True, dest="t_range", help="LO:HI inclusive")
-    p.add_argument("--levels", type=int, default=13, help="levels to compute")
-
+    cx_sub = None
+    for path, (help_text, _, add_arguments) in _COMMANDS.items():
+        group, _, name = path.rpartition(" ")
+        if group and cx_sub is None:
+            cx = sub.add_parser(group, help="the two-curve-set construction")
+            cx_sub = cx.add_subparsers(dest="subcommand", required=True)
+        add_arguments((cx_sub if group else sub).add_parser(name, help=help_text))
     return parser
 
 
-_HANDLERS = {
-    "divide": _cmd_divide,
-    "diagram": _cmd_diagram,
-    "jet": _cmd_jet,
-    "reduce": _cmd_reduce,
-    "check-equivalence": _cmd_check_equivalence,
-    "check-conjugacy": _cmd_check_dynamics,
-    "check-field-equivalence": _cmd_check_dynamics,
-    "counterexample sequence": _cmd_counterexample_sequence,
-    "counterexample verify": _cmd_counterexample_verify,
-    "counterexample horizon": _cmd_counterexample_horizon,
-}
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """What build_parser().parse_args(argv) gives, building only the parser
+    of the leaf subcommand that argv names.  Anything else (no leaf named,
+    help at the top or group level, arguments the leaf does not know) goes
+    to the full parser, so every help, usage and error text is its own."""
+    head = argv[: 2 if argv[:1] == ["counterexample"] else 1]
+    path = " ".join(head)
+    if path in _COMMANDS and path.count(" ") == len(head) - 1:
+        leaf = argparse.ArgumentParser(prog=f"germcalc {path}")
+        _COMMANDS[path][2](leaf)
+        args, rest = leaf.parse_known_args(argv[len(head) :])
+        if not rest:
+            args.command = head[0]
+            if len(head) == 2:
+                args.subcommand = head[1]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(list(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     command = args.command
     if hasattr(args, "subcommand"):
         command = f"{command} {args.subcommand}"
     try:
-        code, report = _HANDLERS[command](args)
+        code, report = _COMMANDS[command][1](args)
     except (GermcalcError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, PrecisionError):

@@ -177,20 +177,25 @@ def curve(tag: str, m: int, n: int, truncation: int, seq: ShiftSequence) -> Curv
     if truncation < 0:
         raise ValueError("truncation degree must be a natural number")
     check_width("truncation", truncation)
+    return CurveSpec(tag=tag, level=m, index=n, series=_curve_series(a, m, truncation))
+
+
+def _curve_series(a: int, m: int, truncation: int) -> FormalSeries:
+    """w - a z - z^(m+1) for a checked level and truncation."""
     table = {_W: _ONE} if truncation else {}
     if a and truncation:
         table[_Z] = Fraction(-a)
     if m + 1 <= truncation:
         table[pack((m + 1, 0))] = _MINUS_ONE
-    series = FormalSeries._from_table(2, truncation, table)
-    return CurveSpec(tag=tag, level=m, index=n, series=series)
+    return FormalSeries._from_table(2, truncation, table)
 
 
 def curve_ideal(spec: CurveSpec, realified: bool = False) -> IdealPresentation:
-    if not realified:
-        return IdealPresentation(2, [spec.series])
-    re, im = realify(spec.series)
-    return IdealPresentation(4, [re, im])
+    return _curve_ideal(spec.series, realified)
+
+
+def _curve_ideal(series: FormalSeries, realified: bool) -> IdealPresentation:
+    return IdealPresentation(4, realify(series)) if realified else IdealPresentation(2, [series])
 
 
 def shift_map(c: int, truncation: int, realified: bool = False) -> FormalMap:
@@ -358,18 +363,23 @@ def verify_finite_order_equivalence(
     nominal = m_max * (2 * n_max + 1)
     other = {"phi": "psi", "psi": "phi"}
 
-    specs, pools, index_of = {}, {}, {}
+    keys, pools, index_of = {}, {}, {}
+    levels = range(1, m_max + 1)
     for tag in ("phi", "psi"):
-        specs[tag] = curve_specs(tag, m_max, n_max, truncation, seq) + [
-            curve(tag, m, n, truncation, seq)
-            for m in range(1, m_max + 1)
-            for n in range(-windows[tag][m], windows[tag][m] + 1)
-            if abs(n) > n_max
+        # the pool as (level, index) keys: the nominal window, then the rest
+        window = windows[tag]
+        keys[tag] = [(m, n) for m in levels for n in range(-n_max, n_max + 1)] + [
+            (m, n) for m in levels for n in range(-window[m], window[m] + 1) if abs(n) > n_max
         ]
-        pools[tag] = GermFamily.of(
-            "set", [(s.label, curve_ideal(s, realified)) for s in specs[tag]]
+        gens = (
+            _curve_series(tangent_coefficient(tag, m, n, seq), m, truncation) for m, n in keys[tag]
         )
-        index_of[tag] = {(s.level, s.index): i for i, s in enumerate(specs[tag])}
+        pools[tag] = GermFamily(
+            tuple(_curve_label(tag, m, n) for m, n in keys[tag]),
+            tuple(_curve_ideal(g, realified) for g in gens),
+            "set",
+        )
+        index_of[tag] = {key: i for i, key in enumerate(keys[tag])}
     left, right = (
         GermFamily.of("set", zip(pools[tag].labels[:nominal], pools[tag].ideals[:nominal]))
         for tag in ("phi", "psi")
@@ -377,9 +387,9 @@ def verify_finite_order_equivalence(
 
     def proposed(tag: str, index: int) -> list[int]:
         # phi curves go forward through the shear, psi curves backward
-        spec = specs[tag][index]
+        m, n = keys[tag][index]
         shift = shift_value if tag == "phi" else -shift_value
-        partners = _propose_partners(tag, spec.level, spec.index, shift, order, m_max, seq)
+        partners = _propose_partners(tag, m, n, shift, order, m_max, seq)
         target = index_of[other[tag]]
         return [target[p] for p in partners if p in target]
 
@@ -394,10 +404,11 @@ def verify_finite_order_equivalence(
     )
 
     def summarize(tag: str, matches) -> tuple[CurveMatch, ...]:
-        key = {s.label: (s.tag, s.level, s.index) for s in specs[other[tag]]}
+        twin = other[tag]
+        key = {label: (twin, *k) for label, k in zip(pools[twin].labels, keys[twin])}
         return tuple(
-            CurveMatch(spec.tag, spec.level, spec.index, key.get(match.partner))
-            for spec, match in zip(specs[tag], matches)
+            CurveMatch(tag, m, n, key.get(match.partner))
+            for (m, n), match in zip(keys[tag], matches)
         )
 
     left_summary = summarize("phi", report.left_matching)
@@ -419,7 +430,7 @@ def verify_finite_order_equivalence(
                 if _pair_order_k(left_ideal, _pulled(right_ideal, phi, powers), order)[0]:
                     raise CrossCheckError(
                         "candidate proposal missed a genuine partner; "
-                        f"{specs[tag][i].label} matches pool position {j}"
+                        f"{source.labels[i]} matches pool position {j}"
                     )
 
     return CurveSetReport(

@@ -184,6 +184,7 @@ def _match(
     k: int,
     left_pool: GermFamily,
     right_pool: GermFamily,
+    invertible: bool,
     candidates: Optional[CandidateHook] = None,
 ) -> EquivalenceReport:
     """Compare two families of one mode, pair by pair with _pair_order_k.
@@ -195,11 +196,10 @@ def _match(
     Each right member is pulled back at most once, when a pair first
     needs it, so members the hook never proposes cost nothing, and every
     pullback reads one table of phi's powers per working truncation.
-    For an invertible phi each member's jet dimension is read once too,
-    and a pair whose dimensions agree runs only its pullback half.
+    When the caller knows phi invertible, each member's jet dimension is
+    read once too, and a pair whose dimensions agree runs only its pullback half.
     """
     powers: dict = {}
-    invertible = phi.is_invertible
     pulled: dict[int, tuple] = {}
     left_dims: dict[int, Optional[int]] = {}
     right_dims: dict[int, Optional[int]] = {}
@@ -287,7 +287,7 @@ def is_order_k_equivalence(
     precision = f"order-{k} check needs generator truncations >= {k}, have {{bound}}"
     _check_shapes(phi, left, right, k, precision)
     mode = _common_mode(left, right)
-    phi.linear_inverse()  # refuses a singular Phi
+    phi.linear_inverse()  # refuses a singular Phi, so _match may take it as invertible
     left_pool = left_pool or left
     right_pool = right_pool or right
     if mode == "set":
@@ -295,7 +295,7 @@ def is_order_k_equivalence(
             if pool.labels[: len(fam.labels)] != fam.labels:
                 raise ValueError("a candidate pool must extend its family as a prefix")
         _check_shapes(phi, left_pool, right_pool, k, precision)
-    return _match(phi, left, right, k, left_pool, right_pool, candidates)
+    return _match(phi, left, right, k, left_pool, right_pool, True, candidates)
 
 
 def jet_coset_membership(
@@ -314,7 +314,7 @@ def jet_coset_membership(
         lam, left, right, k, f"jet comparison at degree {k} needs truncations >= {k}"
     )
     _common_mode(left, right)
-    return replace(_match(lam, left, right, k + 1, left, right), order=k)
+    return replace(_match(lam, left, right, k + 1, left, right, lam.is_invertible), order=k)
 
 
 def equivalence_horizon(

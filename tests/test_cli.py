@@ -389,7 +389,70 @@ def test_seed_is_recorded_in_text_reports(capsys):
 def test_the_handler_table_holds_every_leaf_subcommand():
     paths = leaf_paths(cli.build_parser())
     assert len(paths) == len(set(paths)) == 10
-    assert set(cli._HANDLERS) == set(paths) == set(SUBCOMMAND_RUNS)
+    assert set(cli._COMMANDS) == set(paths) == set(SUBCOMMAND_RUNS)
+
+
+# argv that reach each route of cli._parse_args: every leaf, help at each
+# level, and the usage errors of both the leaf and the full parser
+PARSE_CORPUS = [
+    *SUBCOMMAND_RUNS.values(),
+    (),
+    ("-h",),
+    ("counterexample", "-h"),
+    *((*path.split(), "-h") for path in SUBCOMMAND_RUNS),
+    ("frobnicate",),
+    ("counterexample",),
+    ("counterexample", "bogus"),
+    ("counterexample sequence",),
+    ("jet", "-f", "z", "--order", "1", "--bogus"),
+    ("counterexample", "sequence", "--k", "1"),
+    ("jet", "-f", "z"),
+    ("counterexample", "verify"),
+    ("divide", "-f", "z", "-g", "z", "--format", "xml"),
+    ("jet", "-f", "z", "--order", "two"),
+]
+
+
+def _parsed(capsys, parse, argv):
+    try:
+        namespace, code = vars(parse(list(argv))), None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, namespace
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+def test_the_leaf_parser_parses_as_the_full_parser(capsys, argv):
+    leaf = _parsed(capsys, cli._parse_args, argv)
+    assert leaf == _parsed(capsys, lambda a: cli.build_parser().parse_args(a), argv)
+    assert leaf[0] is not None or leaf[3]["command"] == argv[0]
+
+
+def test_a_leaf_call_builds_one_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    full = len(leaf_paths(cli.build_parser())) + 2  # the top level and counterexample
+    for argv, parsers in [
+        *((argv, 1) for argv in SUBCOMMAND_RUNS.values()),
+        (("jet", "-h"), 1),
+        (("jet", "-f", "z", "--order", "two"), 1),
+        (("-h",), full),
+        (("counterexample", "-h"), full),
+        (("frobnicate",), full),
+        (("counterexample",), full),
+        (("jet", "-f", "z", "--order", "1", "--bogus"), 1 + full),
+    ]:
+        built.clear()
+        main(list(argv))
+        capsys.readouterr()
+        assert len(built) == parsers, argv
 
 
 @pytest.mark.parametrize("path", SUBCOMMAND_RUNS)
@@ -442,7 +505,8 @@ def test_each_error_class_exits_with_its_code(capsys, monkeypatch, error, expect
     def fail(args):
         raise error("planted failure")
 
-    monkeypatch.setitem(cli._HANDLERS, "counterexample sequence", fail)
+    help_text, _, add_arguments = cli._COMMANDS["counterexample sequence"]
+    monkeypatch.setitem(cli._COMMANDS, "counterexample sequence", (help_text, fail, add_arguments))
     for fmt in ("text", "json"):
         assert invoke(capsys, "counterexample", "sequence", "--format", fmt) == (
             expected,
@@ -507,6 +571,19 @@ def test_bad_flag_values(capsys):
     assert code == 2 and "nonnegative" in err
     code, _, err = invoke(capsys, "divide", "--vars", "z,,w", "-f", "z", "-g", "z")
     assert code == 2 and "--vars" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("jet", "-f", "z", "--order", "-1"), "--order"),
+        (("diagram", "-g", "z", "--degree", "-1"), "--degree"),
+    ],
+)
+def test_a_negative_order_or_degree_names_its_flag(capsys, argv, flag):
+    # before, the refusal named the library's parameter: "truncation degree"
+    # for jet --order and "jet degree" for diagram --degree
+    assert invoke(capsys, *argv) == (2, "", f"error: {flag} must be a natural number\n")
 
 
 def test_missing_manifest_file(capsys):
@@ -707,7 +784,7 @@ def test_a_standard_presentation_keeps_the_diagram_exit_codes(capsys):
     code, out, err = invoke(capsys, *base, "--degree", "5")
     assert (code, out, err) == (3, "", "error: jet degree 5 exceeds generator truncation 2\n")
     code, out, err = invoke(capsys, *base, "--degree", "-1")
-    assert (code, out, err) == (2, "", "error: jet degree must be a natural number\n")
+    assert (code, out, err) == (2, "", "error: --degree must be a natural number\n")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
