@@ -10,13 +10,11 @@ normalization.
 
 from .curves import (
     CurveSetReport,
-    CurveSpec,
     ObstructionReport,
     ShiftSequence,
     build_shift_sequence,
     curve,
     curve_ideal,
-    curve_specs,
     membership_horizon,
     shift_map,
     tangent_coefficient,
@@ -78,7 +76,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CrossCheckError",
     "CurveSetReport",
-    "CurveSpec",
     "DimensionError",
     "DivisionResult",
     "DynamicsReport",
@@ -110,7 +107,6 @@ __all__ = [
     "conjugate",
     "curve",
     "curve_ideal",
-    "curve_specs",
     "equivalence_horizon",
     "formal_division",
     "is_order_k_conjugacy",

@@ -100,11 +100,7 @@ def _series_task_inputs(args):
     """Common intake for divide/diagram/jet/reduce.  The parser gives a
     command -f and -g only if it reads them, and only those are parsed.
     Each input comes from its flag, else from the manifest, else there is
-    none; the variables from --vars, else the manifest, else inference.
-    A negative --order (jet) or --degree (diagram) is refused first."""
-    for flag in ("order", "degree"):
-        if (getattr(args, flag, None) or 0) < 0:
-            raise ParseError(f"--{flag} must be a natural number")
+    none; the variables from --vars, else the manifest, else inference."""
     manifest = load_manifest(args.manifest) if args.manifest else None
     trunc = _resolve_trunc(args, manifest)
     names = _explicit_vars(args)
@@ -132,10 +128,10 @@ def _staircase_json(staircase) -> list[list[int]]:
 # -- subcommand handlers ----------------------------------------------------
 
 
-def _cmd_divide(args) -> tuple[int, dict]:
+def _cmd_divide(args) -> dict:
     names, trunc, f, gens = _series_task_inputs(args)
     result = formal_division(f, gens, trunc)
-    report = {
+    return {
         "trunc": trunc,
         "vars": names,
         "dividend": format_series(f, names),
@@ -144,45 +140,41 @@ def _cmd_divide(args) -> tuple[int, dict]:
         "remainder": format_series(result.remainder, names),
         "staircase": _staircase_json(result.staircase),
     }
-    return 0, report
 
 
-def _cmd_diagram(args) -> tuple[int, dict]:
+def _cmd_diagram(args) -> dict:
     names, trunc, _, gens = _series_task_inputs(args)
     degree = args.degree if args.degree is not None else trunc
     ideal = IdealPresentation(len(names), gens)
-    report = {
+    return {
         "trunc": trunc,
         "vars": names,
         "degree": degree,
         "vertices": _staircase_json(ideal.diagram(degree)),
     }
-    return 0, report
 
 
-def _cmd_jet(args) -> tuple[int, dict]:
+def _cmd_jet(args) -> dict:
     names, trunc, f, _ = _series_task_inputs(args)
     jet = f.truncate(args.order)
-    report = {
+    return {
         "trunc": trunc,
         "vars": names,
         "order": args.order,
         "series": format_series(jet, names),
     }
-    return 0, report
 
 
-def _cmd_reduce(args) -> tuple[int, dict]:
+def _cmd_reduce(args) -> dict:
     names, trunc, f, gens = _series_task_inputs(args)
     ideal = IdealPresentation(len(names), gens)
     normal_form = reduce_mod_ideal(f, ideal, trunc)
-    report = {
+    return {
         "trunc": trunc,
         "vars": names,
         "normal_form": format_series(normal_form, names),
         "member": normal_form.is_zero,
     }
-    return 0, report
 
 
 def _failure_text(failure) -> Optional[str]:
@@ -213,7 +205,7 @@ def _check_intake(args, order_first: bool):
     return manifest, trunc, order, phi
 
 
-def _cmd_check_equivalence(args) -> tuple[int, dict]:
+def _cmd_check_equivalence(args) -> dict:
     manifest, trunc, _, phi = _check_intake(args, order_first=False)
     mode = args.mode or manifest.mode
     left = manifest.resolve_family("left", trunc)
@@ -224,7 +216,7 @@ def _cmd_check_equivalence(args) -> tuple[int, dict]:
 
     if args.horizon is not None:
         scan = equivalence_horizon(left, right, phi, args.horizon)
-        report = {
+        return {
             "trunc": trunc,
             "mode": mode,
             "ok": scan.first_failure is None,
@@ -232,7 +224,6 @@ def _cmd_check_equivalence(args) -> tuple[int, dict]:
             "per_order": [[k, ok] for k, ok in scan.per_order],
             "first_failure": scan.first_failure,
         }
-        return (0 if scan.first_failure is None else 1), report
 
     order = _resolve_order(args, manifest)
     verdict = is_order_k_equivalence(phi, left, right, order)
@@ -260,7 +251,7 @@ def _cmd_check_equivalence(args) -> tuple[int, dict]:
                 {"label": m.label, "partner": m.partner, "tried": m.tried}
                 for m in matches
             ]
-    return (0 if verdict.ok else 1), report
+    return report
 
 
 def _paired_labels(left_labels, right_labels):
@@ -272,7 +263,7 @@ def _paired_labels(left_labels, right_labels):
     ]
 
 
-def _cmd_check_dynamics(args) -> tuple[int, dict]:
+def _cmd_check_dynamics(args) -> dict:
     """check-conjugacy (maps) and check-field-equivalence (vector fields)."""
     manifest, trunc, order, phi = _check_intake(args, order_first=True)
     if args.command == "check-conjugacy":
@@ -283,7 +274,7 @@ def _cmd_check_dynamics(args) -> tuple[int, dict]:
     right_labels, rights = resolve("right", trunc)
     labels = _paired_labels(left_labels, right_labels)
     verdict = check(phi, lefts, rights, order, labels=labels)
-    report = {
+    return {
         "trunc": trunc,
         "ok": verdict.ok,
         "order": verdict.order,
@@ -296,7 +287,6 @@ def _cmd_check_dynamics(args) -> tuple[int, dict]:
             for v in verdict.per_index
         ],
     }
-    return (0 if verdict.ok else 1), report
 
 
 # the values at level m lie strictly between -2^m and 2^m
@@ -311,19 +301,18 @@ def _check_printed_levels(levels: int) -> None:
         )
 
 
-def _cmd_counterexample_sequence(args) -> tuple[int, dict]:
+def _cmd_counterexample_sequence(args) -> dict:
     _check_printed_levels(args.levels)
     seq = build_shift_sequence(args.levels)
-    report = {
+    return {
         "levels": args.levels,
         "c": list(seq.values),
         "b": [seq.min_positive(m) for m in range(1, args.levels + 1)],
         "a": [seq.max_negative(m) for m in range(1, args.levels + 1)],
     }
-    return 0, report
 
 
-def _cmd_counterexample_verify(args) -> tuple[int, dict]:
+def _cmd_counterexample_verify(args) -> dict:
     result = verify_finite_order_equivalence(
         args.k,
         args.m_max,
@@ -344,7 +333,7 @@ def _cmd_counterexample_verify(args) -> tuple[int, dict]:
             for m in matches
         ]
 
-    report = {
+    return {
         "ok": result.ok,
         "order": result.order,
         "shift_level": result.shift_level,
@@ -357,7 +346,6 @@ def _cmd_counterexample_verify(args) -> tuple[int, dict]:
         "left_matching": table(result.left),
         "right_matching": table(result.right),
     }
-    return (0 if result.ok else 1), report
 
 
 # a horizon report lists every integer of its range; --levels takes the bound
@@ -365,7 +353,7 @@ def _cmd_counterexample_verify(args) -> tuple[int, dict]:
 _MAX_T_RANGE = 1 << 20
 
 
-def _cmd_counterexample_horizon(args) -> tuple[int, dict]:
+def _cmd_counterexample_horizon(args) -> dict:
     try:
         lo_text, _, hi_text = args.t_range.partition(":")
         lo, hi = int(lo_text), int(hi_text)
@@ -382,15 +370,13 @@ def _cmd_counterexample_horizon(args) -> tuple[int, dict]:
     seq = build_shift_sequence(args.levels)
     horizons = [(t, membership_horizon(t, seq)) for t in range(lo, hi + 1)]
     finite = [h for _, h in horizons if h is not None]
-    all_finite = len(finite) == len(horizons)
-    report = {
+    return {
         "levels": args.levels,
         "t_range": [lo, hi],
-        "ok": all_finite,
+        "ok": len(finite) == len(horizons),
         "max_horizon": max(finite, default=None),
         "horizons": horizons,
     }
-    return (0 if all_finite else 1), report
 
 
 # -- argument parsing -------------------------------------------------------
@@ -480,6 +466,28 @@ _COMMANDS = {
 }
 
 
+# The least value of each integer flag a leaf takes, checked before its
+# handler runs so that the refusal names the flag.
+_LEAST = {
+    "diagram": {"degree": 0},
+    "jet": {"order": 0},
+    "check-equivalence": {"order": 1, "horizon": 1},
+    "check-conjugacy": {"order": 1},
+    "check-field-equivalence": {"order": 1},
+    "counterexample sequence": {"levels": 1},
+    "counterexample verify": {"k": 1, "order": 1, "shift_level": 1, "n_max": 0},
+    "counterexample horizon": {"levels": 1},
+}
+
+
+def _check_least(command: str, args) -> None:
+    for dest, least in _LEAST.get(command, {}).items():
+        value = getattr(args, dest)
+        if value is not None and value < least:
+            need = "a natural number" if least == 0 else f"at least {least}"
+            raise ParseError(f"--{dest.replace('_', '-')} must be {need}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="germcalc",
@@ -524,7 +532,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if hasattr(args, "subcommand"):
         command = f"{command} {args.subcommand}"
     try:
-        code, report = _COMMANDS[command][1](args)
+        _check_least(command, args)
+        report = _COMMANDS[command][1](args)
     except (GermcalcError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, PrecisionError):
@@ -534,7 +543,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.seed is not None:
         report["seed"] = args.seed
     _emit(report, args.format)
-    return code
+    return 1 if report.get("ok") is False else 0
 
 
 def console_entry() -> None:

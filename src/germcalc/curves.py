@@ -43,9 +43,10 @@ c_2.
 
 verify_finite_order_equivalence runs the matching through the general
 set-mode equivalence checker, phi curves on the left and psi curves on
-the right.  Each side's pool is its nominal window followed by every
-index a partner of a nominal curve can need, and the nominal family is a
-prefix of the pool over the same ideals.  An arithmetic candidate
+the right.  Each side is one family: its nominal window, whose curves
+need a partner, followed by every index a partner of a nominal curve can
+need, which serve only as candidates.  curve gives a curve's defining
+function as a series and curve_ideal its ideal.  An arithmetic candidate
 proposal narrows the partner search (the linear coefficients force the
 only possible partners), and because the proposal could in principle be
 wrong in the pruning direction, excluded pool positions {0, len // 2,
@@ -143,18 +144,6 @@ def membership_horizon(t: int, seq: ShiftSequence) -> Optional[int]:
     return horizon if horizon <= seq.levels else None
 
 
-@dataclass(frozen=True)
-class CurveSpec:
-    tag: str  # "phi" or "psi"
-    level: int
-    index: int
-    series: FormalSeries  # the defining function w - (tangent z + z^(level+1))
-
-    @property
-    def label(self) -> str:
-        return _curve_label(self.tag, self.level, self.index)
-
-
 def _curve_label(tag: str, level: int, index: int) -> str:
     return f"{tag}({level},{index})"
 
@@ -167,21 +156,17 @@ def tangent_coefficient(tag: str, m: int, n: int, seq: ShiftSequence) -> int:
     raise ValueError(f"curve tag must be 'phi' or 'psi', got {tag!r}")
 
 
-def curve(tag: str, m: int, n: int, truncation: int, seq: ShiftSequence) -> CurveSpec:
-    """The defining function w - a z - z^(m+1) presented at the given
-    truncation; the power term drops out when m + 1 exceeds it, which is
-    exactly the information an order <= truncation + 1 comparison needs."""
+def curve(tag: str, m: int, n: int, truncation: int, seq: ShiftSequence) -> FormalSeries:
+    """The defining function w - a z - z^(m+1) of the curve (tag, m, n),
+    presented at the given truncation; the power term drops out when m + 1
+    exceeds it, which is exactly the information an order <= truncation + 1
+    comparison needs."""
     if m < 1:
         raise ValueError("curve level must be at least 1")
     a = tangent_coefficient(tag, m, n, seq)
     if truncation < 0:
         raise ValueError("truncation degree must be a natural number")
     check_width("truncation", truncation)
-    return CurveSpec(tag=tag, level=m, index=n, series=_curve_series(a, m, truncation))
-
-
-def _curve_series(a: int, m: int, truncation: int) -> FormalSeries:
-    """w - a z - z^(m+1) for a checked level and truncation."""
     table = {_W: _ONE} if truncation else {}
     if a and truncation:
         table[_Z] = Fraction(-a)
@@ -190,11 +175,9 @@ def _curve_series(a: int, m: int, truncation: int) -> FormalSeries:
     return FormalSeries._from_table(2, truncation, table)
 
 
-def curve_ideal(spec: CurveSpec, realified: bool = False) -> IdealPresentation:
-    return _curve_ideal(spec.series, realified)
-
-
-def _curve_ideal(series: FormalSeries, realified: bool) -> IdealPresentation:
+def curve_ideal(series: FormalSeries, realified: bool = False) -> IdealPresentation:
+    """The ideal of a curve's defining function; realified, of its real and
+    imaginary parts in four real variables."""
     return IdealPresentation(4, realify(series)) if realified else IdealPresentation(2, [series])
 
 
@@ -204,16 +187,6 @@ def shift_map(c: int, truncation: int, realified: bool = False) -> FormalMap:
     w = FormalSeries.variable(2, truncation, 1)
     phi = FormalMap([z, w + c * z])
     return realify_map(phi) if realified else phi
-
-
-def curve_specs(
-    tag: str, m_max: int, n_bound: int, truncation: int, seq: ShiftSequence
-) -> list[CurveSpec]:
-    return [
-        curve(tag, m, n, truncation, seq)
-        for m in range(1, m_max + 1)
-        for n in range(-n_bound, n_bound + 1)
-    ]
 
 
 @dataclass(frozen=True)
@@ -360,7 +333,6 @@ def verify_finite_order_equivalence(
     if positions > MAX_POOL:
         raise LimitError(_POOL_LIMIT.format(f"{positions:,}", MAX_POOL))
     phi = shift_map(shift_value, truncation, realified=realified)
-    nominal = m_max * (2 * n_max + 1)
     other = {"phi": "psi", "psi": "phi"}
 
     keys, pools, index_of = {}, {}, {}
@@ -371,19 +343,12 @@ def verify_finite_order_equivalence(
         keys[tag] = [(m, n) for m in levels for n in range(-n_max, n_max + 1)] + [
             (m, n) for m in levels for n in range(-window[m], window[m] + 1) if abs(n) > n_max
         ]
-        gens = (
-            _curve_series(tangent_coefficient(tag, m, n, seq), m, truncation) for m, n in keys[tag]
-        )
         pools[tag] = GermFamily(
             tuple(_curve_label(tag, m, n) for m, n in keys[tag]),
-            tuple(_curve_ideal(g, realified) for g in gens),
+            tuple(curve_ideal(curve(tag, m, n, truncation, seq), realified) for m, n in keys[tag]),
             "set",
         )
         index_of[tag] = {key: i for i, key in enumerate(keys[tag])}
-    left, right = (
-        GermFamily.of("set", zip(pools[tag].labels[:nominal], pools[tag].ideals[:nominal]))
-        for tag in ("phi", "psi")
-    )
 
     def proposed(tag: str, index: int) -> list[int]:
         # phi curves go forward through the shear, psi curves backward
@@ -395,11 +360,10 @@ def verify_finite_order_equivalence(
 
     report = is_order_k_equivalence(
         phi,
-        left,
-        right,
+        pools["phi"],
+        pools["psi"],
         order,
-        left_pool=pools["phi"],
-        right_pool=pools["psi"],
+        nominal=m_max * (2 * n_max + 1),
         candidates=lambda side, index: proposed("phi" if side == "left" else "psi", index),
     )
 

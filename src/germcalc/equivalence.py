@@ -12,15 +12,10 @@ singular or the jet dimensions of I and J differ or cannot be read off
 (ideals._jet_dimension).  Phi*J's generators are built once per right
 member a check touches.
 Families are checked index by index; sets are checked by existence of
-partners in both directions, with pairwise verdicts memoized.
-
-For large sets the caller may supply candidate pools (supersets searched
-for partners, useful to absorb window-boundary effects) and a candidate
-proposal hook that orders or prunes the indices tried for each member.
-Pruning can only suppress matches, never invent them, so a positive set
-verdict never depends on the hook; negative verdicts rely on the hook
-proposing every index that could possibly match, which callers should
-cross-check (see the curve-set driver).
+partners in both directions, with pairwise verdicts memoized.  In a set
+check the first ``nominal`` members of each family need a partner and
+every member is a candidate; a proposal hook may prune the candidates
+tried, which can only lose matches.
 """
 
 from __future__ import annotations
@@ -182,17 +177,17 @@ def _match(
     left: GermFamily,
     right: GermFamily,
     k: int,
-    left_pool: GermFamily,
-    right_pool: GermFamily,
     invertible: bool,
+    nominal: Optional[int] = None,
     candidates: Optional[CandidateHook] = None,
 ) -> EquivalenceReport:
     """Compare two families of one mode, pair by pair with _pair_order_k.
 
     Family mode pairs members by position.  Set mode searches a partner
-    for every left member in the right pool and for every right member in
-    the left pool, in the order the candidate hook proposes (every pool
-    index by default), and evaluates each (left, right) pair only once.
+    for each of the first ``nominal`` members of each family (every member
+    when None) among all members of the other, in the order the candidate
+    hook proposes (every index by default), and evaluates each (left,
+    right) pair only once.
     Each right member is pulled back at most once, when a pair first
     needs it, so members the hook never proposes cost nothing, and every
     pullback reads one table of phi's powers per working truncation.
@@ -236,15 +231,15 @@ def _match(
         key = (i, j)
         known = memo.get(key)
         if known is None:
-            known = memo[key] = pair(i, left_pool.ideals[i], j, right_pool.ideals[j])[0]
+            known = memo[key] = pair(i, left.ideals[i], j, right.ideals[j])[0]
         return known
 
-    def search(side: str, index: int, pool: GermFamily) -> MatchVerdict:
+    def search(side: str, index: int) -> MatchVerdict:
+        fam, pool = (left, right) if side == "left" else (right, left)
         order = candidates(side, index) if candidates is not None else None
         if order is None:
             order = range(len(pool))
         tried = 0
-        fam = left if side == "left" else right
         for j in order:
             tried += 1
             if hit(index, j) if side == "left" else hit(j, index):
@@ -253,8 +248,8 @@ def _match(
                 )
         return MatchVerdict(label=fam.labels[index], partner=None, tried=tried)
 
-    left_matches = tuple(search("left", i, right_pool) for i in range(len(left)))
-    right_matches = tuple(search("right", j, left_pool) for j in range(len(right)))
+    left_matches = tuple(search("left", i) for i in range(nominal or len(left)))
+    right_matches = tuple(search("right", j) for j in range(nominal or len(right)))
     return EquivalenceReport(
         ok=all(m.partner is not None for m in left_matches + right_matches),
         order=k,
@@ -270,16 +265,20 @@ def is_order_k_equivalence(
     right: GermFamily,
     k: int,
     *,
-    left_pool: Optional[GermFamily] = None,
-    right_pool: Optional[GermFamily] = None,
+    nominal: Optional[int] = None,
     candidates: Optional[CandidateHook] = None,
 ) -> EquivalenceReport:
     """Order-k equivalence verdict between two families of ideals.
 
     Family mode matches members by position (labels must agree).  Set mode
-    asks for a partner for every left member among the right pool and for
-    every right member among the left pool; pools default to the families
-    themselves and must contain them as label prefixes.  Verdicts compare the
+    asks a partner, among all members of the other family, for each of the
+    first ``nominal`` members of each family (every member when None);
+    ``nominal`` is read in set mode only.  ``candidates(side, index)``
+    ("left" or "right") may return the indices of the other family to try,
+    in order, or None for all.  Pruning can only lose matches: a positive
+    verdict holds whatever it proposes, a negative one only if it proposed
+    every possible partner, so a pruning caller cross-checks its negatives
+    (as verify_finite_order_equivalence does).  Verdicts compare the
     presented ideals, not the set germs: (w^2) and (w) are not order-2 close.
     """
     if k < 1:
@@ -288,14 +287,10 @@ def is_order_k_equivalence(
     _check_shapes(phi, left, right, k, precision)
     mode = _common_mode(left, right)
     phi.linear_inverse()  # refuses a singular Phi, so _match may take it as invertible
-    left_pool = left_pool or left
-    right_pool = right_pool or right
-    if mode == "set":
-        for fam, pool in ((left, left_pool), (right, right_pool)):
-            if pool.labels[: len(fam.labels)] != fam.labels:
-                raise ValueError("a candidate pool must extend its family as a prefix")
-        _check_shapes(phi, left_pool, right_pool, k, precision)
-    return _match(phi, left, right, k, left_pool, right_pool, True, candidates)
+    most = min(len(left), len(right))
+    if mode == "set" and nominal is not None and not 1 <= nominal <= most:
+        raise ValueError(f"nominal must be in 1..{most}, got {nominal}")
+    return _match(phi, left, right, k, True, nominal, candidates)
 
 
 def jet_coset_membership(
@@ -314,7 +309,7 @@ def jet_coset_membership(
         lam, left, right, k, f"jet comparison at degree {k} needs truncations >= {k}"
     )
     _common_mode(left, right)
-    return replace(_match(lam, left, right, k + 1, left, right, lam.is_invertible), order=k)
+    return replace(_match(lam, left, right, k + 1, lam.is_invertible), order=k)
 
 
 def equivalence_horizon(

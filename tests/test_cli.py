@@ -326,9 +326,9 @@ def test_counterexample_horizon_budget_admits_its_bounds(monkeypatch, argv):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("--n-max", "-1"), "n_max must be at least 0"),
-        (("--order", "0"), "equivalence order must be at least 1"),
-        (("--shift-level", "0"), "shift_level must be at least 1"),
+        (("--n-max", "-1"), "--n-max must be a natural number"),
+        (("--order", "0"), "--order must be at least 1"),
+        (("--shift-level", "0"), "--shift-level must be at least 1"),
         (
             ("--trunc", "40000"),
             "truncation 40000 exceeds the limit of 32767 set by 16-bit exponent fields",
@@ -584,6 +584,41 @@ def test_a_negative_order_or_degree_names_its_flag(capsys, argv, flag):
     # before, the refusal named the library's parameter: "truncation degree"
     # for jet --order and "jet degree" for diagram --degree
     assert invoke(capsys, *argv) == (2, "", f"error: {flag} must be a natural number\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("check-equivalence", "--manifest", "curves-shear.man", "--order", "0"),
+         "--order must be at least 1"),
+        (("check-conjugacy", "--manifest", "conj-true.man", "--order", "-1"),
+         "--order must be at least 1"),
+        (("check-equivalence", "--manifest", "curves-shear.man", "--horizon", "0"),
+         "--horizon must be at least 1"),
+        (("counterexample", "sequence", "--levels", "0"), "--levels must be at least 1"),
+        (("counterexample", "horizon", "--t-range", "0:3", "--levels", "0"),
+         "--levels must be at least 1"),
+        (("counterexample", "verify", "--k", "0"), "--k must be at least 1"),
+    ],
+)
+def test_an_out_of_range_flag_names_its_flag(capsys, argv, message):
+    argv = [str(DATA / a) if a.endswith(".man") else a for a in argv]
+    assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "report, expected", [({"ok": False}, 1), ({"ok": True}, 0), ({"ok": None}, 0), ({}, 0)]
+)
+def test_the_exit_code_is_1_exactly_when_the_report_is_not_ok(
+    capsys, monkeypatch, report, expected
+):
+    def handler(args):
+        return dict(report)
+
+    help_text, _, add_arguments = cli._COMMANDS["counterexample sequence"]
+    monkeypatch.setitem(cli._COMMANDS, "counterexample sequence", (help_text, handler, add_arguments))
+    assert main(["counterexample", "sequence"]) == expected
+    capsys.readouterr()
 
 
 def test_missing_manifest_file(capsys):

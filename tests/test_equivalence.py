@@ -232,50 +232,46 @@ def test_set_mode_failure_lists_unmatched_members():
     assert report.left_matching[0].partner is None
 
 
-def test_pools_must_extend_families_as_prefixes():
+def test_nominal_must_lie_within_both_families():
     z, w = zw(5)
     left = GermFamily.of("set", [("a", IdealPresentation(2, [w - z]))])
-    right = GermFamily.of("set", [("b", IdealPresentation(2, [w - z]))])
-    bad_pool = GermFamily.of(
-        "set",
-        [
-            ("x", IdealPresentation(2, [w])),
-            ("a", IdealPresentation(2, [w - z])),
-        ],
+    right = GermFamily.of(
+        "set", [("b", IdealPresentation(2, [w - z])), ("c", IdealPresentation(2, [w]))]
     )
-    with pytest.raises(ValueError):
-        is_order_k_equivalence(
-            FormalMap.identity(2, 5), left, right, 2, left_pool=bad_pool
-        )
+    identity = FormalMap.identity(2, 5)
+    for nominal in (0, -1, 2):
+        with pytest.raises(ValueError, match=f"^nominal must be in 1..1, got {nominal}$"):
+            is_order_k_equivalence(identity, left, right, 2, nominal=nominal)
+    assert is_order_k_equivalence(identity, left, right, 2, nominal=1).ok
+    # family mode pairs by position and reads no nominal
+    fam = left.with_mode("family")
+    assert is_order_k_equivalence(identity, fam, fam, 2, nominal=0).ok
 
 
 def test_pool_members_beyond_the_family_can_absorb_matches():
     # a (slope 1) needs a slope-2 partner and b (slope 3) a slope-2
-    # partner on the other side; neither family carries one, both pools do
+    # partner on the other side; only the member past each nominal one
+    # carries it
     z, w = zw(5)
     shear = FormalMap([z, w + z])
-    left = GermFamily.of("set", [("a", IdealPresentation(2, [w - z]))])
-    right = GermFamily.of("set", [("b", IdealPresentation(2, [w - 3 * z]))])
-    right_pool = GermFamily.of(
-        "set",
-        [
-            ("b", IdealPresentation(2, [w - 3 * z])),
-            ("extra", IdealPresentation(2, [w - 2 * z])),
-        ],
-    )
-    left_pool = GermFamily.of(
+    left = GermFamily.of(
         "set",
         [
             ("a", IdealPresentation(2, [w - z])),
             ("more", IdealPresentation(2, [w - 2 * z])),
         ],
     )
-    report = is_order_k_equivalence(
-        shear, left, right, 4, left_pool=left_pool, right_pool=right_pool
+    right = GermFamily.of(
+        "set",
+        [
+            ("b", IdealPresentation(2, [w - 3 * z])),
+            ("extra", IdealPresentation(2, [w - 2 * z])),
+        ],
     )
+    report = is_order_k_equivalence(shear, left, right, 4, nominal=1)
     assert report.ok
-    assert report.left_matching[0].partner == "extra"
-    assert report.right_matching[0].partner == "more"
+    assert [(m.label, m.partner) for m in report.left_matching] == [("a", "extra")]
+    assert [(m.label, m.partner) for m in report.right_matching] == [("b", "more")]
 
 
 # -- properties -------------------------------------------------------------
@@ -559,11 +555,11 @@ def test_singular_map_refusal_comes_after_shape_and_mode_checks():
         is_order_k_equivalence(singular_map(), fam, fam.with_mode("set"), 2)
     with pytest.raises(ValueError, match="at least 1"):
         is_order_k_equivalence(singular_map(), fam, fam, 0)
-    # the pool prefix check runs after the refusal
+    # the nominal check runs after the refusal
     sets = fam.with_mode("set")
-    bad_pool = family(w + z, labels=["x"], mode="set")
-    with pytest.raises(InversionError, match=SINGULAR):
-        is_order_k_equivalence(singular_map(), sets, sets, 2, left_pool=bad_pool)
+    for nominal in (0, 2):
+        with pytest.raises(InversionError, match=SINGULAR):
+            is_order_k_equivalence(singular_map(), sets, sets, 2, nominal=nominal)
 
 
 def test_pullback_witness_indexes_right_generators_past_a_vanishing_one():
