@@ -383,7 +383,9 @@ def _cmd_counterexample_horizon(args) -> dict:
 
 
 def _common(p, trunc_help="working truncation degree (default 10)"):
-    p.add_argument("--trunc", type=int, help=trunc_help)
+    """The flags every leaf takes, and --trunc unless trunc_help is None."""
+    if trunc_help is not None:
+        p.add_argument("--trunc", type=int, help=trunc_help)
     p.add_argument("--format", choices=("text", "json"), default="text", help="report format")
     p.add_argument("--seed", type=int, help="recorded in the report")
 
@@ -424,7 +426,7 @@ def _equivalence_args(p):
 
 
 def _sequence_args(p):
-    _common(p)
+    _common(p, trunc_help=None)
     p.add_argument("--levels", type=int, default=13, help="levels to compute")
 
 
@@ -439,7 +441,7 @@ def _verify_args(p):
 
 
 def _horizon_args(p):
-    _common(p)
+    _common(p, trunc_help=None)
     p.add_argument("--t-range", required=True, help="LO:HI inclusive")
     p.add_argument("--levels", type=int, default=13, help="levels to compute")
 
@@ -466,8 +468,8 @@ _COMMANDS = {
 }
 
 
-# The least value of each integer flag a leaf takes, checked before its
-# handler runs so that the refusal names the flag.
+# The least value of each integer flag a leaf takes, or the flag it may not fall
+# below, checked before the handler runs so that the refusal names the flag.
 _LEAST = {
     "diagram": {"degree": 0},
     "jet": {"order": 0},
@@ -475,7 +477,8 @@ _LEAST = {
     "check-conjugacy": {"order": 1},
     "check-field-equivalence": {"order": 1},
     "counterexample sequence": {"levels": 1},
-    "counterexample verify": {"k": 1, "order": 1, "shift_level": 1, "n_max": 0},
+    "counterexample verify": {"k": 1, "m_max": "k", "order": 1, "shift_level": 1,
+                              "n_max": 0, "trunc": 0},
     "counterexample horizon": {"levels": 1},
 }
 
@@ -483,8 +486,11 @@ _LEAST = {
 def _check_least(command: str, args) -> None:
     for dest, least in _LEAST.get(command, {}).items():
         value = getattr(args, dest)
-        if value is not None and value < least:
+        if type(least) is str:  # the value of another flag
+            least, need = getattr(args, least), f"at least --{least.replace('_', '-')}"
+        else:
             need = "a natural number" if least == 0 else f"at least {least}"
+        if value is not None and value < least:
             raise ParseError(f"--{dest.replace('_', '-')} must be {need}")
 
 

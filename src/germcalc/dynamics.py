@@ -1,16 +1,16 @@
 """Finite-order equivalence of self-map germs and formal vector fields.
 
-Self-maps transform by conjugation G = Phi o F o Phi^-1; vector fields
-transform by the pushforward (DPhi . xi) o Phi^-1.  A VectorField is a
-FormalMap's component tuple without a map's own methods, and never
-equals a map.  Order-k closeness of two maps or fields means every
-component of the difference vanishes to order at least k at the origin.
+Self-maps transform by conjugation G = Phi o F o Phi^-1, formed as
+Phi o (F o Phi^-1); vector fields by the pushforward (DPhi . xi) o Phi^-1.
+Each transport solves Phi once.  A VectorField is a FormalMap's component
+tuple without a map's own methods, and never equals a map.  Order-k
+closeness means each component of the difference vanishes to order >= k.
 F itself is never required to be invertible; only the conjugating map is.
 
 The checks never form Phi^-1: they compare G o Phi with Phi o F and
-eta o Phi with DPhi . xi, the transported differences composed with Phi.
-Composing with a map of invertible linear part keeps the lowest degree of
-each component, so verdicts and discrepancy orders are unchanged.
+eta o Phi with DPhi . xi, reading the lowest degree where the two differ
+without forming the difference.  Composing with a map of invertible linear
+part keeps that degree, so verdicts and discrepancy orders are unchanged.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import DimensionError, PrecisionError
-from .series import FormalMap, _ComponentTuple
+from .monomial import FIELD_BITS
+from .series import FormalMap, _ComponentTuple, _bound
 
 
 class VectorField(_ComponentTuple):
@@ -37,31 +38,38 @@ def _require(name: str, obj, kind: type, phi) -> None:
             raise TypeError(f"{what} must be a {want._kind}, got {type(got).__name__}")
 
 
-def _phi_after(f: FormalMap, phi: FormalMap) -> FormalMap:
-    """Phi o F, after the checks of conjugate."""
-    _require("F", f, FormalMap, phi)
-    if f.dimension != phi.dimension:
-        raise DimensionError("map dimensions differ")
-    phi.linear_inverse()  # refuses a singular Phi
-    return phi.compose(f)
+def _refuse(name: str, obj, kind: type, phi, noun: str, solve: bool):
+    """A transport's refusals in order: the wrong kind of object, another
+    dimension than Phi's, a singular Phi.  Returns Phi^-1 when solve."""
+    _require(name, obj, kind, phi)
+    if obj.dimension != phi.dimension:
+        raise DimensionError(f"{noun} dimensions differ")
+    if solve:
+        return phi.inverse()
+    phi.linear_inverse()
+
+
+def _phi_after(f: FormalMap, phi: FormalMap, solve: bool = False) -> FormalMap:
+    """Phi o F, or with solve Phi o (F o Phi^-1), after the checks of conjugate."""
+    inverse = _refuse("F", f, FormalMap, phi, "map", solve)
+    return phi.compose(f.compose(inverse) if solve else f)
 
 
 def conjugate(f: FormalMap, phi: FormalMap) -> FormalMap:
-    """Phi o F o Phi^-1; F need not be invertible."""
-    return _phi_after(f, phi).compose(phi.inverse())
+    """Phi o F o Phi^-1, formed as Phi o (F o Phi^-1); F need not be
+    invertible."""
+    return _phi_after(f, phi, solve=True)
 
 
-def _dphi_times(xi: VectorField, phi: FormalMap) -> VectorField:
-    """DPhi . xi, after the checks of pushforward_field."""
-    _require("xi", xi, VectorField, phi)
-    if xi.dimension != phi.dimension:
-        raise DimensionError("field and map dimensions differ")
-    phi.linear_inverse()  # refuses a singular Phi
+def _dphi_times(xi: VectorField, phi: FormalMap, solve: bool = False) -> VectorField:
+    """DPhi . xi, or with solve (DPhi . xi) o Phi^-1, after the checks of
+    pushforward_field."""
+    inverse = _refuse("xi", xi, VectorField, phi, "field and map", solve)
     comps = []
     for row in phi.components:
         terms = [row.derivative(j) * c for j, c in enumerate(xi.components)]
         comps.append(sum(terms[1:], terms[0]))
-    return VectorField(comps)
+    return VectorField(comps).compose(inverse) if solve else VectorField(comps)
 
 
 def pushforward_field(xi: VectorField, phi: FormalMap) -> VectorField:
@@ -70,7 +78,7 @@ def pushforward_field(xi: VectorField, phi: FormalMap) -> VectorField:
     Differentiating Phi costs one degree of precision, so the result
     carries truncation min(truncations) - 1.
     """
-    return _dphi_times(xi, phi).compose(phi.inverse())
+    return _dphi_times(xi, phi, solve=True)
 
 
 @dataclass(frozen=True)
@@ -101,17 +109,18 @@ def _difference_verdict(
         raise DimensionError(
             f"series dimensions differ: {target.dimension} vs {phi.dimension}"
         )
-    worst: Optional[int] = None
-    # one composition builds phi's powers once for every component
-    for a, b in zip(target.compose(phi).components, moved.components):
-        diff = a - b
-        if diff.truncation < k - 1:
-            raise PrecisionError(
-                f"order-{k} comparison needs degree {k - 1}, have {diff.truncation}"
-            )
-        o = diff.order()
-        if o is not None and (worst is None or o < worst):
-            worst = o
+    composed = target.compose(phi)  # phi's powers built once for every component
+    trunc = min(composed.truncation, moved.truncation)
+    if trunc < k - 1:
+        raise PrecisionError(f"order-{k} comparison needs degree {k - 1}, have {trunc}")
+    # the order of the difference is that of the lowest key below the
+    # window where the two tables differ; no difference is formed
+    low = bound = _bound(phi.dimension, trunc)
+    for a, b in zip(composed.components, moved.components):
+        p, q = a._table, b._table
+        low = min([low] + [key for key in p.keys() | q.keys()
+                           if key < low and p.get(key) != q.get(key)])
+    worst = None if low == bound else low >> FIELD_BITS * phi.dimension
     ok = worst is None or worst >= k
     return ComponentVerdict(label=label, ok=ok, discrepancy_order=worst)
 

@@ -26,7 +26,7 @@ A FormalMap, like a VectorField (see dynamics), is n series in n
 variables with zero constant term, cut to their common truncation; the
 two share one base class.  Composition is exact through the carried
 truncation; the inverse solves X o Phi = id one degree at a time against
-powers of Phi built once (see FormalMap.inverse).
+monomial images Phi^a shared by the components (see FormalMap.inverse).
 """
 
 from __future__ import annotations
@@ -484,29 +484,54 @@ class FormalMap(_ComponentTuple):
     def inverse(self) -> "FormalMap":
         """Compositional inverse through the carried truncation.
 
-        Solves X o self = id one degree at a time, against powers of self
-        and of the inverse linear forms L^-1, each table built once at K.
-        X_1 is L^-1.  Since every X_d is homogeneous of degree d, the
-        degree-d part of X_d o self is X_d o L, so for d >= 2 X_d is
-        -[X_<d o self]_d o L^-1.  A running sum holds X_<d o self, and each
-        new X_d o self is added into it, so no product is formed twice.
+        Solves X o self = id one degree at a time (Brent and Kung, J. ACM
+        1978).  X_1 is L^-1, the inverse linear forms.  Since every X_d is
+        homogeneous of degree d, the degree-d part of X_d o self is X_d o L,
+        so for d >= 2 X_d is -[X_<d o self]_d o L^-1.  A running table holds
+        X_<d o self on integer numerators over one denominator, and only its
+        degree-d error becomes Fractions.  X_(d-1) o self adds into it, term
+        by term, the images self^a of X_(d-1)'s monomials a: each image is
+        one product of an image of degree d-2 by a component of self,
+        formed on first use and shared by the n components.
         """
         n, K = self.dimension, self.truncation
         units = [tuple(1 if t == j else 0 for t in range(n)) for j in range(n)]
         linear = [FormalSeries(n, K, zip(units, row)) for row in self.linear_inverse()]
-        phi_powers, linear_powers = _powers(self.components, K), _powers(linear, K)
-        shift = FIELD_BITS * n
+        linear_powers, bound, shift = _powers(linear, K), _bound(n, K), FIELD_BITS * n
+        comps = [_scaled_terms(c._table) for c in self.components]
+        steps = [pack(u) for u in units]
+        images = dict(zip(steps, comps))  # self^a by packed a: numerators, denominator
+
+        def image(key):  # built up from the nearest image already formed
+            chain = []
+            while key not in images:
+                j = next(j for j in range(n) if key >> FIELD_BITS * j & _FIELD_MASK)
+                chain.append((key, j))
+                key -= steps[j]
+            for key, j in reversed(chain):
+                (terms, den), (right, d) = images[key - steps[j]], comps[j]
+                images[key] = _nonzero_terms(_mul_terms(terms, right, bound)), den * d
+            return images[key]
+
         x = [dict(c._table) for c in linear]  # X through the last degree solved
-        moved, last = [{} for _ in range(n)], linear  # X_<d o self, and X_(d-1)
+        last, moved, den = x, [{} for _ in range(n)], 1  # X_(d-1); X_<d o self over den
         for degree in range(2, K + 1):
-            for table, c in zip(moved, last):
-                for k, v in c.substitute(self.components, phi_powers)._table.items():
-                    table[k] = table.get(k, 0) + v
-            error = [{k: -v for k, v in t.items() if k >> shift == degree and v} for t in moved]
-            last = [FormalSeries._from_table(n, K, e).substitute(linear, linear_powers)
-                    for e in error]
-            for table, c in zip(x, last):
-                table.update(c._table)  # X_d holds the terms of degree d
+            parts = [(table, image(key), c.as_integer_ratio() if type(c) is Fraction else (c, 1))
+                     for table, new in zip(moved, last) for key, c in new.items()]
+            common = lcm(den, *(q * d for _, (_, d), (_, q) in parts))
+            rescale, den = common // den, common
+            for table in moved if rescale != 1 else ():
+                for k in table:
+                    table[k] *= rescale
+            for table, (terms, d), (num, q) in parts:
+                scale = num * (common // (q * d))
+                for k, v in terms:
+                    table[k] = table.get(k, 0) + scale * v
+            error = [{k: -v for k, v in t.items() if k >> shift == degree} for t in moved]
+            last = [FormalSeries._from_table(n, K, _reduced(e, den))
+                    .substitute(linear, linear_powers)._table for e in error]
+            for table, new in zip(x, last):
+                table.update(new)  # X_d holds the terms of degree d
         return FormalMap([FormalSeries._from_table(n, K, t) for t in x])
 
 

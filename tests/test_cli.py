@@ -599,11 +599,25 @@ def test_a_negative_order_or_degree_names_its_flag(capsys, argv, flag):
         (("counterexample", "horizon", "--t-range", "0:3", "--levels", "0"),
          "--levels must be at least 1"),
         (("counterexample", "verify", "--k", "0"), "--k must be at least 1"),
+        (("counterexample", "verify", "--k", "2", "--trunc", "-1"),
+         "--trunc must be a natural number"),
+        (("counterexample", "verify", "--k", "2", "--m-max", "1"),
+         "--m-max must be at least --k"),
     ],
 )
 def test_an_out_of_range_flag_names_its_flag(capsys, argv, message):
     argv = [str(DATA / a) if a.endswith(".man") else a for a in argv]
+    start = time.perf_counter()
     assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("leaf", [("sequence",), ("horizon", "--t-range", "0:3")])
+def test_counterexample_tables_take_no_truncation(capsys, leaf):
+    code, out, err = invoke(capsys, "counterexample", *leaf, "--trunc", "-1")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --trunc -1\n")
+    assert "--trunc" not in invoke(capsys, "counterexample", leaf[0], "--help")[1]
 
 
 @pytest.mark.parametrize(

@@ -17,8 +17,8 @@ from germcalc import (
     is_order_k_field_equivalence,
     pushforward_field,
 )
-from germcalc import series as series_module
 from conftest import (
+    inverse_oracle,
     transport_oracle,
     random_invertible_map,
     random_series,
@@ -152,34 +152,31 @@ def test_field_truncate_and_equality():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_transport_checks_build_the_powers_of_phi_once_per_pair(n, monkeypatch):
+def test_transports_solve_phi_once_and_checks_never(n, monkeypatch):
     rng = random.Random(150 + n)
     phi = random_invertible_map(rng, n, 4)
     fs = [random_tangent_to_identity_map(rng, n, 4) for _ in range(2)]
-    gs = [conjugate(f, phi) for f in fs]
     xis = [VectorField(random_tangent_to_identity_map(rng, n, 4).components) for _ in range(2)]
+    calls = []
+    linear_inverse, inverse = FormalMap.linear_inverse, FormalMap.inverse
+
+    def counting(name, method):
+        def wrapped(self):
+            calls.append(name)
+            return method(self)
+        return wrapped
+
+    monkeypatch.setattr(FormalMap, "linear_inverse", counting("linear", linear_inverse))
+    monkeypatch.setattr(FormalMap, "inverse", counting("inverse", inverse))
+    gs = [conjugate(f, phi) for f in fs]
     etas = [pushforward_field(xi, phi) for xi in xis]
-    from_phi, substituted = [], []
-    powers, substitute = series_module._powers, FormalSeries.substitute
-
-    def counting_powers(components, truncation):
-        from_phi.append(components is phi.components)
-        return powers(components, truncation)
-
-    def counting_substitute(self, components, *shared):
-        substituted.append(self)
-        return substitute(self, components, *shared)
-
-    monkeypatch.setattr(series_module, "_powers", counting_powers)
-    monkeypatch.setattr(FormalSeries, "substitute", counting_substitute)
+    # one inverse per transport, which solves the linear part once
+    assert calls == ["inverse", "linear"] * (len(fs) + len(xis))
+    del calls[:]
     assert is_order_k_conjugacy(phi, fs, gs, 4).ok
-    # one table of phi's powers per pair, one of F's for phi o F
-    assert from_phi == [False, True] * len(fs)
-    assert len(substituted) == 2 * n * len(fs)
-    del from_phi[:], substituted[:]
     assert is_order_k_field_equivalence(phi, xis, etas, 3).ok
-    assert from_phi == [True] * len(xis)
-    assert len(substituted) == n * len(xis)
+    # the checks refuse a singular Phi once per pair and never invert it
+    assert calls == ["linear"] * (len(fs) + len(xis))
 
 
 # -- conjugation ------------------------------------------------------------
@@ -592,3 +589,35 @@ def test_dynamics_verdicts_match_the_transport_oracle():
                 assert (verdict.ok, verdict.discrepancy_order) == expected
                 verdicts.append(expected[0])
     assert verdicts.count(True) >= 60 and verdicts.count(False) >= 30
+
+
+def _pushforward_by_definition(xi, phi, phi_inv):
+    """(DPhi . xi) o Phi^-1, each component of DPhi . xi summed term by
+    term and composed with phi_inv."""
+    comps = []
+    for row in phi.components:
+        total = sum((row.derivative(j) * c for j, c in enumerate(xi.components)),
+                    FormalSeries(phi.dimension, min(phi.truncation - 1, xi.truncation)))
+        comps.append(total)
+    return VectorField(comps).compose(phi_inv)
+
+
+def test_transports_match_the_composition_in_the_other_order():
+    """Seeded: over Q, with non-integer coefficients, and over Q(i), for
+    n = 1..3, with F and Phi truncated at different degrees, the inverse
+    equals the oracle, conjugate equals (Phi o F) o Phi^-1, and
+    pushforward_field equals (DPhi . xi) o Phi^-1."""
+    rng = random.Random(173)
+    for n, field, (k_phi, k_f) in itertools.product((1, 2, 3), ("Q", "Q(i)"), ((4, 3), (3, 5))):
+        phi = random_invertible_map(rng, n, k_phi, higher_density=0.4)
+        scale = Fraction(2, 3) if field == "Q" else 1 + IMAG / 2
+        phi = FormalMap([scale * c for c in phi.components[:1]] + [
+            c + _over(rng, field, n, k_phi, min_order=2, density=0.2)
+            for c in phi.components[1:]])
+        comps = [_over(rng, field, n, k_f, min_order=1, density=0.4) for _ in range(n)]
+        f, xi = FormalMap(comps), VectorField(comps)
+        inv = inverse_oracle(phi)
+        assert phi.inverse() == inv
+        assert conjugate(f, phi) == phi.compose(f).compose(inv)
+        assert conjugate(f, phi).truncation == min(k_phi, k_f)
+        assert pushforward_field(xi, phi) == _pushforward_by_definition(xi, phi, inv)

@@ -541,30 +541,27 @@ def test_inverse_round_trips_and_matches_the_oracle(field):
         assert inv.truncation == K
 
 
-@pytest.mark.parametrize("n, K", [(1, 1), (1, 6), (2, 8), (3, 5)])
-def test_inverse_builds_two_power_tables_and_substitutes_at_K(n, K, monkeypatch):
-    tables, calls = [], []
-    powers, substitute = series_module._powers, FormalSeries.substitute
+@pytest.mark.parametrize("n, K, density", [(1, 1, 0.3), (1, 6, 0.3), (2, 8, 0.3), (3, 5, 0.3),
+                                            (2, 6, 1.0), (3, 5, 1.0)])
+def test_inverse_forms_each_monomial_image_once(n, K, density, monkeypatch):
+    phi = random_invertible_map(random.Random(41 + n), n, K, higher_density=density)
+    components = [series_module._scaled_terms(c._table)[0] for c in phi.components]
+    by_phi, mul_terms = [], series_module._mul_terms
 
-    def counting_powers(components, truncation):
-        tables.append(truncation)
-        return powers(components, truncation)
+    def counting(left, right, *rest):
+        if right in components:
+            by_phi.append(len(left))
+        return mul_terms(left, right, *rest)
 
-    def recording(self, components, *shared):
-        calls.append((self.truncation, [c.truncation for c in components]))
-        return substitute(self, components, *shared)
-
-    phi = random_invertible_map(random.Random(41 + n), n, K)
-    monkeypatch.setattr(series_module, "_powers", counting_powers)
-    monkeypatch.setattr(FormalSeries, "substitute", recording)
+    monkeypatch.setattr(series_module, "_mul_terms", counting)
     inv = phi.inverse()
     monkeypatch.undo()
     assert inv == inverse_oracle(phi)
-    # Phi's powers and those of the inverse linear forms, each once at K,
-    # shared by every substitution
-    assert tables == [K, K]
-    assert all(c == (K, [K] * n) for c in calls)
-    assert len(calls) <= n + 2 * n * (K - 1)
+    # at most one product by a component of Phi per monomial of degree
+    # 2..K-1, each image shared by the n components of the inverse
+    assert len(by_phi) <= len([e for e in exponent_tuples(n, K - 1) if sum(e) >= 2])
+    if density == 1.0:
+        assert by_phi
 
 
 def test_shared_powers_apply_only_at_their_own_truncation():
