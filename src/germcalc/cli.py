@@ -471,11 +471,13 @@ _COMMANDS = {
 # The least value of each integer flag a leaf takes, or the flag it may not fall
 # below, checked before the handler runs so that the refusal names the flag.
 _LEAST = {
-    "diagram": {"degree": 0},
-    "jet": {"order": 0},
-    "check-equivalence": {"order": 1, "horizon": 1},
-    "check-conjugacy": {"order": 1},
-    "check-field-equivalence": {"order": 1},
+    "divide": {"trunc": 0},
+    "diagram": {"degree": 0, "trunc": 0},
+    "jet": {"order": 0, "trunc": 0},
+    "reduce": {"trunc": 0},
+    "check-equivalence": {"order": 1, "horizon": 1, "trunc": 0},
+    "check-conjugacy": {"order": 1, "trunc": 0},
+    "check-field-equivalence": {"order": 1, "trunc": 0},
     "counterexample sequence": {"levels": 1},
     "counterexample verify": {"k": 1, "m_max": "k", "order": 1, "shift_level": 1,
                               "n_max": 0, "trunc": 0},

@@ -381,7 +381,7 @@ def verify_finite_order_equivalence(
     # Cross-check the pruning direction of the proposal arithmetic: curves
     # left unmatched must also fail the general pairwise verdict against
     # candidates the proposal never suggested.
-    cross_checked, powers = 0, {}
+    cross_checked, images = 0, {}
     for tag, summary in (("phi", left_summary), ("psi", right_summary)):
         source, target = pools[tag], pools[other[tag]]
         failures = [i for i, m in enumerate(summary) if m.partner is None]
@@ -391,7 +391,7 @@ def verify_finite_order_equivalence(
                 pair = (source.ideals[i], target.ideals[j])
                 left_ideal, right_ideal = pair if tag == "phi" else pair[::-1]
                 cross_checked += 1
-                if _pair_order_k(left_ideal, _pulled(right_ideal, phi, powers), order)[0]:
+                if _pair_order_k(left_ideal, _pulled(right_ideal, phi, images), order)[0]:
                     raise CrossCheckError(
                         "candidate proposal missed a genuine partner; "
                         f"{source.labels[i]} matches pool position {j}"

@@ -10,7 +10,7 @@ exactly when the two have one dimension modulo m^k, and for an invertible
 Phi that of Phi*J is J's.  So the second half runs only when Phi is
 singular or the jet dimensions of I and J differ or cannot be read off
 (ideals._jet_dimension).  Phi*J's generators are built once per right
-member a check touches.
+member a check touches, from one table of images Phi^a per truncation.
 Families are checked index by index; sets are checked by existence of
 partners in both directions, with pairwise verdicts memoized.  In a set
 check the first ``nominal`` members of each family need a partner and
@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Optional
 
 from .errors import DimensionError, PrecisionError
 from .ideals import HorizonReport, IdealPresentation, _jet_dimension, jet_membership
-from .series import FormalMap, _powers
+from .series import FormalMap, FormalSeries, _Images, _reduced
 
 MODES = ("family", "set")
 
@@ -80,19 +80,21 @@ class GermFamily:
         return len(self.ideals)
 
 
-def _pulled(ideal: IdealPresentation, phi: FormalMap, powers: dict) -> tuple:
+def _pulled(ideal: IdealPresentation, phi: FormalMap, images: dict) -> tuple:
     """The generators composed with phi, zeros kept so that positions index
-    ideal.generators.  powers maps a working truncation to phi's powers at
-    it (series._powers), filled on demand and shared by the calls that pass
-    the same dict."""
+    ideal.generators.  images maps a working truncation to phi's table of
+    monomial images at it (series._Images), filled on demand and shared by
+    the calls that pass the same dict."""
     if phi.dimension != ideal.dimension:
         raise DimensionError("map dimension differs from ideal dimension")
-    comps, gens = phi.components, []
+    gens = []
     for g in ideal.generators:
         trunc = min(g.truncation, phi.truncation)
-        if trunc not in powers:
-            powers[trunc] = _powers(comps, trunc)
-        gens.append(g.substitute(comps, powers[trunc]))
+        if trunc not in images:
+            images[trunc] = _Images(phi.components, trunc)
+        table: dict = {}
+        den = images[trunc].pull(g.truncate(trunc)._table, table, 1)
+        gens.append(FormalSeries._from_table(ideal.dimension, trunc, _reduced(table, den)))
     return tuple(gens)
 
 
@@ -190,18 +192,18 @@ def _match(
     right) pair only once.
     Each right member is pulled back at most once, when a pair first
     needs it, so members the hook never proposes cost nothing, and every
-    pullback reads one table of phi's powers per working truncation.
+    pullback reads one table of phi's monomial images per working truncation.
     When the caller knows phi invertible, each member's jet dimension is
     read once too, and a pair whose dimensions agree runs only its pullback half.
     """
-    powers: dict = {}
+    images: dict = {}
     pulled: dict[int, tuple] = {}
     left_dims: dict[int, Optional[int]] = {}
     right_dims: dict[int, Optional[int]] = {}
 
     def pair(i: int, ileft: IdealPresentation, j: int, iright: IdealPresentation) -> tuple:
         if j not in pulled:
-            pulled[j] = _pulled(iright, phi, powers)
+            pulled[j] = _pulled(iright, phi, images)
         one_way = False
         if invertible:
             if i not in left_dims:

@@ -38,7 +38,7 @@ class PrecisionError(GermcalcError, ValueError):
 
 
 class LimitError(GermcalcError, ValueError):
-    """A degree does not fit the fixed width of a packed monomial key."""
+    """A degree past the packed key width, or a parser product past its term budget."""
 
 
 class InversionError(GermcalcError, ValueError):

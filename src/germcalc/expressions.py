@@ -23,9 +23,10 @@ denominator, so equal objects print to equal strings.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Optional, Sequence, Union
 
-from .errors import GermcalcError, ParseError
+from .errors import GermcalcError, LimitError, ParseError
 from .monomial import FIELD_BITS, check_width, unpack
 from .scalars import GaussianRational, I, _square_and_multiply
 from .series import FormalMap, FormalSeries, _bound, _mul_terms, _reduced, _scaled_terms
@@ -44,6 +45,11 @@ _MAX_NESTING = 100
 # soon as one of its coefficients does; a coefficient of that size already
 # prints to about 2,500 decimal digits.
 _MAX_POWER_BITS = 8192
+
+# A product of two tables is refused before it runs once its result could
+# pass this many terms, min(len(a) * len(b), C(n + d, n)) for the degree
+# d <= K it reaches: past about 50,000 terms a power already costs seconds.
+_MAX_TERMS = 50_000
 
 # Longer integer literals are refused before conversion: Python's default
 # limit on int-to-str conversion, which int() also enforces.
@@ -402,6 +408,13 @@ class _Parser:
         if len(b) == 1:
             ((kb, cb),) = b.items()
             return {k + kb: c * cb for k, c in a.items() if k + kb < self.bound}
+        terms = len(a) * len(b)
+        if terms > _MAX_TERMS:  # C(n + d, n) monomials have degree <= d
+            n = len(self.names)
+            d = min(self.truncation, (max(a) >> FIELD_BITS * n) + (max(b) >> FIELD_BITS * n))
+            if min(terms, comb(n + d, n)) > _MAX_TERMS:
+                raise LimitError(f"a product of up to {min(terms, comb(n + d, n))} terms "
+                                 f"exceeds the budget of {_MAX_TERMS} terms")
         (left, da), (right, db) = _scaled_terms(a), _scaled_terms(b)
         table = _mul_terms(left, right, self.bound)
         return _reduced(table, da * db) if da * db > 1 else {k: c for k, c in table.items() if c}

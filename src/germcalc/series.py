@@ -20,13 +20,16 @@ keeps the powers of each component as term lists, power e over the e-th
 power of the component's denominator.  Terms group by their exponents
 of x_2..x_n; each group's sum over powers of the first component is
 multiplied once by its powers of the others, into one table over the
-lcm of all the denominators.
+lcm of all the denominators.  One table of monomial images (_Images)
+forms each Phi^a once, so g o Phi is a sum of images: the inverse and the
+pullbacks of an equivalence check read one; composition keeps the grouped
+substitution, faster for a sparse series over a dense map.
 
 A FormalMap, like a VectorField (see dynamics), is n series in n
 variables with zero constant term, cut to their common truncation; the
 two share one base class.  Composition is exact through the carried
-truncation; the inverse solves X o Phi = id one degree at a time against
-monomial images Phi^a shared by the components (see FormalMap.inverse).
+truncation; the inverse solves X o Phi = id one degree at a time (see
+FormalMap.inverse).
 """
 
 from __future__ import annotations
@@ -94,6 +97,47 @@ def _powers(components: Sequence["FormalSeries"], truncation: int) -> tuple:
     demand by substitute from [1, component]."""
     scaled = [_scaled_terms(c.truncate(truncation)._table) for c in components]
     return truncation, [den for _, den in scaled], [[_ONE, terms] for terms, _ in scaled]
+
+
+class _Images(dict):
+    """Phi^a, for a map Phi cut at a truncation, by packed a: a term list of
+    integer numerators and its denominator; Phi^0 is 1, so a constant term
+    pulls back too.  A missing image is formed on first read, as one
+    _mul_terms product of the nearest image below it by a component."""
+
+    __slots__ = ("bound", "comps", "steps")
+
+    def __init__(self, components: Sequence["FormalSeries"], truncation: int):
+        n = len(components)
+        self.bound = _bound(n, truncation)
+        self.comps = [_scaled_terms(c.truncate(truncation)._table) for c in components]
+        self.steps = [1 << FIELD_BITS * n | 1 << FIELD_BITS * j for j in range(n)]  # x_j
+        super().__init__([(0, (_ONE, 1)), *zip(self.steps, self.comps)])
+
+    def __missing__(self, key):
+        chain = []
+        while key not in self:  # down by the first variable of key
+            j = next(j for j in range(len(self.steps)) if key >> FIELD_BITS * j & _FIELD_MASK)
+            chain.append((key, j))
+            key -= self.steps[j]
+        for key, j in reversed(chain):
+            (terms, den), (right, d) = self[key - self.steps[j]], self.comps[j]
+            self[key] = _nonzero_terms(_mul_terms(terms, right, self.bound)), den * d
+        return self[key]
+
+    def pull(self, table: dict, acc: dict, den: int) -> int:
+        """Add g o Phi, the sum of c_a * Phi^a over g's term table, into acc,
+        numerators over den, by additions; return acc's new denominator."""
+        parts = [(self[key], c.as_integer_ratio() if type(c) is Fraction else (c, 1))
+                 for key, c in table.items()]
+        common = lcm(den, *(q * d for (_, d), (_, q) in parts))
+        for k in acc if common != den else ():
+            acc[k] *= common // den
+        for (terms, d), (num, q) in parts:
+            scale = num * (common // (q * d))
+            for k, v in terms:
+                acc[k] = acc.get(k, 0) + scale * v
+        return common
 
 
 def _reduced(table: dict, den: int) -> dict[int, Scalar]:
@@ -487,49 +531,23 @@ class FormalMap(_ComponentTuple):
         Solves X o self = id one degree at a time (Brent and Kung, J. ACM
         1978).  X_1 is L^-1, the inverse linear forms.  Since every X_d is
         homogeneous of degree d, the degree-d part of X_d o self is X_d o L,
-        so for d >= 2 X_d is -[X_<d o self]_d o L^-1.  A running table holds
-        X_<d o self on integer numerators over one denominator, and only its
-        degree-d error becomes Fractions.  X_(d-1) o self adds into it, term
-        by term, the images self^a of X_(d-1)'s monomials a: each image is
-        one product of an image of degree d-2 by a component of self,
-        formed on first use and shared by the n components.
+        so for d >= 2 X_d is -[X_<d o self]_d o L^-1.  A running table per
+        component holds X_<d o self on integer numerators over one
+        denominator, and only its degree-d error becomes Fractions.
+        X_(d-1) o self adds into it through one _Images table of self^a,
+        shared by the n components and by every degree.
         """
         n, K = self.dimension, self.truncation
         units = [tuple(1 if t == j else 0 for t in range(n)) for j in range(n)]
         linear = [FormalSeries(n, K, zip(units, row)) for row in self.linear_inverse()]
-        linear_powers, bound, shift = _powers(linear, K), _bound(n, K), FIELD_BITS * n
-        comps = [_scaled_terms(c._table) for c in self.components]
-        steps = [pack(u) for u in units]
-        images = dict(zip(steps, comps))  # self^a by packed a: numerators, denominator
-
-        def image(key):  # built up from the nearest image already formed
-            chain = []
-            while key not in images:
-                j = next(j for j in range(n) if key >> FIELD_BITS * j & _FIELD_MASK)
-                chain.append((key, j))
-                key -= steps[j]
-            for key, j in reversed(chain):
-                (terms, den), (right, d) = images[key - steps[j]], comps[j]
-                images[key] = _nonzero_terms(_mul_terms(terms, right, bound)), den * d
-            return images[key]
-
+        linear_powers, images = _powers(linear, K), _Images(self.components, K)
         x = [dict(c._table) for c in linear]  # X through the last degree solved
-        last, moved, den = x, [{} for _ in range(n)], 1  # X_(d-1); X_<d o self over den
+        last, moved, dens = x, [{} for _ in range(n)], [1] * n  # X_(d-1); X_<d o self over dens
         for degree in range(2, K + 1):
-            parts = [(table, image(key), c.as_integer_ratio() if type(c) is Fraction else (c, 1))
-                     for table, new in zip(moved, last) for key, c in new.items()]
-            common = lcm(den, *(q * d for _, (_, d), (_, q) in parts))
-            rescale, den = common // den, common
-            for table in moved if rescale != 1 else ():
-                for k in table:
-                    table[k] *= rescale
-            for table, (terms, d), (num, q) in parts:
-                scale = num * (common // (q * d))
-                for k, v in terms:
-                    table[k] = table.get(k, 0) + scale * v
-            error = [{k: -v for k, v in t.items() if k >> shift == degree} for t in moved]
+            dens = [images.pull(new, table, den) for new, table, den in zip(last, moved, dens)]
+            error = [{k: -v for k, v in t.items() if k >> FIELD_BITS * n == degree} for t in moved]
             last = [FormalSeries._from_table(n, K, _reduced(e, den))
-                    .substitute(linear, linear_powers)._table for e in error]
+                    .substitute(linear, linear_powers)._table for e, den in zip(error, dens)]
             for table, new in zip(x, last):
                 table.update(new)  # X_d holds the terms of degree d
         return FormalMap([FormalSeries._from_table(n, K, t) for t in x])

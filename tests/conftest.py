@@ -309,6 +309,19 @@ def parse_series_oracle(text, names, truncation):
         return expressions.parse_series(text, names, truncation)
 
 
+def guard_parser_products(monkeypatch):
+    """Fail, instead of running, any product the parser starts with more
+    than a million term pairs: a broken term budget shows as a failure,
+    not as a job that runs for seconds."""
+    mul_terms = expressions._mul_terms
+
+    def guarded(left, right, *rest):
+        assert len(left) * len(right) <= 10**6, "a product past the term budget ran"
+        return mul_terms(left, right, *rest)
+
+    monkeypatch.setattr(expressions, "_mul_terms", guarded)
+
+
 def _degree_part(f, degree):
     """The terms of f of total degree degree, at f's truncation."""
     terms = {m: c for m, c in f.terms.items() if m.degree == degree}

@@ -24,7 +24,8 @@ from germcalc.errors import (
     ParseError,
     PrecisionError,
 )
-from germcalc.expressions import _MAX_LITERAL_DIGITS
+from germcalc.expressions import _MAX_LITERAL_DIGITS, _MAX_TERMS
+from conftest import guard_parser_products
 
 DATA = Path(__file__).parent / "data" / "manifests"
 
@@ -568,7 +569,7 @@ def test_bad_flag_values(capsys):
     code, _, err = invoke(
         capsys, "divide", "-f", "z", "-g", "z", "--trunc", "-1"
     )
-    assert code == 2 and "nonnegative" in err
+    assert code == 2 and "--trunc must be a natural number" in err
     code, _, err = invoke(capsys, "divide", "--vars", "z,,w", "-f", "z", "-g", "z")
     assert code == 2 and "--vars" in err
 
@@ -610,6 +611,52 @@ def test_an_out_of_range_flag_names_its_flag(capsys, argv, message):
     start = time.perf_counter()
     assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("divide", "-f", "z", "-g", "z"),
+        ("diagram", "-g", "z"),
+        ("jet", "-f", "z", "--order", "1", "--vars", "z"),
+        ("reduce", "-f", "z", "-g", "z"),
+        ("check-equivalence", "--manifest", "curves-shear.man"),
+        ("check-conjugacy", "--manifest", "conj-true.man"),
+        ("check-field-equivalence", "--manifest", "field-true.man"),
+        ("counterexample", "verify", "--k", "2"),
+    ],
+)
+def test_a_negative_trunc_names_its_flag_on_every_leaf_that_takes_it(capsys, argv):
+    # before, every leaf but counterexample verify said "truncation must be
+    # nonnegative", from the series or check intake
+    argv = [str(DATA / a) if a.endswith(".man") else a for a in argv]
+    start = time.perf_counter()
+    assert invoke(capsys, *argv, "--trunc", "-1") == (
+        2, "", "error: --trunc must be a natural number\n"
+    )
+    assert time.perf_counter() - start < 0.5
+    path = " ".join(argv[:2] if argv[0] == "counterexample" else argv[:1])
+    assert cli._LEAST[path]["trunc"] == 0
+
+
+def test_a_negative_manifest_trunc_keeps_its_refusal(capsys, tmp_path):
+    manifest = tmp_path / "negative.man"
+    manifest.write_text("vars: z\ntrunc: -1\nseries: z\n")
+    code, out, err = invoke(capsys, "jet", "--manifest", str(manifest), "--order", "1")
+    assert (code, out, err) == (2, "", "error: truncation must be nonnegative\n")
+
+
+def test_a_dense_power_past_the_term_budget_exits_2(capsys, monkeypatch):
+    # ran for about 16 s and exited 0 before
+    guard_parser_products(monkeypatch)
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "jet", "--vars", "x,y,z,u", "-f", "(1+x+y+z+u)^40",
+                            "--trunc", "40", "--order", "1")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: a product of up to 58905 terms exceeds the budget of {_MAX_TERMS} terms\n"
+    )
 
 
 @pytest.mark.parametrize("leaf", [("sequence",), ("horizon", "--t-range", "0:3")])

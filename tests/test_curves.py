@@ -388,26 +388,27 @@ def test_cross_check_sample_count_is_pinned(monkeypatch):
     assert got == (False, 42, 14, ((1, 5), (2, 4), (3, 3), (4, 4)))
 
 
-def test_cross_check_reuses_the_matchers_refusal_and_one_table_of_powers(monkeypatch):
-    # Phi's linear part is inverted once, by the matcher, and its powers
-    # are built once by the matcher and once for the whole cross-check
-    counts = {"inverse": 0, "powers": 0}
-    linear_inverse, powers = FormalMap.linear_inverse, germcalc.equivalence._powers
+def test_cross_check_reuses_the_matchers_refusal_and_one_image_table(monkeypatch):
+    # Phi's linear part is inverted once, by the matcher, and its table of
+    # monomial images is built once by the matcher and once for the whole
+    # cross-check
+    counts = {"inverse": 0, "images": 0}
+    linear_inverse, images = FormalMap.linear_inverse, germcalc.equivalence._Images
 
     def counting_inverse(self):
         counts["inverse"] += 1
         return linear_inverse(self)
 
-    def counting_powers(*args):
-        counts["powers"] += 1
-        return powers(*args)
+    def counting_images(*args):
+        counts["images"] += 1
+        return images(*args)
 
     monkeypatch.setattr(FormalMap, "linear_inverse", counting_inverse)
-    monkeypatch.setattr(germcalc.equivalence, "_powers", counting_powers)
+    monkeypatch.setattr(germcalc.equivalence, "_Images", counting_images)
     monkeypatch.setattr(germcalc.curves, "_CROSS_CHECK_SAMPLES", 10)
     report = verify_finite_order_equivalence(3, 4, 3)
     assert report.cross_checked == 42
-    assert counts == {"inverse": 1, "powers": 2}
+    assert counts == {"inverse": 1, "images": 2}
 
 
 def test_one_verify_is_one_call_through_the_public_set_check(monkeypatch):

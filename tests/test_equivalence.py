@@ -31,6 +31,7 @@ from germcalc import (
 from germcalc import equivalence
 from conftest import (
     exponent_tuples,
+    inverse_oracle,
     inverse_pair_oracle,
     jet_coset_oracle,
     random_ideal,
@@ -716,14 +717,59 @@ def test_horizons_match_each_order_and_never_rise_again():
         assert None in firsts and len(set(firsts) - {None}) >= 2
 
 
-# -- one table of Phi's powers per working truncation --------------------------
+# -- one table of monomial images per working truncation ----------------------
 
 
-def _pulled_by_compose(ideal, phi, powers):
+def _pulled_by_compose(ideal, phi, images):
     return tuple(compose(g, phi) for g in ideal.generators)
 
 
-def test_pullbacks_share_one_power_table_per_working_truncation(monkeypatch):
+def _pullback_cases(field):
+    """(phi, ideal) pairs over the field: n = 1..3 and the realified shear,
+    generators cut above and below phi's truncation, with constant terms,
+    non-integer coefficients and one generator that pulls back to zero."""
+    rng = random.Random(f"pullback:{field}")
+    for n in (1, 2, 3, 4):
+        if n == 4:
+            phi = shift_map(GaussianRational(3, 2) if field == "Q(i)" else 5, 6, realified=True)
+        else:
+            phi = _oracle_map(rng, field, n, 5)
+        for _ in range(4):
+            truncs = [rng.choice((3, 5, 7)) for _ in range(3)]
+            gens = [_over(rng, field, n, t, density=0.4 if n < 4 else 0.05) for t in truncs]
+            # nonzero, but past phi's truncation: its pullback is zero
+            vanishing = (phi.truncation + 1,) + (0,) * (n - 1)
+            gens.insert(rng.randrange(4), FormalSeries.monomial(n, 7, vanishing, Fraction(1, 3)))
+            yield phi, IdealPresentation(n, gens)
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(i)"])
+def test_pullbacks_through_the_shared_table_equal_the_composition(field):
+    seen = {"constant": False, "fraction": False, "above": False, "below": False}
+    inverted: list = []
+    for phi, ideal in _pullback_cases(field):
+        images: dict = {}
+        expected = tuple(compose(g, phi) for g in ideal.generators)
+        for _ in range(2):  # the second pass reads the table the first filled
+            gens = equivalence._pulled(ideal, phi, images)
+            assert gens == expected
+        assert pullback(ideal, phi) == IdealPresentation(ideal.dimension, gens)
+        # the generator that pulls back to zero keeps its position
+        vanishing = [pos for pos, g in enumerate(ideal.generators) if g.order() > phi.truncation]
+        assert len(gens) == len(ideal.generators) and gens[vanishing[0]].is_zero
+        for g in ideal.generators:
+            seen["constant"] |= bool(g.constant_term())
+            seen["fraction"] |= any(
+                c.denominator > 1 for c in g.terms.values() if type(c) is Fraction)
+            seen["above"] |= g.truncation > phi.truncation
+            seen["below"] |= g.truncation < phi.truncation
+        if phi not in inverted:  # the inverse reads the same kind of table
+            assert phi.inverse() == inverse_oracle(phi)
+            inverted.append(phi)
+    assert all(seen.values()) and len(inverted) == 4
+
+
+def test_pullbacks_share_one_image_table_per_working_truncation(monkeypatch):
     rng = random.Random(67)
     phi = random_invertible_map(rng, 2, 5)
     phi_inv = phi.inverse()
@@ -744,13 +790,13 @@ def test_pullbacks_share_one_power_table_per_working_truncation(monkeypatch):
     assert sorted(shared) == [3, 4, 5]
 
     built = []
-    original = equivalence._powers
+    original = equivalence._Images
 
     def counting(components, truncation):
         built.append(truncation)
         return original(components, truncation)
 
-    monkeypatch.setattr(equivalence, "_powers", counting)
+    monkeypatch.setattr(equivalence, "_Images", counting)
     families = [
         (GermFamily.of("family", zip("abcd", lefts)), GermFamily.of("family", zip("abcd", rights))),
         (GermFamily.of("set", zip("abcd", lefts)), GermFamily.of("set", zip("wxyz", rights[::-1]))),
@@ -760,8 +806,10 @@ def test_pullbacks_share_one_power_table_per_working_truncation(monkeypatch):
         for left, right in families:
             del built[:]
             reports.append(is_order_k_equivalence(phi, left, right, k))
-            # each working truncation's table is built at most once per match
+            # one table per working truncation a match reaches, built once
             assert sorted(built) == sorted(set(built)) and set(built) <= {3, 4, 5}
+            if left.mode == "family":
+                assert sorted(built) == [3, 4, 5]
     assert any(r.ok for r in reports) and not all(r.ok for r in reports)
     assert any(v.failure for r in reports for v in r.per_index)
 

@@ -7,6 +7,7 @@ from germcalc import FormalMap, FormalSeries, GaussianRational, I, LimitError, P
 from germcalc import expressions
 from germcalc.expressions import (
     _MAX_POWER_BITS,
+    _MAX_TERMS,
     _power_bits,
     default_variables,
     format_components,
@@ -19,7 +20,12 @@ from germcalc.expressions import (
     parse_series,
     real_variables,
 )
-from conftest import parse_series_oracle, random_invertible_map, random_series
+from conftest import (
+    guard_parser_products,
+    parse_series_oracle,
+    random_invertible_map,
+    random_series,
+)
 
 ZW = ["z", "w"]
 
@@ -162,6 +168,32 @@ def test_oversized_scalar_power_is_a_parse_error():
     assert err.value.position == 3
     big = parse_series("2^4000*z + (-1)^99999 + 0^99", ZW, 4)
     assert big == s({(1, 0): Fraction(2) ** 4000, (0, 0): -1})
+
+
+def test_a_product_past_the_term_budget_is_refused_before_it_runs(monkeypatch):
+    guard_parser_products(monkeypatch)
+    names = ["x", "y", "z", "u"]
+    # (1+x+y+z+u)^16 squared reaches degree 32: C(36, 4) = 58,905 monomials
+    with pytest.raises(LimitError, match=f"up to 58905 terms exceeds the budget of {_MAX_TERMS}"):
+        parse_series("(1+x+y+z+u)^40", names, 40)
+    # sparse powers at a high truncation still parse
+    x, y = (FormalSeries.variable(4, 1000, j) for j in range(2))
+    assert parse_series("x^100 + (x^300 + y)^3", names, 1000) == x**100 + (x**300 + y) ** 3
+
+
+def test_the_term_estimate_takes_the_smaller_of_its_two_bounds(monkeypatch):
+    monkeypatch.setattr(expressions, "_MAX_TERMS", 9)
+    # 12 term pairs, but only C(2 + 2, 2) = 6 monomials through degree 2
+    z, w = FormalSeries.variable(2, 2, 0), FormalSeries.variable(2, 2, 1)
+    assert parse_series("(1+z+w)*(1+z+w+z*w)", ZW, 2) == (1 + z + w) * (1 + z + w + z * w)
+    # at K = 10 the product reaches degree 3: C(2 + 3, 2) = 10 monomials
+    with pytest.raises(LimitError, match="up to 10 terms exceeds the budget of 9 terms"):
+        parse_series("(1+z+w)*(1+z+w+z*w)", ZW, 10)
+    # degree 9 holds C(11, 2) = 55 monomials, but 2 * 5 pairs give at most 10
+    with pytest.raises(LimitError, match="up to 10 terms exceeds the budget of 9 terms"):
+        parse_series("(1+z)*(1+w^2+w^4+w^6+w^8)", ZW, 10)
+    # a product by one term shifts keys and is never refused
+    assert parse_series("(1+z+w+z^2+w^2+z*w+z^3+w^3+z^4+w^4)*z", ZW, 10).order() == 1
 
 
 def test_parse_map_and_components():
