@@ -109,7 +109,7 @@ def _difference_verdict(
         raise DimensionError(
             f"series dimensions differ: {target.dimension} vs {phi.dimension}"
         )
-    composed = target.compose(phi)  # phi's powers built once for every component
+    composed = target.compose(phi)  # phi's images formed once for every component
     trunc = min(composed.truncation, moved.truncation)
     if trunc < k - 1:
         raise PrecisionError(f"order-{k} comparison needs degree {k - 1}, have {trunc}")

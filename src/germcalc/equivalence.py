@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Optional
 
 from .errors import DimensionError, PrecisionError
 from .ideals import HorizonReport, IdealPresentation, _jet_dimension, jet_membership
-from .series import FormalMap, FormalSeries, _Images, _reduced
+from .series import FormalMap, FormalSeries, _Images
 
 MODES = ("family", "set")
 
@@ -92,9 +92,8 @@ def _pulled(ideal: IdealPresentation, phi: FormalMap, images: dict) -> tuple:
         trunc = min(g.truncation, phi.truncation)
         if trunc not in images:
             images[trunc] = _Images(phi.components, trunc)
-        table: dict = {}
-        den = images[trunc].pull(g.truncate(trunc)._table, table, 1)
-        gens.append(FormalSeries._from_table(ideal.dimension, trunc, _reduced(table, den)))
+        table = images[trunc].composed(g.truncate(trunc)._table)
+        gens.append(FormalSeries._from_table(ideal.dimension, trunc, table))
     return tuple(gens)
 
 

@@ -15,15 +15,10 @@ two monomials, and a bisection on the right operand bounds each left
 term's pairs, so no pair past the truncation is visited.  Over Q the loop
 sees only ints: each operand is cleared to integer numerators over the
 lcm of its denominators, and each result coefficient is reduced once.
-Over Q(i) coefficients pass through as they are, over 1.  Substitution
-keeps the powers of each component as term lists, power e over the e-th
-power of the component's denominator.  Terms group by their exponents
-of x_2..x_n; each group's sum over powers of the first component is
-multiplied once by its powers of the others, into one table over the
-lcm of all the denominators.  One table of monomial images (_Images)
-forms each Phi^a once, so g o Phi is a sum of images: the inverse and the
-pullbacks of an equivalence check read one; composition keeps the grouped
-substitution, faster for a sparse series over a dense map.
+Over Q(i) coefficients pass through as they are, over 1.  Every
+composition g o Phi runs through one table of monomial images
+(_Images): each Phi^a is one product, formed once and kept, and g o Phi
+is the sum of c_a * Phi^a over g's terms, additions only.
 
 A FormalMap, like a VectorField (see dynamics), is n series in n
 variables with zero constant term, cut to their common truncation; the
@@ -36,7 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, lcm
 from typing import Optional, Sequence
 
 from .errors import DimensionError, InversionError, PrecisionError, _Frozen
@@ -91,25 +86,19 @@ _ONE = [(0, 1)]
 _ZERO = Fraction(0)
 
 
-def _powers(components: Sequence["FormalSeries"], truncation: int) -> tuple:
-    """The truncation, the denominator D_j of each component at it, and the
-    powers of each component as term lists, power e over D_j^e, grown on
-    demand by substitute from [1, component]."""
-    scaled = [_scaled_terms(c.truncate(truncation)._table) for c in components]
-    return truncation, [den for _, den in scaled], [[_ONE, terms] for terms, _ in scaled]
-
-
 class _Images(dict):
-    """Phi^a, for a map Phi cut at a truncation, by packed a: a term list of
-    integer numerators and its denominator; Phi^0 is 1, so a constant term
-    pulls back too.  A missing image is formed on first read, as one
-    _mul_terms product of the nearest image below it by a component."""
+    """Phi^a, for series Phi_1..Phi_n in a common dimension m cut at a
+    truncation, by packed a in n variables: a term list of integer
+    numerators in m variables and its denominator; Phi^0 is 1, so a
+    constant term pulls back too.  A missing image is formed on first
+    read, as one _mul_terms product of the nearest image below it by a
+    component."""
 
     __slots__ = ("bound", "comps", "steps")
 
     def __init__(self, components: Sequence["FormalSeries"], truncation: int):
         n = len(components)
-        self.bound = _bound(n, truncation)
+        self.bound = _bound(components[0].dimension, truncation)
         self.comps = [_scaled_terms(c.truncate(truncation)._table) for c in components]
         self.steps = [1 << FIELD_BITS * n | 1 << FIELD_BITS * j for j in range(n)]  # x_j
         super().__init__([(0, (_ONE, 1)), *zip(self.steps, self.comps)])
@@ -138,6 +127,12 @@ class _Images(dict):
             for k, v in terms:
                 acc[k] = acc.get(k, 0) + scale * v
         return common
+
+    def composed(self, table: dict, den: int = 1) -> dict[int, Scalar]:
+        """g o Phi as a series term table, for g the term table of
+        numerators over den."""
+        acc: dict = {}
+        return _reduced(acc, self.pull(table, acc, 1) * den)
 
 
 def _reduced(table: dict, den: int) -> dict[int, Scalar]:
@@ -362,19 +357,15 @@ class FormalSeries(_Frozen):
                 table[k - step] = c * e
         return FormalSeries._from_table(self.dimension, self.truncation - 1, table)
 
-    def substitute(self, components: Sequence["FormalSeries"], powers=None) -> "FormalSeries":
+    def substitute(self, components: Sequence["FormalSeries"]) -> "FormalSeries":
         """Substitute one series per variable; components must have zero
-        constant term and live in a common dimension.  powers, from
-        _powers, shares the powers of the components between the
-        substitutions of a composition.  Terms group by their exponents of
-        x_2..x_n: a group adds up its scaled powers of the first component,
-        then takes one chain of products by its powers of the others."""
+        constant term and live in a common dimension, which may differ
+        from this series'.  The result is the sum of the terms' images
+        through one _Images table."""
         if len(components) != self.dimension:
             raise DimensionError(
                 f"need {self.dimension} substitution components, got {len(components)}"
             )
-        if not components:
-            raise ValueError("no components")
         m = components[0].dimension
         trunc = min([self.truncation] + [c.truncation for c in components])
         for comp in components:
@@ -382,44 +373,8 @@ class FormalSeries(_Frozen):
                 raise DimensionError("substitution components have mixed dimensions")
             if comp.constant_term():
                 raise ValueError("substitution components must vanish at 0")
-        if powers is None or powers[0] != trunc:
-            powers = _powers(components, trunc)
-        _, dens, cache = powers
-        bound = _bound(m, trunc)
-
-        def power(j, e):  # component j's power e, grown on demand
-            p = cache[j]
-            while len(p) <= e:
-                p.append(sorted(_nonzero_terms(_mul_terms(p[-1], p[1], bound))))
-            return p[e]
-
-        # the image of c * x^e is a numerator over den(c) * prod_j D_j^e_j
-        images = []
-        for key, c in self.truncate(trunc)._table.items():
-            num, den = c.as_integer_ratio() if type(c) is Fraction else (c, 1)
-            exponents = unpack(key, self.dimension)
-            images.append((exponents, num, den * prod(d**e for d, e in zip(dens, exponents))))
-        common = lcm(*(den for _, _, den in images))
-        # per exponent of x_2..x_n, the sum of the scaled numerators times
-        # the powers of the first component; the group of x_1's powers
-        # alone sums straight into acc
-        acc: dict[int, Scalar] = {}
-        groups = {(0,) * (self.dimension - 1): acc}
-        for exponents, num, den in images:
-            total = groups.setdefault(exponents[1:], {})
-            scale = num * (common // den)
-            for k, v in power(0, exponents[0]):
-                total[k] = total.get(k, 0) + scale * v
-        # each other group's sum times its powers of the other components,
-        # the last product added straight into acc
-        for rest, total in groups.items():
-            if total is not acc:
-                factors = [power(j, e) for j, e in enumerate(rest, 1) if e]
-                term = total.items()
-                for factor in factors[:-1]:
-                    term = _nonzero_terms(_mul_terms(term, factor, bound))
-                _mul_terms(term, factors[-1], bound, acc)
-        return FormalSeries._from_table(m, trunc, _reduced(acc, common))
+        table = _Images(components, trunc).composed(self.truncate(trunc)._table)
+        return FormalSeries._from_table(m, trunc, table)
 
     # -- comparisons --------------------------------------------------------
 
@@ -479,12 +434,15 @@ class _ComponentTuple(_Frozen):
         return type(self)([c.truncate(degree) for c in self.components])
 
     def compose(self, other: "FormalMap"):
-        """self after the map other, in the class of self."""
+        """self after the map other, in the class of self: every component
+        a sum of images from one _Images table of other."""
         if other.dimension != self.dimension:
             raise DimensionError("cannot compose maps of different dimensions")
-        comps = other.components
-        powers = _powers(comps, min(self.truncation, other.truncation))
-        return type(self)([c.substitute(comps, powers) for c in self.components])
+        trunc = min(self.truncation, other.truncation)
+        images = _Images(other.components, trunc)
+        return type(self)([FormalSeries._from_table(
+            self.dimension, trunc, images.composed(c.truncate(trunc)._table))
+            for c in self.components])
 
     def __eq__(self, other):
         if isinstance(other, _ComponentTuple):
@@ -533,21 +491,23 @@ class FormalMap(_ComponentTuple):
         homogeneous of degree d, the degree-d part of X_d o self is X_d o L,
         so for d >= 2 X_d is -[X_<d o self]_d o L^-1.  A running table per
         component holds X_<d o self on integer numerators over one
-        denominator, and only its degree-d error becomes Fractions.
-        X_(d-1) o self adds into it through one _Images table of self^a,
-        shared by the n components and by every degree.
+        denominator, and X_(d-1) o self adds into it through one _Images
+        table of self^a.  Each degree-d error, numerators over that
+        denominator, is composed with L^-1 through a second _Images table,
+        of (L^-1)^a.  Both tables are shared by the n components and by
+        every degree.
         """
         n, K = self.dimension, self.truncation
         units = [tuple(1 if t == j else 0 for t in range(n)) for j in range(n)]
         linear = [FormalSeries(n, K, zip(units, row)) for row in self.linear_inverse()]
-        linear_powers, images = _powers(linear, K), _Images(self.components, K)
+        images, linear_images = _Images(self.components, K), _Images(linear, K)
         x = [dict(c._table) for c in linear]  # X through the last degree solved
         last, moved, dens = x, [{} for _ in range(n)], [1] * n  # X_(d-1); X_<d o self over dens
         for degree in range(2, K + 1):
             dens = [images.pull(new, table, den) for new, table, den in zip(last, moved, dens)]
-            error = [{k: -v for k, v in t.items() if k >> FIELD_BITS * n == degree} for t in moved]
-            last = [FormalSeries._from_table(n, K, _reduced(e, den))
-                    .substitute(linear, linear_powers)._table for e, den in zip(error, dens)]
+            error = [{k: -v for k, v in t.items() if v and k >> FIELD_BITS * n == degree}
+                     for t in moved]
+            last = [linear_images.composed(e, den) for e, den in zip(error, dens)]
             for table, new in zip(x, last):
                 table.update(new)  # X_d holds the terms of degree d
         return FormalMap([FormalSeries._from_table(n, K, t) for t in x])

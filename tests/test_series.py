@@ -481,9 +481,8 @@ def test_substitution_that_cancels_to_zero():
 
 
 @pytest.mark.parametrize("field", FIELDS)
-def test_grouped_substitution_in_four_variables(field):
-    # four variables, as a realified pair of complex ones; the terms group
-    # by their exponents of x_2..x_4
+def test_substitution_in_four_variables_matches_the_oracle(field):
+    # four variables, as a realified pair of complex ones
     rng = random.Random(f"substitute-4:{field}")
     for _ in range(10):
         f = in_field(rng, field, random_series(rng, 4, rng.randint(0, 5), rng.random()))
@@ -492,20 +491,37 @@ def test_grouped_substitution_in_four_variables(field):
 
 
 @pytest.mark.parametrize("c", [Fraction(3), GaussianRational(1, 2)])
-def test_a_groups_sum_over_the_first_component_that_cancels(c):
+def test_substitution_whose_images_cancel_or_vanish(c):
     x = [FormalSeries.variable(4, 5, j) for j in range(4)]
     t, zero = FormalSeries.variable(1, 5, 0), FormalSeries.zero(1, 5)
-    # x_1*x_2 and x_1^2*x_2 form the group of x_2; with x_1 -> t + t^2 its
-    # sum c*(t + t^2) - c*(t + t^2)^2 has no t^2 term
+    # with x_1 -> t + t^2 and x_2 -> t, the images of x_1*x_2 and x_1^2*x_2
+    # sum to c*(t^2 + t^3) - c*(t^3 + 2t^4 + t^5), which has no t^3 term
     f = c * x[0] * x[1] - c * x[0] * x[0] * x[1] + x[2] * x[3]
     comps = [t + t * t, t, t, zero]
     got = f.substitute(comps)
     assert_same_series(got, substitute_oracle(f, comps))
     assert got == FormalSeries(1, 5, {(2,): c, (4,): -2 * c, (5,): -c})
-    # a zero first component empties every group sum with a power of x_1
+    # a zero first component sends every image with a power of x_1 to zero
     g = x[0] * x[1] + c * x[0] * x[0] * x[2] + x[3]
     assert_same_series(g.substitute([zero, t, t, t]), substitute_oracle(g, [zero, t, t, t]))
     assert g.substitute([zero, t, t, t]) == t
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("n, m", [(1, 3), (4, 1), (2, 4)])
+def test_substitution_across_dimensions_matches_the_oracle(n, m, field):
+    # an outer series in n variables over components in m: its images live
+    # in m variables, and so does their truncation
+    rng = random.Random(f"substitute-across:{n}:{m}:{field}")
+    for outer in (3, 5, 7):  # below, at and above the components' truncation
+        f = random_series(rng, n, outer, 0.5, min_order=1) + random_scalar(rng, allow_zero=False)
+        f = in_field(rng, field, f)
+        comps = [in_field(rng, field, random_nonzero_series(rng, m, 5, density=0.5, min_order=1))
+                 for _ in range(n)]
+        got = f.substitute(comps)
+        assert (got.dimension, got.truncation) == (m, min(outer, 5))
+        assert f.constant_term() and got.constant_term() == f.constant_term()
+        assert_same_series(got, substitute_oracle(f, comps))
 
 
 # -- the truncated inverse ----------------------------------------------------
@@ -546,11 +562,16 @@ def test_inverse_round_trips_and_matches_the_oracle(field):
 def test_inverse_forms_each_monomial_image_once(n, K, density, monkeypatch):
     phi = random_invertible_map(random.Random(41 + n), n, K, higher_density=density)
     components = [series_module._scaled_terms(c._table)[0] for c in phi.components]
-    by_phi, mul_terms = [], series_module._mul_terms
+    units = [tuple(1 if t == j else 0 for t in range(n)) for j in range(n)]
+    linear = [series_module._scaled_terms(FormalSeries(n, K, zip(units, row))._table)[0]
+              for row in phi.linear_inverse()]
+    by_phi, by_linear, mul_terms = [], [], series_module._mul_terms
 
     def counting(left, right, *rest):
         if right in components:
             by_phi.append(len(left))
+        if right in linear:
+            by_linear.append(len(left))
         return mul_terms(left, right, *rest)
 
     monkeypatch.setattr(series_module, "_mul_terms", counting)
@@ -558,21 +579,13 @@ def test_inverse_forms_each_monomial_image_once(n, K, density, monkeypatch):
     monkeypatch.undo()
     assert inv == inverse_oracle(phi)
     # at most one product by a component of Phi per monomial of degree
-    # 2..K-1, each image shared by the n components of the inverse
-    assert len(by_phi) <= len([e for e in exponent_tuples(n, K - 1) if sum(e) >= 2])
+    # 2..K-1, and one by a component of L^-1 per monomial of degree 2..K,
+    # each image shared by the n components of the inverse and every degree
+    monomials = [e for e in exponent_tuples(n, K) if sum(e) >= 2]
+    assert len(by_phi) <= len([e for e in monomials if sum(e) < K])
+    assert len(by_linear) <= len(monomials)
     if density == 1.0:
-        assert by_phi
-
-
-def test_shared_powers_apply_only_at_their_own_truncation():
-    rng = random.Random(43)
-    phi = random_invertible_map(rng, 2, 5)
-    f = random_series(rng, 2, 5, density=0.6)
-    comps = phi.components
-    for trunc in (3, 5):
-        shared = series_module._powers(comps, trunc)
-        assert f.substitute(comps, shared) == substitute_oracle(f, comps)
-        assert f.truncate(3).substitute(comps, shared) == substitute_oracle(f.truncate(3), comps)
+        assert by_phi and by_linear
 
 
 def test_a_map_truncated_at_0_has_no_known_linear_part():
